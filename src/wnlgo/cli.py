@@ -19,7 +19,8 @@ import json
 import os
 import sys
 
-from .errors import AdmissibilityError, ConfigError, ResolutionError
+from .errors import AdmissibilityError, ConfigError, ResolutionError, \
+    as_config_error
 from .experiments import emit_results, load_config, run_experiment, _atomic_write, \
     _csv_text
 from .grid import SpectralGrid, write_snapshot
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--signature", default=None,
                      help="one +/- per axis, e.g. '++' (default: elliptic)")
     res.add_argument("--nu", type=int, default=1)
-    res.add_argument("--box-radius", type=int, default=0)
+    res.add_argument("--box-radius", type=int, required=True,
+                     help="closure box sup-norm radius, >= the seeds' sup-norm")
     res.add_argument("--max-generations", type=int, default=8)
     res.add_argument("--target", default=None,
                      help="wave vector whose resonant tuples to list")
@@ -65,14 +67,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_resonance(args) -> int:
-    phi0 = tuple(_parse_vector(part) for part in args.phi0.split(";"))
-    if args.signature is None:
-        signature = Signature.elliptic(len(phi0[0]))
-    else:
-        signature = Signature.from_string(args.signature)
-    ps = close_phase_set(phi0, signature, args.nu,
-                         max_generations=args.max_generations,
-                         box_radius=args.box_radius)
+    with as_config_error():
+        phi0 = tuple(_parse_vector(part) for part in args.phi0.split(";"))
+        if args.signature is None:
+            signature = Signature.elliptic(len(phi0[0]))
+        else:
+            signature = Signature.from_string(args.signature)
+        ps = close_phase_set(phi0, signature, args.nu,
+                             max_generations=args.max_generations,
+                             box_radius=args.box_radius)
+        if args.target is not None:
+            target = _parse_vector(args.target)
+            idx = ps.index(target)
     payload = {
         "phi": [list(v) for v in ps.vectors],
         "generations": ps.generations,
@@ -80,8 +86,6 @@ def _cmd_resonance(args) -> int:
         "count": len(ps),
     }
     if args.target is not None:
-        target = _parse_vector(args.target)
-        idx = ps.index(target)
         payload["target"] = list(target)
         payload["tuples"] = [
             [list(ps.vectors[i]) for i in t.indices]

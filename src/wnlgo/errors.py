@@ -9,6 +9,8 @@ tell configuration mistakes apart from physically inadmissible parameters:
 * ConfigError — malformed or inconsistent experiment configuration.
 """
 
+from contextlib import contextmanager
+
 
 class AdmissibilityError(ValueError):
     """kappa/eps is not representable on the grid-frequency lattice."""
@@ -20,3 +22,12 @@ class ResolutionError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+@contextmanager
+def as_config_error():
+    """Report a ValueError raised while reading user input as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

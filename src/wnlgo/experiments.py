@@ -38,11 +38,11 @@ import numpy as np
 import scipy.fft
 
 from . import kernels as _kernels
-from .errors import ConfigError
+from .errors import ConfigError, as_config_error
 from .grid import GridFunction, SpectralGrid
 from .norms import ScaledProfileSpec, gaussian_sobolev_norm, scaled_profile_norm, \
     sobolev_norm
-from .resonance import PhaseSet, Signature, close_phase_set
+from .resonance import PhaseSet, Signature, as_wave_vector, close_phase_set
 from .solver import ModelParams, assemble_approximation, approximation_error, \
     evolve_semiclassical, oscillatory_initial_data, require_admissible, \
     require_resolved
@@ -74,6 +74,8 @@ _SOBOLEV_TOP_KEYS = {"experiment": True, "eps_list": True, "profile_kind": True,
 
 
 def _check_keys(section: dict, allowed: dict, name: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {name}")
@@ -82,12 +84,27 @@ def _check_keys(section: dict, allowed: dict, name: str) -> None:
             raise ConfigError(f"missing required key {key!r} in {name}")
 
 
+def _real(value, name: str) -> float:
+    """A finite JSON number, as a float; anything else is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """An integral JSON number, as an int; 1.5 or "2" is a ConfigError."""
+    if _real(value, name) != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ConfigError(f"complex amplitude must be [re, im], got {value}")
-        return complex(value[0], value[1])
-    return complex(value)
+        return complex(_real(value[0], "amplitude"), _real(value[1], "amplitude"))
+    return complex(_real(value, "amplitude"))
 
 
 @dataclass(frozen=True)
@@ -129,6 +146,7 @@ class ExperimentConfig:
     ratio_min: float = 10.0
     expect_inflation: bool = True
     output_dir: str | None = None
+    closure: PhaseSet | None = None
     # sobolev-asymptotics
     profile_kind: str = ""
     kappa: tuple = ()
@@ -147,9 +165,8 @@ class ExperimentConfig:
         return SpectralGrid(self.dim, self.half_box, n)
 
     def phase_set(self) -> PhaseSet:
-        return close_phase_set(self.phi0, self.signature, self.nu,
-                               max_generations=self.max_generations,
-                               box_radius=self.box_radius)
+        """The closure of phi0, computed once by parse_config."""
+        return self.closure
 
     def model_for(self, eps: float) -> ModelParams:
         return ModelParams(eps, self.j_exponent, self.lam, self.mu, self.nu,
@@ -197,7 +214,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def _parse_eps_list(raw) -> tuple:
-    eps_list = tuple(float(e) for e in raw)
+    if not isinstance(raw, list):
+        raise ConfigError("eps_list must be a list")
+    eps_list = tuple(_real(e, "eps_list entry") for e in raw)
     if not eps_list:
         raise ConfigError("eps_list must be nonempty")
     if any(e <= 0 for e in eps_list):
@@ -221,11 +240,21 @@ def _parse_field(raw: dict, kind: str) -> ExperimentConfig:
     if ("points_scale" in grid) == ("points_per_axis" in grid):
         raise ConfigError(
             "grid needs exactly one of 'points_scale' / 'points_per_axis'")
-    dim = int(grid["dim"])
-    signature = Signature.from_string(model["signature"])
-    if signature.dim != dim:
-        raise ConfigError("signature length must equal grid dim")
-    kernel = _kernels.parse_kernel(model["kernel"], dim)
+    dim = _integer(grid["dim"], "grid.dim")
+    nu = _integer(model["nu"], "model.nu")
+    with as_config_error():
+        signature = Signature.from_string(model["signature"])
+        if signature.dim != dim:
+            raise ConfigError("signature length must equal grid dim")
+        kernel = _kernels.parse_kernel(model["kernel"], dim)
+        phi0 = tuple(as_wave_vector(v) for v in phases["phi0"])
+        box_radius = _integer(phases["box_radius"], "phases.box_radius")
+        max_generations = _integer(phases.get("max_generations", 8),
+                                   "phases.max_generations")
+        closure = close_phase_set(phi0, signature, nu, max_generations,
+                                  box_radius)
+    if not isinstance(data["amplitudes"], list):
+        raise ConfigError("data.amplitudes must be a list")
     profile = data["profile"]
     if profile not in ("gaussian", "uniform"):
         raise ConfigError(f"unknown data profile {profile!r}")
@@ -235,52 +264,60 @@ def _parse_field(raw: dict, kind: str) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment=kind,
         raw=raw,
-        lam=float(model["lam"]),
-        mu=float(model["mu"]),
-        nu=int(model["nu"]),
-        j_exponent=float(model.get("j_exponent", 1.0)),
+        lam=_real(model["lam"], "model.lam"),
+        mu=_real(model["mu"], "model.mu"),
+        nu=nu,
+        j_exponent=_real(model.get("j_exponent", 1.0), "model.j_exponent"),
         signature=signature,
         kernel=kernel,
         dim=dim,
-        box_pi_multiple=float(grid["box_pi_multiple"]),
-        points_scale=float(grid["points_scale"]) if "points_scale" in grid else None,
-        points_per_axis=int(grid["points_per_axis"]) if "points_per_axis" in grid else None,
-        phi0=tuple(tuple(int(c) for c in v) for v in phases["phi0"]),
-        box_radius=int(phases["box_radius"]),
-        max_generations=int(phases.get("max_generations", 8)),
+        box_pi_multiple=_real(grid["box_pi_multiple"], "grid.box_pi_multiple"),
+        points_scale=_real(grid["points_scale"], "grid.points_scale")
+        if "points_scale" in grid else None,
+        points_per_axis=_integer(grid["points_per_axis"], "grid.points_per_axis")
+        if "points_per_axis" in grid else None,
+        phi0=phi0,
+        box_radius=box_radius,
+        max_generations=max_generations,
         profile=profile,
         amplitudes=tuple(_as_complex(a) for a in data["amplitudes"]),
-        width=float(data.get("width", 0.0)),
+        width=_real(data.get("width", 0.0), "data.width"),
         eps_list=_parse_eps_list(raw["eps_list"]),
-        t_final=float(raw["T"]),
-        dt=float(raw["dt"]),
-        rate_dt=float(raw.get("rate_dt", 1e-3)),
-        snapshots=int(raw.get("snapshots", 8)),
-        profile_points=int(raw.get("profile_points", 64)),
-        profile_dt=float(raw.get("profile_dt", raw["dt"])),
-        s=float(raw["s"]) if "s" in raw else None,
-        sigma=float(raw["sigma"]) if "sigma" in raw else None,
-        beta=float(raw.get("beta", 1.0)),
-        ratio_min=float(raw.get("ratio_min", 10.0)),
+        t_final=_real(raw["T"], "T"),
+        dt=_real(raw["dt"], "dt"),
+        rate_dt=_real(raw.get("rate_dt", 1e-3), "rate_dt"),
+        snapshots=_integer(raw.get("snapshots", 8), "snapshots"),
+        profile_points=_integer(raw.get("profile_points", 64), "profile_points"),
+        profile_dt=_real(raw.get("profile_dt", raw["dt"]), "profile_dt"),
+        s=_real(raw["s"], "s") if "s" in raw else None,
+        sigma=_real(raw["sigma"], "sigma") if "sigma" in raw else None,
+        beta=_real(raw.get("beta", 1.0), "beta"),
+        ratio_min=_real(raw.get("ratio_min", 10.0), "ratio_min"),
         expect_inflation=bool(raw.get("expect_inflation", True)),
         output_dir=raw.get("output_dir"),
+        closure=closure,
     )
     _validate_field(cfg)
     return cfg
 
 
 def _validate_field(cfg: ExperimentConfig) -> None:
-    if cfg.t_final < 0 or cfg.dt <= 0:
-        raise ConfigError("need T >= 0 and dt > 0")
+    if cfg.t_final < 0 or cfg.dt <= 0 or cfg.profile_dt <= 0:
+        raise ConfigError("need T >= 0, dt > 0 and profile_dt > 0")
+    if cfg.snapshots < 1:
+        raise ConfigError(f"need snapshots >= 1, got {cfg.snapshots}")
     phase_set = cfg.phase_set()
     if len(cfg.amplitudes) != phase_set.origin_count:
         raise ConfigError(
             f"{phase_set.origin_count} seed modes need as many amplitudes, "
             f"got {len(cfg.amplitudes)}")
+    with as_config_error():
+        SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
+        grids = [cfg.grid_for(eps) for eps in cfg.eps_list]
     probe = SpectralGrid(cfg.dim, cfg.half_box, 4)
-    for eps in cfg.eps_list:
+    for eps, grid in zip(cfg.eps_list, grids):
         require_admissible(probe, phase_set.vectors, eps)
-        require_resolved(cfg.grid_for(eps), phase_set.vectors, eps)
+        require_resolved(grid, phase_set.vectors, eps)
 
     if cfg.experiment == "more-weakly":
         if cfg.s is None:
@@ -342,14 +379,14 @@ def _parse_sobolev(raw: dict) -> ExperimentConfig:
         raw=raw,
         eps_list=_parse_eps_list(raw["eps_list"]),
         profile_kind=kind,
-        s=float(raw["s"]) if "s" in raw else None,
-        sigma=float(raw["sigma"]) if "sigma" in raw else None,
-        dim=int(raw.get("dim", 1)),
-        beta=float(raw.get("beta", 1.0)),
-        kappa=tuple(float(c) for c in raw.get("kappa", ())),
-        width=float(raw.get("width", 1.0)),
-        half_length=float(raw.get("half_length", 32.0)),
-        scaled_points=int(raw.get("scaled_points", 0)),
+        s=_real(raw["s"], "s") if "s" in raw else None,
+        sigma=_real(raw["sigma"], "sigma") if "sigma" in raw else None,
+        dim=_integer(raw.get("dim", 1), "dim"),
+        beta=_real(raw.get("beta", 1.0), "beta"),
+        kappa=tuple(_real(c, "kappa entry") for c in raw.get("kappa", ())),
+        width=_real(raw.get("width", 1.0), "width"),
+        half_length=_real(raw.get("half_length", 32.0), "half_length"),
+        scaled_points=_integer(raw.get("scaled_points", 0), "scaled_points"),
         output_dir=raw.get("output_dir"),
     )
     if kind in ("wkb", "coherent"):

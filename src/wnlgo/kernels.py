@@ -102,7 +102,7 @@ def parse_kernel(text: str, dim: int) -> KernelSpec:
         if dim != 2:
             raise ValueError(f"'ds' kernel is two-dimensional, got dim={dim}")
         return davey_stewartson()
-    if text.startswith("dipolar:"):
+    if isinstance(text, str) and text.startswith("dipolar:"):
         if dim != 3:
             raise ValueError(f"'dipolar' kernel is three-dimensional, got dim={dim}")
         parts = text.split(":", 1)[1].split(",")

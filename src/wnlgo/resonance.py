@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,13 +24,13 @@ from . import kernels as _kernels
 
 def as_wave_vector(v) -> tuple:
     """Coerce to a tuple of exact Python ints, rejecting non-integers."""
-    out = []
-    for c in v:
-        i = int(c)
-        if i != c:
-            raise ValueError(f"wave vectors must be integer lattice points, got {v}")
-        out.append(i)
-    return tuple(out)
+    try:
+        out = tuple(int(c) for c in v)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != tuple(v):
+        raise ValueError(f"wave vectors must be integer lattice points, got {v!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,9 @@ class Signature:
     def from_string(cls, s: str) -> "Signature":
         """Parse e.g. '+-' into (+1, -1)."""
         table = {"+": 1, "-": -1}
-        try:
-            return cls(tuple(table[c] for c in s))
-        except KeyError:
+        if not isinstance(s, str) or any(c not in table for c in s):
             raise ValueError(f"signature string must use only '+'/'-', got {s!r}")
+        return cls(tuple(table[c] for c in s))
 
     @property
     def dim(self) -> int:
@@ -160,43 +160,105 @@ class PhaseSet:
         return self.truncated_by_box or self.truncated_by_generations
 
     def index(self, kappa) -> int:
-        return self.vectors.index(as_wave_vector(kappa))
+        kappa = as_wave_vector(kappa)
+        if kappa not in self.vectors:
+            raise ValueError(f"{kappa} is not in the phase set")
+        return self.vectors.index(kappa)
+
+    @cached_property
+    def prefix_index(self) -> "PrefixIndex":
+        """The 2nu-prefix classes of this set, built on first use."""
+        return PrefixIndex(self.vectors, self.signature, self.nu)
 
     def array(self) -> np.ndarray:
         return np.array(self.vectors, dtype=np.int64)
 
 
-def _candidate_targets(vectors, signature: Signature, nu: int):
-    """All (target, resonant?) reachable by one interaction, vectorized.
+class PrefixIndex:
+    """The 2nu-prefixes of a list of wave vectors, sorted into classes by key.
 
-    Returns int64 arrays (tuples_count, d) of alternating linear sums and the
-    boolean resonance mask.  int64 is exact here: components stay below a few
-    hundred and the squared sums below ~1e7.
+    A prefix (l_1, ..., l_{2nu}) has the key (sum_k (-1)^{k+1} kappa_{l_k},
+    sum_k (-1)^{k+1} Q(kappa_{l_k})), so a (2nu+1)-tuple ending in l
+    resonates onto kappa exactly when its prefix has the key
+    (kappa - kappa_l, Q(kappa) - Q(kappa_l)).  A prefix is nu pairs
+    (l_1, l_2), (l_3, l_4), ...: level 1 holds the pair keys, and level m the
+    keys of m-pair prefixes, each a level m-1 key plus a pair key.
+
+    Each key is packed into one int64 code, digit by digit in a balanced
+    radix wide enough for every level-nu key, so the code of a sum of keys
+    is the sum of their codes and no digit ever carries.
     """
-    vecs = np.array(vectors, dtype=np.int64)
-    d = vecs.shape[1]
-    quads = (np.array(signature.etas, dtype=np.int64) * vecs * vecs).sum(axis=1)
-    m = 2 * nu + 1
-    lin = np.zeros((1, d), dtype=np.int64)
-    quad = np.zeros((1,), dtype=np.int64)
-    for pos in range(m):
-        sign = 1 if pos % 2 == 0 else -1
-        lin = (lin[:, None, :] + sign * vecs[None, :, :]).reshape(-1, d)
-        quad = (quad[:, None] + sign * quads[None, :]).reshape(-1)
-    eta = np.array(signature.etas, dtype=np.int64)
-    target_quads = (eta * lin * lin).sum(axis=1)
-    return lin, quad == target_quads
+
+    def __init__(self, vectors, signature: Signature, nu: int):
+        self.vectors = np.array(vectors, dtype=np.int64)
+        self.etas = np.array(signature.etas, dtype=np.int64)
+        self.quads = (self.etas * self.vectors ** 2).sum(axis=1)
+        self.nu = nu
+        digits = np.column_stack([self.vectors, self.quads])
+        self.radix = 4 * nu * int(np.abs(digits).max()) + 1
+        if self.radix ** digits.shape[1] >= 2 ** 62:
+            raise ValueError("wave vectors too large for int64 resonance keys")
+        self.codes = digits @ self.radix ** np.arange(digits.shape[1])
+        pairs = (self.codes[:, None] - self.codes[None, :]).ravel()
+        self.levels = [np.unique(pairs)]
+        for _ in range(nu - 1):
+            self.levels.append(
+                np.unique(self.levels[-1][:, None] + self.levels[0]))
+        self._pair_order = np.argsort(pairs, kind="stable")
+        self._pair_codes = pairs[self._pair_order]
+
+    def key(self, j: int, l: int) -> int:
+        """Code of (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l))."""
+        return int(self.codes[j] - self.codes[l])
+
+    def targets(self) -> np.ndarray:
+        """Every wave vector some resonant (2nu+1)-tuple reaches, unique rows.
+
+        A level-nu key (L, q) and a last index l reach L + kappa_l exactly
+        when Q(L + kappa_l) == q + Q(kappa_l): classes x modes work.
+        """
+        codes, half, digits = self.levels[-1], self.radix // 2, []
+        for _ in range(self.vectors.shape[1] + 1):
+            digits.append((codes + half) % self.radix - half)
+            codes = (codes - digits[-1]) // self.radix
+        lin, quad = np.stack(digits[:-1], axis=1), digits[-1]
+        hits = []
+        for kappa, q in zip(self.vectors, self.quads):
+            t = lin + kappa
+            hits.append(t[(self.etas * t * t).sum(axis=1) == quad + q])
+        return np.unique(np.concatenate(hits), axis=0)
+
+    def pairs(self, code: int) -> list:
+        """Index pairs (l_1, l_2) whose key is code, in lexicographic order."""
+        lo, hi = np.searchsorted(self._pair_codes, (code, code + 1))
+        return [divmod(int(i), len(self.vectors)) for i in self._pair_order[lo:hi]]
+
+    def terms(self, code: int, level: int) -> list:
+        """(level m-1 code, pair code) splits of a level-m key, m >= 2."""
+        rest = code - self.levels[0]
+        keep = np.isin(rest, self.levels[level - 2], assume_unique=True)
+        return list(zip(rest[keep].tolist(), self.levels[0][keep].tolist()))
+
+    def prefixes(self, code: int, level: int | None = None) -> list:
+        """Every prefix of `level` pairs (default nu) whose key is code."""
+        level = self.nu if level is None else level
+        if level == 1:
+            return self.pairs(code)
+        return [p + q for rest, k in self.terms(code, level)
+                for p in self.prefixes(rest, level - 1) for q in self.pairs(k)]
 
 
 def close_phase_set(phi0, signature: Signature, nu: int,
                     max_generations: int = 8, box_radius: int = 0) -> PhaseSet:
     """Grow phi0 to a fixed point under resonant interactions within a box.
 
-    Each generation enumerates every (2 nu + 1)-tuple from the current set,
-    adds every resonant target with sup-norm <= box_radius, and stops at a
-    fixed point or after max_generations.  Truncation (by the box or by the
-    generation limit) is recorded on the result.
+    Each generation adds every target of a resonant (2 nu + 1)-tuple from the
+    current set with sup-norm <= box_radius, and stops at a fixed point or
+    after max_generations.  Truncation (by the box or by the generation
+    limit) is recorded on the result.
     """
+    if nu < 1:
+        raise ValueError(f"nu must be a positive integer, got {nu}")
     vectors = [as_wave_vector(k) for k in phi0]
     if not vectors:
         raise ValueError("phi0 must be nonempty")
@@ -213,87 +275,32 @@ def close_phase_set(phi0, signature: Signature, nu: int,
     origin_count = len(vectors)
     known = set(vectors)
     truncated_by_box = False
-    generations = 0
-    for _ in range(max_generations):
-        lin, mask = _candidate_targets(vectors, signature, nu)
-        targets = lin[mask]
-        inside = np.max(np.abs(targets), axis=1) <= box_radius if len(targets) else \
-            np.zeros(0, dtype=bool)
-        if np.any(~inside):
-            truncated_by_box = True
-        fresh = sorted({tuple(int(c) for c in t) for t in targets[inside]} - known)
-        if not fresh:
-            break
-        generations += 1
+    for generations in itertools.count():
+        targets = PrefixIndex(vectors, signature, nu).targets()
+        inside = np.abs(targets).max(axis=1) <= box_radius
+        truncated_by_box = truncated_by_box or not inside.all()
+        fresh = sorted(set(map(tuple, targets[inside].tolist())) - known)
+        if not fresh or generations >= max_generations:
+            return PhaseSet(d, signature, nu, tuple(vectors), origin_count,
+                            truncated_by_box, bool(fresh), generations)
         vectors.extend(fresh)
         known.update(fresh)
-    else:
-        # ran out of generations; check whether a fixed point was reached
-        lin, mask = _candidate_targets(vectors, signature, nu)
-        targets = lin[mask]
-        if len(targets):
-            inside = np.max(np.abs(targets), axis=1) <= box_radius
-            if np.any(~inside):
-                truncated_by_box = True
-            leftover = {tuple(int(c) for c in t) for t in targets[inside]} - known
-            if leftover:
-                return PhaseSet(d, signature, nu, tuple(vectors), origin_count,
-                                truncated_by_box, True, generations)
-    return PhaseSet(d, signature, nu, tuple(vectors), origin_count,
-                    truncated_by_box, False, generations)
 
 
 def resonant_tuples(phase_set: PhaseSet, target_index: int) -> list:
     """Exhaustive list of resonant index tuples onto one target.
 
-    Meet-in-the-middle on the paired (linear, quadratic) partial sums keeps
-    the enumeration at O(|J|^{nu+1}) instead of O(|J|^{2nu+1}); output is in
-    lexicographic index order.
+    Read off the prefix index: the tuples ending in l are the prefixes of
+    the class keyed (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)), followed by
+    l.  Output is in lexicographic index order.
     """
-    vectors = phase_set.vectors
-    count = len(vectors)
+    count = len(phase_set)
     if not 0 <= target_index < count:
         raise ValueError(f"target index {target_index} out of range")
-    sig, nu = phase_set.signature, phase_set.nu
-    m = 2 * nu + 1
-    quads = [sig.quad(v) for v in vectors]
-    target = vectors[target_index]
-    target_quad = quads[target_index]
-    d = phase_set.dim
-
-    split = (m + 1) // 2
-    signs = [1 if pos % 2 == 0 else -1 for pos in range(m)]
-
-    # partial sums over the tail positions, keyed by what the head must supply
-    tail_positions = range(split, m)
-    tails: dict = {}
-    for combo in itertools.product(range(count), repeat=m - split):
-        lin = [0] * d
-        quad = 0
-        for offset, idx in enumerate(combo):
-            s = signs[split + offset]
-            quad += s * quads[idx]
-            v = vectors[idx]
-            for comp in range(d):
-                lin[comp] += s * v[comp]
-        key = (tuple(lin), quad)
-        tails.setdefault(key, []).append(combo)
-
-    found = []
-    for combo in itertools.product(range(count), repeat=split):
-        lin = [0] * d
-        quad = 0
-        for offset, idx in enumerate(combo):
-            s = signs[offset]
-            quad += s * quads[idx]
-            v = vectors[idx]
-            for comp in range(d):
-                lin[comp] += s * v[comp]
-        need = (tuple(t - l for t, l in zip(target, lin)), target_quad - quad)
-        for tail in tails.get(need, ()):
-            found.append(ResonantTuple(combo + tail, target_index))
-    found.sort(key=lambda rt: rt.indices)
-    return found
+    index = phase_set.prefix_index
+    found = sorted(p + (l,) for l in range(count)
+                   for p in index.prefixes(index.key(target_index, l)))
+    return [ResonantTuple(t, target_index) for t in found]
 
 
 def find_admissible_triple(kernel, lam: float, mu: float, dim: int,

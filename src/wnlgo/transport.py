@@ -100,77 +100,44 @@ class ProfileSet:
 
 
 @dataclass(frozen=True)
-class _Coupling:
-    """Index bookkeeping shared by every rhs evaluation on one phase set.
+class _Plan:
+    """The class sums one rhs evaluation forms on a phase set, in order.
 
-    prefixes are the 2nu-index tuples whose alternating sums vanish; their
-    summed product multiplies a_j under the multiplier E and the local mu
-    term.  per_target[j] lists the index tuples of every resonant tuple onto
-    j whose last index is not j.  For nu = 1 the tuples onto j with last
-    index l3 share the pair sum over one difference class, so pair_classes /
-    per_target_pairs give the grouped O(count^2) evaluation path.
+    Each entry of sums is (from_pairs, terms): a level-1 class sums
+    a_{l1} conj(a_{l2}) over its member pairs, a higher class sums
+    (class one level down) * (pair class) over (sum id, sum id) terms.
+    common is the (0, 0) class at level nu, which feeds the multiplier E;
+    couplings[j] pairs every other mode l with the class keyed
+    (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)).
     """
 
-    prefixes: tuple
-    per_target: tuple
-    pair_classes: tuple | None
-    per_target_pairs: tuple | None
+    sums: tuple
+    common: int
+    couplings: tuple
 
 
 @lru_cache(maxsize=32)
-def _coupling_structure(phase_set: PhaseSet) -> _Coupling:
-    count = len(phase_set)
-    nu = phase_set.nu
-    per_target = []
-    for j in range(count):
-        entries = []
-        for rt in resonant_tuples(phase_set, j):
-            if rt.indices[-1] != j:
-                entries.append(rt.indices)
-        per_target.append(tuple(entries))
+def _coupling_plan(phase_set: PhaseSet) -> _Plan:
+    index = phase_set.prefix_index
+    sums, ids = [], {}
 
-    sig = phase_set.signature
-    vectors = phase_set.vectors
-    quads = [sig.quad(v) for v in vectors]
-    d = phase_set.dim
-    prefixes = []
-    for combo in _iproduct(range(count), repeat=2 * nu):
-        lin = [0] * d
-        quad = 0
-        for pos, idx in enumerate(combo):
-            s = 1 if pos % 2 == 0 else -1
-            quad += s * quads[idx]
-            for c in range(d):
-                lin[c] += s * vectors[idx][c]
-        if quad == 0 and not any(lin):
-            prefixes.append(combo)
+    def sum_id(code: int, level: int) -> int:
+        if (code, level) not in ids:
+            if level == 1:
+                entry = (True, tuple(index.pairs(code)))
+            else:
+                entry = (False, tuple((sum_id(rest, level - 1), sum_id(k, 1))
+                                      for rest, k in index.terms(code, level)))
+            ids[code, level] = len(sums)
+            sums.append(entry)
+        return ids[code, level]
 
-    pair_classes = per_target_pairs = None
-    if nu == 1:
-        by_key = {}
-        for l1 in range(count):
-            for l2 in range(count):
-                key = (tuple(a - b for a, b in zip(vectors[l1], vectors[l2])),
-                       quads[l1] - quads[l2])
-                by_key.setdefault(key, []).append((l1, l2))
-        class_ids = {}
-        classes = []
-        grouped = []
-        for j in range(count):
-            plan = []
-            for l3 in sorted({t[-1] for t in per_target[j]}):
-                key = (tuple(a - b for a, b in zip(vectors[j], vectors[l3])),
-                       quads[j] - quads[l3])
-                if key not in class_ids:
-                    class_ids[key] = len(classes)
-                    classes.append(tuple(by_key[key]))
-                plan.append((l3, class_ids[key]))
-            grouped.append(tuple(plan))
-        pair_classes = tuple(classes)
-        per_target_pairs = tuple(grouped)
-
-    return _Coupling(tuple(prefixes), tuple(per_target), pair_classes,
-                     per_target_pairs)
+    nu, count = phase_set.nu, len(phase_set)
+    common = sum_id(0, nu)
+    couplings = tuple(
+        tuple((l, sum_id(index.key(j, l), nu)) for l in range(count) if l != j)
+        for j in range(count))
+    return _Plan(tuple(sums), common, couplings)
 
 
 def _mode_pair_coefficient(phase_set: PhaseSet, params: TransportParams,
@@ -184,27 +151,11 @@ def _mode_pair_coefficient(phase_set: PhaseSet, params: TransportParams,
     return c
 
 
-def _tuple_coefficients(phase_set: PhaseSet, params: TransportParams,
-                        grouped: bool = True):
-    """mu + lam*Khat(kappa_j - kappa_last), aligned with the coupling plan.
-
-    Aligned with per_target_pairs (one coefficient per (j, l3) mode pair)
-    when grouped and the nu = 1 pair plan is available, otherwise one
-    coefficient per tuple of per_target.
-    """
-    plan = _coupling_structure(phase_set)
-    coeffs = []
-    if grouped and plan.per_target_pairs is not None:
-        for j, entries in enumerate(plan.per_target_pairs):
-            coeffs.append(tuple(
-                _mode_pair_coefficient(phase_set, params, j, l3)
-                for l3, _ in entries))
-    else:
-        for j, entries in enumerate(plan.per_target):
-            coeffs.append(tuple(
-                _mode_pair_coefficient(phase_set, params, j, indices[-1])
-                for indices in entries))
-    return tuple(coeffs)
+def _coefficients(phase_set: PhaseSet, params: TransportParams):
+    """mu + lam*Khat(kappa_j - kappa_l), aligned with the plan's couplings."""
+    return tuple(
+        tuple(_mode_pair_coefficient(phase_set, params, j, l) for l, _ in row)
+        for j, row in enumerate(_coupling_plan(phase_set).couplings))
 
 
 def _product(stack: np.ndarray, indices) -> np.ndarray:
@@ -216,42 +167,34 @@ def _product(stack: np.ndarray, indices) -> np.ndarray:
 
 
 def _rhs_stack(stack: np.ndarray, phase_set: PhaseSet, grid: SpectralGrid,
-               params: TransportParams, coeffs, grouped: bool = True) -> np.ndarray:
-    plan = _coupling_structure(phase_set)
-    shape = stack.shape[1:]
-    s_field = np.zeros(shape, dtype=np.complex128)
-    for combo in plan.prefixes:
-        s_field += _product(stack, combo)
+               params: TransportParams, coeffs) -> np.ndarray:
+    plan = _coupling_plan(phase_set)
+    conj = np.conj(stack)
+    sums = []
+    for from_pairs, terms in plan.sums:
+        left, right = (stack, conj) if from_pairs else (sums, sums)
+        acc = left[terms[0][0]] * right[terms[0][1]]
+        for a, b in terms[1:]:
+            acc += left[a] * right[b]
+        sums.append(acc)
+    s_field = sums[plan.common]
     if params.lam != 0.0:
         es = _kernels.apply_raw(params.kernel, grid, s_field)
         common = params.lam * es + params.mu * s_field
     else:
         common = params.mu * s_field
     out = np.empty_like(stack)
-    if grouped and plan.per_target_pairs is not None:
-        sums = [None] * len(plan.pair_classes)
-        for cid, pairs in enumerate(plan.pair_classes):
-            acc = stack[pairs[0][0]] * np.conj(stack[pairs[0][1]])
-            for l1, l2 in pairs[1:]:
-                acc += stack[l1] * np.conj(stack[l2])
-            sums[cid] = acc
-        for j in range(stack.shape[0]):
-            acc = common * stack[j]
-            for (l3, cid), c in zip(plan.per_target_pairs[j], coeffs[j]):
-                acc += c * (sums[cid] * stack[l3])
-            out[j] = acc
-    else:
-        for j in range(stack.shape[0]):
-            acc = common * stack[j]
-            for indices, c in zip(plan.per_target[j], coeffs[j]):
-                acc += c * _product(stack, indices)
-            out[j] = acc
+    for j, row in enumerate(plan.couplings):
+        acc = common * stack[j]
+        for (l, sid), c in zip(row, coeffs[j]):
+            acc += c * (sums[sid] * stack[l])
+        out[j] = acc
     return (-1j * params.weight) * out
 
 
 def transport_rhs(state: ProfileSet) -> list:
     """Interaction part of d a_j / dt (advection excluded; handled by splitting)."""
-    coeffs = _tuple_coefficients(state.phase_set, state.params)
+    coeffs = _coefficients(state.phase_set, state.params)
     rhs = _rhs_stack(state.stack(), state.phase_set, state.grid, state.params, coeffs)
     return [GridFunction(state.grid, r) for r in rhs]
 
@@ -299,7 +242,7 @@ def evolve_profiles(state: ProfileSet, t_end: float, dt: float) -> ProfileSet:
     dt = span / n_steps
 
     phase_set, grid, params = state.phase_set, state.grid, state.params
-    coeffs = _tuple_coefficients(phase_set, params)
+    coeffs = _coefficients(phase_set, params)
     axes = tuple(range(1, grid.dim + 1))
     half = _advection_phases(state, 0.5 * dt)
     full = half * half
@@ -357,14 +300,9 @@ def zero_mode_rate(kappas, alphas, params: TransportParams,
     acc = np.zeros(grid.shape, dtype=np.complex128)
     stack = np.stack([a.values for a in alphas])
     for rt in resonant_tuples(ps, j0):
-        if any(idx >= 3 for idx in rt.indices):
-            continue
-        last = rt.indices[-1]
-        c = params.mu
-        if params.lam != 0.0:
-            delta = np.array(kappas[last], dtype=float)
-            c = c + params.lam * _kernels.evaluate(params.kernel, delta)
-        acc += c * _product(stack, rt.indices)
+        if max(rt.indices) < 3:
+            c = _mode_pair_coefficient(ps, params, j0, rt.indices[-1])
+            acc += c * _product(stack, rt.indices)
     return GridFunction(grid, (-1j * params.weight) * acc)
 
 

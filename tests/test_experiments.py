@@ -8,8 +8,11 @@ import pytest
 from wnlgo import AdmissibilityError, ConfigError, ResolutionError, \
     read_snapshot
 from wnlgo.cli import main
+from wnlgo import cli, experiments
 from wnlgo.experiments import emit_results, fit_power_law, load_config, \
     parse_config, run_convergence, run_experiment
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def field_config(**overrides):
@@ -341,3 +344,54 @@ class TestCli:
         lines = (out_dir / "timeseries.csv").read_text().splitlines()
         assert lines[0] == "t,mass,l2_err,sup_err,wiener_err"
         assert len(lines) == 4
+
+    def test_converge_closes_the_phase_set_once(self, tmp_path, monkeypatch):
+        calls = []
+        closure = experiments.close_phase_set
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+        for module in (experiments, cli):
+            monkeypatch.setattr(module, "close_phase_set", counted)
+        cfg_path = self.write(tmp_path, field_config(T=0.02, snapshots=2))
+        # the run completes; its single-eps slope assertion may fail (exit 1)
+        assert main(["--config", cfg_path, "--out", str(tmp_path / "r"),
+                     "converge"]) in (0, 1)
+        assert (tmp_path / "r" / "sweep.csv").exists()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "nu", 1.5), (None, "T", float("nan")),
+        ("model", "signature", "+x"),
+        ("phases", "phi0", [[1.5, 0], [1, 1], [0, 1]]),
+        ("phases", "box_radius", 0), ("model", "kernel", 5),
+        ("data", "amplitudes", 0.7), ("grid", "points_per_axis", 48),
+        (None, "snapshots", 0)],
+        ids=["nu-1.5", "T-NaN", "signature-+x", "phi0-1.5", "box_radius-0",
+             "kernel-5", "amplitudes-0.7", "points-48", "snapshots-0"])
+    def test_bad_values_exit_two(self, tmp_path, capsys, section, key, value):
+        with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
+            cfg = json.load(fh)
+        (cfg[section] if section else cfg)[key] = value
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "zero-mode"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--phi0", "1,0;1,1;0,1", "--box-radius", "0"],
+        ["--phi0", "1,0;1,1;0,1", "--signature=+x", "--box-radius", "2"],
+        ["--phi0", "1.5,0", "--box-radius", "2"],
+        ["--phi0", "1,0;1,1;0,1", "--box-radius", "2", "--target", "5,5"]])
+    def test_resonance_bad_input_exit_two(self, capsys, flags):
+        assert main(["resonance"] + flags) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_resonance_needs_box_radius(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["resonance", "--phi0", "1,0;1,1;0,1"])
+        assert exc.value.code == 2
+        assert "--box-radius" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,52 @@ class TestClosePhaseSet:
             close_phase_set(((1, 0, 0),), ELLIPTIC, 1)
 
 
+def brute_force_closure(phi0, signature, nu, box_radius, max_generations):
+    """Closure by is_resonant over every (2 nu + 1)-tuple, one generation at
+    a time: (vectors, generations, truncated_by_box, truncated_by_gens)."""
+    vectors, generations, by_box = list(phi0), 0, False
+    while True:
+        reached = set()
+        for kappas in itertools.product(vectors, repeat=2 * nu + 1):
+            target = tuple(sum((-1) ** p * k[c] for p, k in enumerate(kappas))
+                           for c in range(signature.dim))
+            if is_resonant(signature, nu, kappas, target):
+                reached.add(target)
+        inside = {t for t in reached if max(map(abs, t)) <= box_radius}
+        by_box = by_box or inside != reached
+        fresh = sorted(inside - set(vectors))
+        if not fresh or generations == max_generations:
+            return tuple(vectors), generations, by_box, bool(fresh)
+        vectors += fresh
+        generations += 1
+
+
+@pytest.mark.parametrize("signature,nu,box_radius,max_generations", [
+    ("++", 1, 4, 8), ("-+", 1, 2, 8), ("-+", 1, 3, 1), ("-+", 1, 4, 2),
+    ("++", 2, 2, 8), ("-+", 2, 2, 8), ("-+", 2, 3, 1)])
+def test_closure_matches_brute_force(signature, nu, box_radius,
+                                     max_generations):
+    sig = Signature.from_string(signature)
+    ps = close_phase_set(PHI0, sig, nu, max_generations=max_generations,
+                         box_radius=box_radius)
+    assert (ps.vectors, ps.generations, ps.truncated_by_box,
+            ps.truncated_by_generations) == brute_force_closure(
+                PHI0, sig, nu, box_radius, max_generations)
+
+
+def test_closure_memory_is_bounded():
+    # nu = 2 on the hyperbolic seeds, box radius 4 (17 modes): the prefix
+    # classes times the modes, never every 5-tuple of the set
+    tracemalloc.start()
+    try:
+        ps = close_phase_set(PHI0, HYPERBOLIC, 2, box_radius=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ps) == 17
+    assert peak < 8 * 2 ** 20
+
+
 class TestResonantTuples:
     def test_key_example_zero_target(self):
         ps = close_phase_set(PHI0, ELLIPTIC, 1, box_radius=4)
@@ -150,6 +197,14 @@ class TestResonantTuples:
         assert tuples == [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3),
                           (1, 1, 0), (1, 2, 3), (2, 2, 0), (3, 2, 1),
                           (3, 3, 0)]
+
+    def test_quintic_matches_brute_force(self):
+        ps = close_phase_set(PHI0, HYPERBOLIC, 2, box_radius=2)
+        for j in (0, ps.index((0, 0))):
+            expect = [t for t in itertools.product(range(len(ps)), repeat=5)
+                      if is_resonant(HYPERBOLIC, 2, [ps.vectors[i] for i in t],
+                                     ps.vectors[j])]
+            assert [t.indices for t in resonant_tuples(ps, j)] == expect
 
     def test_every_listed_tuple_is_resonant(self):
         ps = close_phase_set(PHI0, HYPERBOLIC, 1, box_radius=2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     TransportParams, close_phase_set, davey_stewartson, evolve_profiles, \
-    identity, profile_norms, shift_in_fourier, transport_rhs, zero_mode_rate
-from wnlgo.kernels import apply as apply_kernel
-from wnlgo.transport import _rhs_stack, _tuple_coefficients
+    identity, is_resonant, profile_norms, shift_in_fourier, transport_rhs, \
+    zero_mode_rate
+from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -124,23 +125,49 @@ def test_global_phase_covariance():
     assert np.max(np.abs(b - np.exp(1j * theta) * a)) < 1e-12
 
 
-def test_grouped_and_generic_paths_agree():
-    # the nu = 1 pair-class evaluation must reproduce the straight
-    # tuple-by-tuple sum on a state with every mode populated
-    grid = SpectralGrid(2, np.pi, 16)
-    params = TransportParams(0.8, -0.4, 1, davey_stewartson(), weight=1.3)
-    ps = close_phase_set(RECT, ELLIPTIC, 1, box_radius=4)
+def brute_force_rhs(state):
+    """The interaction rhs summed tuple by tuple over every (2 nu + 1)-tuple
+    of the set that is_resonant accepts onto some mode."""
+    ps, grid, params = state.phase_set, state.grid, state.params
+    stack = state.stack()
+    lookup = {v: j for j, v in enumerate(ps.vectors)}
+    local = np.zeros_like(stack)    # prefixes of tuples ending in their target
+    coupled = np.zeros_like(stack)
+    for t in itertools.product(range(len(ps)), repeat=2 * params.nu + 1):
+        kappas = [ps.vectors[i] for i in t]
+        j = lookup.get(tuple(sum((-1) ** p * k[c] for p, k in enumerate(kappas))
+                             for c in range(ps.dim)))
+        if j is None or not is_resonant(ps.signature, params.nu, kappas,
+                                        ps.vectors[j]):
+            continue
+        prefix = np.prod([np.conj(stack[i]) if p % 2 else stack[i]
+                          for p, i in enumerate(t[:-1])], axis=0)
+        if t[-1] == j:
+            local[j] += prefix
+        else:
+            delta = np.subtract(ps.vectors[j], kappas[-1]).astype(float)
+            c = params.mu + params.lam * evaluate_kernel(params.kernel, delta)
+            coupled[j] += c * prefix * stack[t[-1]]
+    rhs = [(params.lam * apply_kernel(params.kernel, GridFunction(grid, s)).values
+            + params.mu * s) * a + b for s, a, b in zip(local, stack, coupled)]
+    return -1j * params.weight * np.stack(rhs)
+
+
+@pytest.mark.parametrize("signature,nu,box_radius,n", [
+    (ELLIPTIC, 1, 4, 16), (HYPERBOLIC, 2, 2, 8)], ids=["nu1", "nu2"])
+def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n):
+    # random data on every mode, generated ones included
+    grid = SpectralGrid(2, np.pi, n)
+    params = TransportParams(0.8, -0.4, nu, davey_stewartson(), weight=1.3)
+    ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
     rng = np.random.default_rng(7)
-    stack = rng.standard_normal((4,) + grid.shape) \
-        + 1j * rng.standard_normal((4,) + grid.shape)
-    grouped = _rhs_stack(stack, ps, grid, params,
-                         _tuple_coefficients(ps, params, grouped=True),
-                         grouped=True)
-    generic = _rhs_stack(stack, ps, grid, params,
-                         _tuple_coefficients(ps, params, grouped=False),
-                         grouped=False)
-    scale = np.max(np.abs(generic))
-    assert np.max(np.abs(grouped - generic)) < 1e-13 * scale
+    amps = tuple(GridFunction(grid, rng.standard_normal(grid.shape)
+                              + 1j * rng.standard_normal(grid.shape))
+                 for _ in ps.vectors)
+    state = ProfileSet(ps, grid, amps, 0.0, params)
+    got = np.stack([r.values for r in transport_rhs(state)])
+    expect = brute_force_rhs(state)
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 def test_weight_scales_interaction():
