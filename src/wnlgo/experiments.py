@@ -99,6 +99,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _boolean(value, name: str) -> bool:
+    """A JSON true/false; "no" or 0 is a ConfigError, not a truth value."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _as_complex(value) -> complex:
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
@@ -293,7 +300,8 @@ def _parse_field(raw: dict, kind: str) -> ExperimentConfig:
         sigma=_real(raw["sigma"], "sigma") if "sigma" in raw else None,
         beta=_real(raw.get("beta", 1.0), "beta"),
         ratio_min=_real(raw.get("ratio_min", 10.0), "ratio_min"),
-        expect_inflation=bool(raw.get("expect_inflation", True)),
+        expect_inflation=_boolean(raw.get("expect_inflation", True),
+                                  "expect_inflation"),
         output_dir=raw.get("output_dir"),
         closure=closure,
     )
@@ -476,6 +484,14 @@ def _sweep(cfg: ExperimentConfig, worker, threads: int = 1) -> list:
     return [worker(eps) for eps in cfg.eps_list]
 
 
+def _require_slope_sweep(cfg: ExperimentConfig) -> None:
+    """A sweep that fits a power law in eps needs at least two eps values."""
+    if len(cfg.eps_list) < 2:
+        raise ConfigError(
+            f"{cfg.experiment} fits a slope in eps and needs at least two "
+            f"eps values, got {len(cfg.eps_list)}")
+
+
 # -- shared profile-evolution helpers -------------------------------------------
 
 
@@ -514,6 +530,8 @@ def _first_local_max(times, values) -> float:
 def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     if cfg.experiment != "converge":
         raise ConfigError(f"config is for {cfg.experiment!r}, not 'converge'")
+    if cfg.t_final > 0 and cfg.lam == 0.0:
+        _require_slope_sweep(cfg)
     phase_set = cfg.phase_set()
     times = [cfg.t_final * k / cfg.snapshots for k in range(cfg.snapshots + 1)]
 
@@ -644,6 +662,7 @@ def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
 def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     if cfg.experiment != "more-weakly":
         raise ConfigError(f"config is for {cfg.experiment!r}, not 'more-weakly'")
+    _require_slope_sweep(cfg)
     phase_set = cfg.phase_set()
 
     def one(eps: float):
@@ -685,6 +704,7 @@ def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
 def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     if cfg.experiment != "inflate":
         raise ConfigError(f"config is for {cfg.experiment!r}, not 'inflate'")
+    _require_slope_sweep(cfg)
     phase_set = cfg.phase_set()
 
     # tau: first local max of ||a_0(t)|| in the weight-1 profile system.
@@ -764,6 +784,7 @@ def run_sobolev_asymptotics(cfg: ExperimentConfig, threads: int = 1) -> SweepRes
     if cfg.experiment != "sobolev-asymptotics":
         raise ConfigError(
             f"config is for {cfg.experiment!r}, not 'sobolev-asymptotics'")
+    _require_slope_sweep(cfg)
     d = cfg.dim
 
     if cfg.profile_kind == "wkb":

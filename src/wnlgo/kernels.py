@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .grid import GridFunction, SpectralGrid
 
@@ -197,9 +198,38 @@ def apply(kernel: KernelSpec, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, f.grid.inverse(_multiplier(kernel, f.grid) * coeffs))
 
 
+@lru_cache(maxsize=64)
+def _half_multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
+    """The multiplier on the rfftn half spectrum (last axis 0..n/2).
+
+    On a real field only the even part (Khat(k) + Khat(-k))/2 of the sampled
+    symbol acts on the real part of E(f).  It equals the symbol except where
+    a component sits at Nyquist, which the lattice maps to itself, for
+    symbols that are not even in each axis separately (an oblique dipolar
+    axis).
+    """
+    full = _multiplier(kernel, grid)
+    mirror = np.roll(np.flip(full), 1, axis=tuple(range(grid.dim)))
+    out = 0.5 * (full + mirror)[..., :grid.points_per_axis // 2 + 1]
+    out.setflags(write=False)
+    return out
+
+
 def apply_raw(kernel: KernelSpec, grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    """Array-level version of :func:`apply` for hot loops."""
-    return grid.inverse(_multiplier(kernel, grid) * grid.forward(values))
+    """Re E(values) for a real array, on real FFTs; for hot loops.
+
+    The sign pattern and the normalisation factors of :meth:`SpectralGrid.forward`
+    and :meth:`SpectralGrid.inverse` cancel in the round trip, so they are
+    skipped.  :func:`apply` is the general (complex) path.
+    """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError("apply_raw needs a real array; use apply() for complex fields")
+    if values.shape != grid.shape:
+        raise ValueError(f"expected shape {grid.shape}, got {values.shape}")
+    spectrum = scipy.fft.rfftn(values, workers=1)
+    spectrum *= _half_multiplier(kernel, grid)
+    return scipy.fft.irfftn(spectrum, s=grid.shape, overwrite_x=True, workers=1)
 
 
 def oscillatory_coefficient_limit(kernel: KernelSpec, kappa, A: GridFunction,

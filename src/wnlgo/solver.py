@@ -158,8 +158,10 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     """Advance to t_end by Strang splitting (free half / exact nonlinear / free half).
 
     The nonlinear substep multiplies by exp(-i dt eps^{J-1} V) with the real
-    potential V = lam Re E(|u|^{2nu}) + mu |u|^{2nu}; no time-stepping error
-    enters there, only the order-2 splitting commutator.
+    potential V = lam E(|u|^{2nu}) + mu |u|^{2nu}; no time-stepping error
+    enters there, only the order-2 splitting commutator.  Each step works in
+    place on one complex buffer: the density is real, so E runs on real FFTs
+    (:func:`kernels.apply_raw`), and the rotation is written as cos + i sin.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -174,21 +176,35 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     q = _free_symbol(grid, p.signature)
     half = np.exp(-0.5j * p.eps * (0.5 * dt) * q)
     full = half * half
-    scale = p.eps ** (p.j_exponent - 1.0)
-    two_nu = 2 * p.nu
-    kernel = p.kernel if p.lam != 0.0 else None
+    angle = -dt * p.eps ** (p.j_exponent - 1.0)
+    nonlocal_term = p.lam != 0.0 and p.kernel.kind != "zero"
 
-    u = field.values.values.copy()
-    u = scipy.fft.ifftn(half * scipy.fft.fftn(u, workers=1), workers=1)
+    u = scipy.fft.fftn(field.values.values, workers=1)
+    u *= half
+    u = scipy.fft.ifftn(u, overwrite_x=True, workers=1)
+    density = np.empty(grid.shape)
+    square = np.empty(grid.shape)
+    rotation = np.empty(grid.shape, dtype=np.complex128)
     for step in range(n_steps):
-        density = np.abs(u) ** two_nu
-        potential = p.mu * density
-        if kernel is not None:
-            potential = potential + p.lam * _kernels.apply_raw(
-                kernel, grid, density).real
-        u *= np.exp((-1j * dt * scale) * potential)
-        factor = full if step < n_steps - 1 else half
-        u = scipy.fft.ifftn(factor * scipy.fft.fftn(u, workers=1), workers=1)
+        np.square(u.real, out=density)
+        density += np.square(u.imag, out=square)
+        if p.nu > 1:
+            density **= p.nu
+        if nonlocal_term:
+            theta = _kernels.apply_raw(p.kernel, grid, density)
+            theta *= p.lam * angle
+            if p.mu != 0.0:
+                density *= p.mu * angle
+                theta += density
+        else:
+            theta = density
+            theta *= p.mu * angle
+        np.cos(theta, out=rotation.real)
+        np.sin(theta, out=rotation.imag)
+        u *= rotation
+        u = scipy.fft.fftn(u, overwrite_x=True, workers=1)
+        u *= full if step < n_steps - 1 else half
+        u = scipy.fft.ifftn(u, overwrite_x=True, workers=1)
     return SemiclassicalField(GridFunction(grid, u), field.time + span, field.params)
 
 

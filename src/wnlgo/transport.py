@@ -179,7 +179,8 @@ def _rhs_stack(stack: np.ndarray, phase_set: PhaseSet, grid: SpectralGrid,
         sums.append(acc)
     s_field = sums[plan.common]
     if params.lam != 0.0:
-        es = _kernels.apply_raw(params.kernel, grid, s_field)
+        # the (0, 0) class is closed under conjugation, so its sum is real
+        es = _kernels.apply_raw(params.kernel, grid, s_field.real)
         common = params.lam * es + params.mu * s_field
     else:
         common = params.mu * s_field

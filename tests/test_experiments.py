@@ -354,8 +354,9 @@ class TestCli:
             return closure(*args, **kwargs)
         for module in (experiments, cli):
             monkeypatch.setattr(module, "close_phase_set", counted)
-        cfg_path = self.write(tmp_path, field_config(T=0.02, snapshots=2))
-        # the run completes; its single-eps slope assertion may fail (exit 1)
+        cfg_path = self.write(tmp_path, field_config(T=0.02, snapshots=2,
+                                                     eps_list=[0.5, 0.25]))
+        # the run completes; its slope assertion over so short a time may fail
         assert main(["--config", cfg_path, "--out", str(tmp_path / "r"),
                      "converge"]) in (0, 1)
         assert (tmp_path / "r" / "sweep.csv").exists()
@@ -380,6 +381,65 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_expect_inflation_must_be_boolean(self, tmp_path, capsys, value):
+        with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
+            cfg = json.load(fh)
+        cfg["expect_inflation"] = value
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "zero-mode"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "expect_inflation" in err
+        assert parse_config(dict(cfg, expect_inflation=False)).expect_inflation \
+            is False
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("converge", {}),
+        ("more-weakly", {"model": {"lam": 0.0, "mu": 1.0, "nu": 1,
+                                   "signature": "++", "kernel": "zero",
+                                   "j_exponent": 1.5}, "s": -0.75}),
+        ("inflate", {"s": -0.75, "sigma": 0.0}),
+    ])
+    def test_slope_sweep_needs_two_eps(self, tmp_path, capsys, command,
+                                       overrides):
+        # a one-eps fit is NaN; the runner refuses it before any work
+        cfg = field_config(experiment=command, T=0.02, snapshots=1,
+                           **overrides)
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), command])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at least two eps values" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_sobolev_sweep_needs_two_eps(self, tmp_path, capsys):
+        cfg = {"experiment": "sobolev-asymptotics", "profile_kind": "wkb",
+               "s": -0.25, "dim": 1, "eps_list": [0.5]}
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "sobolev-asymptotics"])
+        assert code == 2
+        assert "at least two eps values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, output", [("profiles", "index.json"),
+                                                 ("simulate", "timeseries.csv")])
+    def test_single_eps_runs_need_no_fit(self, tmp_path, command, output):
+        # the config the converge sweep refuses: one eps, lam = 0, T > 0
+        cfg_path = self.write(tmp_path, field_config(T=0.02, snapshots=1))
+        assert main(["--config", cfg_path, "--out", str(tmp_path / "r"),
+                     command]) == 0
+        assert (tmp_path / "r" / output).exists()
+
+    def test_single_eps_converge_without_fit_still_runs(self, tmp_path):
+        # lam != 0 asserts only monotonicity, T = 0 only vanishing errors
+        for overrides in ({"T": 0.0},
+                          {"model": {"lam": 1.0, "mu": 0.0, "nu": 1,
+                                     "signature": "++", "kernel": "ds"},
+                           "T": 0.02}):
+            cfg_path = self.write(tmp_path, field_config(**overrides))
+            assert main(["--config", cfg_path, "--out", str(tmp_path / "r"),
+                         "converge"]) == 0
 
     @pytest.mark.parametrize("flags", [
         ["--phi0", "1,0;1,1;0,1", "--box-radius", "0"],

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wnlgo import DIPOLAR_SCALE, GridFunction, SpectralGrid, apply, custom, \
-    davey_stewartson, dipolar, evaluate, identity, oscillatory_coefficient_limit, \
-    parse_kernel, zero
+from wnlgo import DIPOLAR_SCALE, GridFunction, SpectralGrid, apply, apply_raw, \
+    custom, davey_stewartson, dipolar, evaluate, identity, \
+    oscillatory_coefficient_limit, parse_kernel, zero
 
 
 def test_ds_values():
@@ -91,6 +91,49 @@ def test_apply_dim_mismatch():
     g = SpectralGrid(1, 1.0, 8)
     with pytest.raises(ValueError):
         apply(davey_stewartson(), GridFunction.zeros(g))
+
+
+def _cross_symbol(p):
+    # even and degree zero, but odd in each axis: Khat(-n/2, k) != Khat(-n/2, -k)
+    # at the Nyquist row, which the lattice maps to itself
+    return p[..., 0] * p[..., 1] / (p[..., 0] ** 2 + p[..., 1] ** 2)
+
+
+REAL_APPLY_CASES = {
+    "ds": (davey_stewartson(), SpectralGrid(2, np.pi, 32)),
+    "dipolar": (dipolar((3.0 / 7.0, 6.0 / 7.0, 2.0 / 7.0)), SpectralGrid(3, 2.0, 16)),
+    "identity": (identity(2), SpectralGrid(2, np.pi, 32)),
+    "zero": (zero(2), SpectralGrid(2, np.pi, 32)),
+    "custom": (custom(2, _cross_symbol), SpectralGrid(2, 1.5, 16)),
+}
+
+
+class TestApplyRaw:
+    """The real-FFT apply_raw against the general complex apply."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
+    def test_matches_complex_apply(self, name):
+        kernel, grid = REAL_APPLY_CASES[name]
+        values = np.random.default_rng(31).standard_normal(grid.shape)
+        expected = apply(kernel, GridFunction(grid, values)).values.real
+        got = apply_raw(kernel, grid, values)
+        assert got.dtype == np.float64 and got.shape == grid.shape
+        scale = max(np.linalg.norm(expected), np.linalg.norm(values))
+        assert np.linalg.norm(got - expected) <= 1e-13 * scale
+
+    def test_input_is_left_unchanged(self):
+        kernel, grid = REAL_APPLY_CASES["ds"]
+        values = np.random.default_rng(32).standard_normal(grid.shape)
+        before = values.copy()
+        apply_raw(kernel, grid, values)
+        assert np.array_equal(values, before)
+
+    def test_rejects_complex_and_misshaped_input(self):
+        kernel, grid = REAL_APPLY_CASES["ds"]
+        with pytest.raises(ValueError, match="real"):
+            apply_raw(kernel, grid, np.ones(grid.shape, dtype=np.complex128))
+        with pytest.raises(ValueError, match="shape"):
+            apply_raw(kernel, grid, np.ones((16, 16)))
 
 
 class TestCustom:

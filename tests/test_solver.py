@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     ResolutionError, SemiclassicalField, Signature, SpectralGrid, \
@@ -7,6 +8,8 @@ from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     close_phase_set, davey_stewartson, evolve_semiclassical, identity, \
     oscillatory_initial_data, require_admissible, require_resolved, \
     shift_in_fourier, zero
+from wnlgo.kernels import apply
+from wnlgo.solver import _free_symbol
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -246,3 +249,88 @@ def test_initial_data_validates_counts():
     p = params_for(0.5)
     with pytest.raises(ValueError, match="amplitudes"):
         oscillatory_initial_data(grid, [(1, 0), (0, 1)], [1.0], p)
+
+
+def reference_evolve(field, t_end, dt):
+    """The complex-FFT step loop evolve_semiclassical replaced, as its oracle:
+    complex fftn for the free flow, np.exp for the rotation, the general
+    kernels.apply on the density."""
+    span = t_end - field.time
+    n_steps = max(1, round(abs(span) / dt))
+    dt = span / n_steps
+    p = field.params
+    grid = field.grid
+    q = _free_symbol(grid, p.signature)
+    half = np.exp(-0.5j * p.eps * (0.5 * dt) * q)
+    full = half * half
+    scale = p.eps ** (p.j_exponent - 1.0)
+    u = field.values.values.copy()
+    u = scipy.fft.ifftn(half * scipy.fft.fftn(u))
+    for step in range(n_steps):
+        density = np.abs(u) ** (2 * p.nu)
+        potential = p.mu * density
+        if p.lam != 0.0:
+            potential = potential + p.lam * apply(
+                p.kernel, GridFunction(grid, density)).values.real
+        u *= np.exp((-1j * dt * scale) * potential)
+        factor = full if step < n_steps - 1 else half
+        u = scipy.fft.ifftn(factor * scipy.fft.fftn(u))
+    return u
+
+
+def three_wave_field(p, grid=None):
+    grid = grid or SpectralGrid(2, np.pi, 64)
+    return oscillatory_initial_data(grid, [(1, 0), (1, 1), (0, 1)],
+                                    [gaussian(grid, a) for a in (0.9, 0.7, 0.8)], p)
+
+
+STEP_CASES = {
+    # name: (lam, mu, nu, kernel, signature, t_end)
+    "ds-nu1": (1.0, 0.5, 1, davey_stewartson(), ELLIPTIC, 0.1),
+    "local-nu2": (0.0, -1.0, 2, zero(2), ELLIPTIC, 0.1),
+    "lam0-ds": (0.0, 1.0, 1, davey_stewartson(), HYPERBOLIC, 0.1),
+    "zero-kernel": (1.0, 0.5, 1, zero(2), ELLIPTIC, 0.1),
+    "backward-ds": (1.0, -0.5, 1, davey_stewartson(), HYPERBOLIC, -0.1),
+    "identity-nu2": (0.7, 0.3, 2, identity(2), ELLIPTIC, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_step_matches_reference_loop(name):
+    lam, mu, nu, kernel, signature, t_end = STEP_CASES[name]
+    p = ModelParams(0.25, 1.5, lam, mu, nu, signature, kernel)
+    u0 = three_wave_field(p)
+    out = evolve_semiclassical(u0, t_end, dt=0.002)  # 50 steps
+    ref = reference_evolve(u0, t_end, dt=0.002)
+    assert np.linalg.norm(out.values.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestTransformCount:
+    """The hot loop's work as a deterministic count of scipy.fft calls."""
+
+    def count(self, monkeypatch, field, t_end, dt):
+        calls = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
+        for name in calls:
+            original = getattr(scipy.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        evolve_semiclassical(field, t_end, dt)
+        return calls
+
+    def test_ds_run(self, monkeypatch):
+        u0 = three_wave_field(params_for(0.25, lam=1.0, mu=0.5,
+                                         kernel=davey_stewartson()))
+        n = 7
+        assert self.count(monkeypatch, u0, n * 0.01, 0.01) == {
+            "fftn": n + 1, "ifftn": n + 1, "rfftn": n, "irfftn": n}
+
+    @pytest.mark.parametrize("lam, kernel", [(0.0, davey_stewartson()),
+                                             (1.0, zero(2))])
+    def test_local_run_has_no_real_transforms(self, monkeypatch, lam, kernel):
+        u0 = three_wave_field(params_for(0.25, lam=lam, mu=0.5, kernel=kernel))
+        n = 5
+        assert self.count(monkeypatch, u0, n * 0.01, 0.01) == {
+            "fftn": n + 1, "ifftn": n + 1, "rfftn": 0, "irfftn": 0}
