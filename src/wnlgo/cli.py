@@ -21,16 +21,10 @@ import sys
 
 from .errors import AdmissibilityError, ConfigError, ResolutionError, \
     as_config_error
-from .experiments import emit_results, load_config, run_experiment, _atomic_write, \
-    _csv_text
-from .grid import SpectralGrid, write_snapshot
+from .experiments import _EXPERIMENTS, emit_results, error_series, load_config, \
+    run_experiment, _atomic_write, _csv_text, _profile_snapshots
+from .grid import write_snapshot
 from .resonance import Signature, close_phase_set, resonant_tuples
-from .solver import assemble_approximation, approximation_error, \
-    evolve_semiclassical, oscillatory_initial_data
-from .transport import ProfileSet, evolve_profiles
-
-_EXPERIMENT_COMMANDS = ("converge", "zero-mode", "more-weakly", "inflate",
-                        "sobolev-asymptotics")
 
 
 def _parse_vector(text: str) -> tuple:
@@ -61,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     res.add_argument("--target", default=None,
                      help="wave vector whose resonant tuples to list")
 
-    for name in ("profiles", "simulate") + _EXPERIMENT_COMMANDS:
+    for name in ("profiles", "simulate") + _EXPERIMENTS:
         sub.add_parser(name)
     return parser
 
@@ -118,46 +112,28 @@ def _cmd_profiles(args) -> int:
     cfg = _require_field_config(args, "profiles")
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
-    ps = cfg.phase_set()
-    grid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
-    weight = cfg.eps_list[0] ** (cfg.j_exponent - 1.0)
-    state = ProfileSet.from_seed(ps, grid, cfg.seed_amplitudes(grid),
-                                 cfg.transport_params(weight))
-    times = [cfg.t_final * k / cfg.snapshots for k in range(cfg.snapshots + 1)]
-    index = {"modes": [list(v) for v in ps.vectors], "times": times,
-             "files": []}
-    for k, t in enumerate(times):
-        state = evolve_profiles(state, t, cfg.profile_dt)
+    times = cfg.snapshot_times()
+    index = {"modes": [list(v) for v in cfg.phase_set().vectors],
+             "times": times, "files": []}
+    # one state at a time; no name here holds on to the seed state
+    states = _profile_snapshots(cfg.seed_profiles(cfg.eps_list[0]), times,
+                                cfg.profile_dt)
+    for k, state in enumerate(states):
         for j, amp in enumerate(state.amplitudes):
             fname = f"profile_j{j}_t{k}.wglf"
             write_snapshot(amp, os.path.join(out, fname))
-            index["files"].append({"file": fname, "mode": j, "t": t})
+            index["files"].append({"file": fname, "mode": j, "t": times[k]})
     _atomic_write(os.path.join(out, "index.json"),
                   json.dumps(index, sort_keys=True, indent=2) + "\n")
     return 0
 
 
 def _cmd_simulate(args) -> int:
+    """The converge worker at the first eps, written as one time series."""
     cfg = _require_field_config(args, "simulate")
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
-    eps = cfg.eps_list[0]
-    ps = cfg.phase_set()
-    pgrid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
-    state = ProfileSet.from_seed(ps, pgrid, cfg.seed_amplitudes(pgrid),
-                                 cfg.transport_params(eps ** (cfg.j_exponent - 1.0)))
-    grid = cfg.grid_for(eps)
-    params = cfg.model_for(eps)
-    u = oscillatory_initial_data(grid, ps, cfg.seed_amplitudes(grid), params)
-    rows = []
-    for k in range(cfg.snapshots + 1):
-        t = cfg.t_final * k / cfg.snapshots
-        u = evolve_semiclassical(u, t, cfg.dt)
-        state = evolve_profiles(state, t, cfg.profile_dt)
-        u_app = assemble_approximation(state, params, grid)
-        l2, sup, wiener = approximation_error(u, u_app)
-        rows.append({"t": t, "mass": u.mass(), "l2_err": l2,
-                     "sup_err": sup, "wiener_err": wiener})
+    rows = error_series(cfg, cfg.eps_list[0])
     _atomic_write(os.path.join(out, "timeseries.csv"),
                   _csv_text(["t", "mass", "l2_err", "sup_err", "wiener_err"],
                             rows))

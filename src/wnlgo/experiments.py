@@ -152,7 +152,7 @@ class ExperimentConfig:
     beta: float = 1.0
     ratio_min: float = 10.0
     expect_inflation: bool = True
-    output_dir: str | None = None
+    output_dir: str = ""
     closure: PhaseSet | None = None
     # sobolev-asymptotics
     profile_kind: str = ""
@@ -165,7 +165,7 @@ class ExperimentConfig:
         return self.box_pi_multiple * math.pi
 
     def grid_for(self, eps: float) -> SpectralGrid:
-        if self.points_per_axis:
+        if self.points_per_axis is not None:
             n = self.points_per_axis
         else:
             n = _pow2_at_least(self.points_scale / eps)
@@ -184,19 +184,25 @@ class ExperimentConfig:
 
     def seed_amplitudes(self, grid: SpectralGrid) -> list:
         """Seed profiles sampled directly on the given grid."""
-        out = []
-        for amp in self.amplitudes:
-            if self.profile == "uniform":
-                out.append(GridFunction.constant(grid, amp))
-            else:
-                w = self.width
+        if self.profile == "uniform":
+            return [GridFunction.constant(grid, amp) for amp in self.amplitudes]
+        r2 = grid.separable([grid.axis() ** 2] * grid.dim)
+        envelope = np.exp(-r2 / (2.0 * self.width * self.width))
+        return [GridFunction(grid, amp * envelope) for amp in self.amplitudes]
 
-                def envelope(*coords, a=amp, w=w):
-                    r2 = sum(c ** 2 for c in coords)
-                    return a * np.exp(-r2 / (2.0 * w * w))
+    def seed_profiles(self, eps: float, points: int | None = None) -> ProfileSet:
+        """Seed data on the profile grid (points per axis, default
+        profile_points), generated modes at zero, coupling weight eps^(J-1)."""
+        grid = SpectralGrid(self.dim, self.half_box, points or self.profile_points)
+        weight = eps ** (self.j_exponent - 1.0)
+        return ProfileSet.from_seed(self.phase_set(), grid,
+                                    self.seed_amplitudes(grid),
+                                    self.transport_params(weight))
 
-                out.append(GridFunction.from_callable(grid, envelope))
-        return out
+    def snapshot_times(self, count: int | None = None) -> list:
+        """count + 1 equally spaced times on [0, T] (count defaults to snapshots)."""
+        count = self.snapshots if count is None else count
+        return [self.t_final * k / count for k in range(count + 1)]
 
 
 def _pow2_at_least(x: float) -> int:
@@ -215,6 +221,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind not in _EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {kind!r}; expected one of {_EXPERIMENTS}")
+    if not isinstance(raw.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
     if kind == "sobolev-asymptotics":
         return _parse_sobolev(raw)
     return _parse_field(raw, kind)
@@ -226,8 +234,8 @@ def _parse_eps_list(raw) -> tuple:
     eps_list = tuple(_real(e, "eps_list entry") for e in raw)
     if not eps_list:
         raise ConfigError("eps_list must be nonempty")
-    if any(e <= 0 for e in eps_list):
-        raise ConfigError("eps_list entries must be positive")
+    if any(not 0 < e <= 1 for e in eps_list):
+        raise ConfigError("eps_list entries must be positive and at most 1")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("eps_list must be strictly decreasing")
     return eps_list
@@ -265,8 +273,6 @@ def _parse_field(raw: dict, kind: str) -> ExperimentConfig:
     profile = data["profile"]
     if profile not in ("gaussian", "uniform"):
         raise ConfigError(f"unknown data profile {profile!r}")
-    if profile == "gaussian" and "width" not in data:
-        raise ConfigError("missing required key 'width' in data (gaussian profile)")
 
     cfg = ExperimentConfig(
         experiment=kind,
@@ -302,7 +308,7 @@ def _parse_field(raw: dict, kind: str) -> ExperimentConfig:
         ratio_min=_real(raw.get("ratio_min", 10.0), "ratio_min"),
         expect_inflation=_boolean(raw.get("expect_inflation", True),
                                   "expect_inflation"),
-        output_dir=raw.get("output_dir"),
+        output_dir=raw.get("output_dir", ""),
         closure=closure,
     )
     _validate_field(cfg)
@@ -310,8 +316,12 @@ def _parse_field(raw: dict, kind: str) -> ExperimentConfig:
 
 
 def _validate_field(cfg: ExperimentConfig) -> None:
-    if cfg.t_final < 0 or cfg.dt <= 0 or cfg.profile_dt <= 0:
-        raise ConfigError("need T >= 0, dt > 0 and profile_dt > 0")
+    if cfg.t_final < 0 or cfg.dt <= 0 or cfg.profile_dt <= 0 or cfg.rate_dt <= 0:
+        raise ConfigError("need T >= 0, dt > 0, profile_dt > 0 and rate_dt > 0")
+    if cfg.j_exponent < 1:
+        raise ConfigError(f"need model.j_exponent >= 1, got {cfg.j_exponent}")
+    if cfg.profile == "gaussian" and not cfg.width > 0:
+        raise ConfigError(f"gaussian data needs data.width > 0, got {cfg.width}")
     if cfg.snapshots < 1:
         raise ConfigError(f"need snapshots >= 1, got {cfg.snapshots}")
     phase_set = cfg.phase_set()
@@ -346,6 +356,8 @@ def _validate_field(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 "zero-mode needs the rectangle layout kappa_2 = kappa_1 + "
                 "kappa_3 with orthogonal kappa_1, kappa_3")
+        if (0,) * cfg.dim not in phase_set.vectors:
+            raise ConfigError("zero-mode needs phases.max_generations >= 1")
 
 
 def _validate_inflation_exponents(cfg: ExperimentConfig) -> None:
@@ -395,8 +407,10 @@ def _parse_sobolev(raw: dict) -> ExperimentConfig:
         width=_real(raw.get("width", 1.0), "width"),
         half_length=_real(raw.get("half_length", 32.0), "half_length"),
         scaled_points=_integer(raw.get("scaled_points", 0), "scaled_points"),
-        output_dir=raw.get("output_dir"),
+        output_dir=raw.get("output_dir", ""),
     )
+    if cfg.dim < 1:
+        raise ConfigError(f"need dim >= 1, got {cfg.dim}")
     if kind in ("wkb", "coherent"):
         if cfg.s is None:
             raise ConfigError(f"{kind} profile needs 's'")
@@ -408,6 +422,10 @@ def _parse_sobolev(raw: dict) -> ExperimentConfig:
             raise ConfigError("scaled profile needs 'sigma'")
         if not cfg.kappa:
             raise ConfigError("scaled profile needs 'kappa'")
+        if not (cfg.beta > 0 and cfg.width > 0):
+            raise ConfigError("scaled profile needs beta > 0 and width > 0")
+        with as_config_error():  # half_length > 0, scaled_points 0 or 2^k >= 4
+            SpectralGrid(len(cfg.kappa), cfg.half_length, cfg.scaled_points or 4)
     return cfg
 
 
@@ -472,8 +490,15 @@ def _package_version() -> str:
 
 
 def _base_metadata(cfg: ExperimentConfig) -> dict:
-    return {"config": cfg.raw, "git_hash": _git_hash(),
+    meta = {"config": cfg.raw, "git_hash": _git_hash(),
             "package_version": _package_version()}
+    ps = cfg.closure
+    if ps is not None:
+        meta["phase_set"] = {
+            "count": len(ps), "generations": ps.generations,
+            "truncated_by_box": ps.truncated_by_box,
+            "truncated_by_generations": ps.truncated_by_generations}
+    return meta
 
 
 def _sweep(cfg: ExperimentConfig, worker, threads: int = 1) -> list:
@@ -495,23 +520,20 @@ def _require_slope_sweep(cfg: ExperimentConfig) -> None:
 # -- shared profile-evolution helpers -------------------------------------------
 
 
-def _profile_snapshots(state: ProfileSet, times, dt: float) -> list:
-    """Profile states at the given times (must be nondecreasing)."""
-    out = []
+def _profile_snapshots(state: ProfileSet, times, dt: float):
+    """Yield the profile states at the given (nondecreasing) times."""
     for t in times:
         state = evolve_profiles(state, t, dt)
-        out.append(state)
-    return out
+        yield state
 
 
-def _zero_mode_history(state: ProfileSet, t_final: float, dt: float,
-                       samples: int):
-    """(times, ||a_0(t)||_L2, total mass) sampled uniformly on [0, t_final]."""
+def _zero_mode_history(cfg: ExperimentConfig, state: ProfileSet, samples: int):
+    """(times, ||a_0(t)||_L2, total mass) sampled uniformly on [0, T]."""
     ps = state.phase_set
     j0 = ps.index((0,) * ps.dim)
-    times = [t_final * k / samples for k in range(samples + 1)]
+    times = cfg.snapshot_times(samples)
     norms, masses = [], []
-    for snap in _profile_snapshots(state, times, dt):
+    for snap in _profile_snapshots(state, times, cfg.profile_dt):
         norms.append(snap.amplitudes[j0].l2_norm())
         masses.append(snap.total_mass())
     return times, norms, masses
@@ -527,49 +549,47 @@ def _first_local_max(times, values) -> float:
 # -- experiment runners ----------------------------------------------------------
 
 
+def error_series(cfg: ExperimentConfig, eps: float, snapshots=None) -> list:
+    """The converge worker at one eps: one row per snapshot time.
+
+    Solves the reference problem, assembles the approximation from the
+    profile states at cfg.snapshot_times() and records the approximation
+    errors.  By default those states are evolved here, one at a time.
+    """
+    times = cfg.snapshot_times()
+    if snapshots is None:
+        state = cfg.seed_profiles(eps)
+        snapshots = _profile_snapshots(state, times, cfg.profile_dt)
+    grid = cfg.grid_for(eps)
+    params = cfg.model_for(eps)
+    u = oscillatory_initial_data(grid, cfg.phase_set(),
+                                 cfg.seed_amplitudes(grid), params)
+    rows = []
+    for t, snap in zip(times, snapshots):
+        u = evolve_semiclassical(u, t, cfg.dt)
+        u_app = assemble_approximation(snap, params, grid)
+        l2, sup, wiener = approximation_error(u, u_app)
+        rows.append({"eps": eps, "t": t, "mass": u.mass(), "l2_err": l2,
+                     "sup_err": sup, "wiener_err": wiener})
+    return rows
+
+
 def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     if cfg.experiment != "converge":
         raise ConfigError(f"config is for {cfg.experiment!r}, not 'converge'")
     if cfg.t_final > 0 and cfg.lam == 0.0:
         _require_slope_sweep(cfg)
-    phase_set = cfg.phase_set()
-    times = [cfg.t_final * k / cfg.snapshots for k in range(cfg.snapshots + 1)]
-
-    pgrid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
     shared_snaps = None
     if cfg.j_exponent == 1.0:
-        state0 = ProfileSet.from_seed(phase_set, pgrid,
-                                      cfg.seed_amplitudes(pgrid),
-                                      cfg.transport_params(1.0))
-        shared_snaps = _profile_snapshots(state0, times, cfg.profile_dt)
+        shared_snaps = list(_profile_snapshots(
+            cfg.seed_profiles(1.0), cfg.snapshot_times(), cfg.profile_dt))
 
     def one(eps: float):
-        snaps = shared_snaps
-        if snaps is None:
-            weight = eps ** (cfg.j_exponent - 1.0)
-            st = ProfileSet.from_seed(phase_set, pgrid,
-                                      cfg.seed_amplitudes(pgrid),
-                                      cfg.transport_params(weight))
-            snaps = _profile_snapshots(st, times, cfg.profile_dt)
-        grid = cfg.grid_for(eps)
-        params = cfg.model_for(eps)
-        u = oscillatory_initial_data(grid, phase_set,
-                                     cfg.seed_amplitudes(grid), params)
-        mass0 = u.mass()
-        series_rows = []
-        worst = {"l2_err": 0.0, "sup_err": 0.0, "wiener_err": 0.0}
-        for t, snap in zip(times, snaps):
-            u = evolve_semiclassical(u, t, cfg.dt)
-            u_app = assemble_approximation(snap, params, grid)
-            l2, sup, wiener = approximation_error(u, u_app)
-            worst["l2_err"] = max(worst["l2_err"], l2)
-            worst["sup_err"] = max(worst["sup_err"], sup)
-            worst["wiener_err"] = max(worst["wiener_err"], wiener)
-            series_rows.append({"eps": eps, "t": t, "mass": u.mass(),
-                                "l2_err": l2, "sup_err": sup,
-                                "wiener_err": wiener})
-        metrics = dict(worst)
-        metrics["mass_drift"] = abs(u.mass() - mass0) / mass0
+        series_rows = error_series(cfg, eps, shared_snaps)
+        metrics = {key: max(r[key] for r in series_rows)
+                   for key in ("l2_err", "sup_err", "wiener_err")}
+        mass0 = series_rows[0]["mass"]
+        metrics["mass_drift"] = abs(series_rows[-1]["mass"] - mass0) / mass0
         return metrics, series_rows
 
     outcomes = _sweep(cfg, one, threads)
@@ -599,7 +619,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
                            f"l2 errors {['%.6g' % v for v in l2s]}"))
 
     meta = _base_metadata(cfg)
-    meta["snapshot_times"] = times
+    meta["snapshot_times"] = cfg.snapshot_times()
     return SweepResult("converge", rows, slopes, tuple(assertions), meta, series)
 
 
@@ -607,16 +627,14 @@ def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     if cfg.experiment != "zero-mode":
         raise ConfigError(f"config is for {cfg.experiment!r}, not 'zero-mode'")
     phase_set = cfg.phase_set()
-    pgrid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
-    alphas = cfg.seed_amplitudes(pgrid)
+    alphas = cfg.seed_profiles(1.0).amplitudes[:phase_set.origin_count]
     scale = (max(a.sup_norm() for a in alphas) ** 2
              * max(a.l2_norm() for a in alphas))
     flat_case = abs(cfg.lam + 2.0 * cfg.mu) < 1e-14
 
     def one(eps: float):
-        weight = eps ** (cfg.j_exponent - 1.0)
-        tparams = cfg.transport_params(weight)
-        state0 = ProfileSet.from_seed(phase_set, pgrid, alphas, tparams)
+        state0 = cfg.seed_profiles(eps)
+        tparams = state0.params
         j0 = phase_set.index((0,) * cfg.dim)
 
         # finite-difference rate at t = 0, refined once to kill the O(h) term
@@ -629,8 +647,7 @@ def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         diff_sup = float(np.max(np.abs(fd_rate - predicted.values)))
         rate_err = diff_sup / pred_sup if pred_sup > 0 else diff_sup
 
-        times, norms, masses = _zero_mode_history(
-            state0, cfg.t_final, cfg.profile_dt, cfg.snapshots)
+        times, norms, masses = _zero_mode_history(cfg, state0, cfg.snapshots)
         rows = [{"eps": eps, "t": t, "a0_l2": a, "mass": m}
                 for t, a, m in zip(times, norms, masses)]
         metrics = {"rate_rel_err": rate_err, "rate_pred_sup": pred_sup,
@@ -707,16 +724,11 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     _require_slope_sweep(cfg)
     phase_set = cfg.phase_set()
 
-    # tau: first local max of ||a_0(t)|| in the weight-1 profile system.
+    # tau: first local max of ||a_0(t)|| in the weight-1 (eps = 1) profile system.
     # For uniform seed data the profiles are spatially constant, so a tiny
     # grid resolves them exactly.
-    scan_points = 4 if cfg.profile == "uniform" else cfg.profile_points
-    pgrid = SpectralGrid(cfg.dim, cfg.half_box, scan_points)
-    state0 = ProfileSet.from_seed(phase_set, pgrid, cfg.seed_amplitudes(pgrid),
-                                  cfg.transport_params(1.0))
-    scan_n = max(cfg.snapshots, 200)
-    times, norms, _ = _zero_mode_history(state0, cfg.t_final, cfg.profile_dt,
-                                         scan_n)
+    state0 = cfg.seed_profiles(1.0, 4 if cfg.profile == "uniform" else None)
+    times, norms, _ = _zero_mode_history(cfg, state0, max(cfg.snapshots, 200))
     tau = _first_local_max(times, norms)
     tau_series = [{"t": t, "a0_l2": a} for t, a in zip(times, norms)]
 

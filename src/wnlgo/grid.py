@@ -105,10 +105,17 @@ class SpectralGrid:
     def frequency_mesh(self) -> tuple:
         return tuple(np.meshgrid(*([self.frequency_axis()] * self.dim), indexing="ij"))
 
-    def signed_index_axis(self) -> np.ndarray:
-        """Signed integer frequency indices k in FFT order."""
-        n = self.points_per_axis
-        return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    def separable(self, per_axis, op=np.add) -> np.ndarray:
+        """f_1[k_1] op ... op f_d[k_d] on the grid, from one 1-D array per axis.
+
+        Builds a separable symbol, phase or weight without a mesh.  The result
+        is always a fresh writable array, also at d = 1.
+        """
+        per_axis = list(per_axis)
+        if len(per_axis) != self.dim:
+            raise ValueError(
+                f"expected {self.dim} per-axis arrays, got {len(per_axis)}")
+        return reduce(op.outer, per_axis[1:], np.array(per_axis[0]))
 
     # -- transforms ---------------------------------------------------------
 
@@ -118,7 +125,7 @@ class SpectralGrid:
         cached = _PHASE_CACHE.get((self.dim, self.points_per_axis))
         if cached is None:
             p1 = (-1.0) ** np.arange(self.points_per_axis)
-            cached = reduce(np.multiply.outer, [p1] * self.dim)
+            cached = self.separable([p1] * self.dim, np.multiply)
             _PHASE_CACHE[(self.dim, self.points_per_axis)] = cached
         return cached
 
@@ -192,28 +199,15 @@ def inverse_transform(fhat: GridFunction) -> GridFunction:
     return GridFunction(fhat.grid, fhat.grid.inverse(fhat.values))
 
 
-def _dot_frequency(grid: SpectralGrid, vector) -> np.ndarray:
-    """Broadcast sum_j vector[j] * xi_j over the frequency lattice."""
-    vector = np.asarray(vector, dtype=float)
-    if vector.shape != (grid.dim,):
-        raise ValueError(f"expected {grid.dim}-vector, got shape {vector.shape}")
-    xi = grid.frequency_axis()
-    out = np.zeros(grid.shape)
-    for j in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[j] = grid.points_per_axis
-        out = out + vector[j] * xi.reshape(shape)
-    return out
-
-
 def shift_in_fourier(f: GridFunction, velocity, t: float) -> GridFunction:
     """Exact translation f(x - v t) for band-limited f.
 
     Multiplies the coefficient at frequency xi by exp(-i t v.xi); for t = 0
     or a full box period the field is returned unchanged up to round-off.
     """
-    coeffs = f.grid.forward(f.values)
-    coeffs = coeffs * np.exp(-1j * t * _dot_frequency(f.grid, velocity))
+    xi = f.grid.frequency_axis()
+    dot = f.grid.separable([v * xi for v in np.asarray(velocity, dtype=float)])
+    coeffs = f.grid.forward(f.values) * np.exp(-1j * t * dot)
     return GridFunction(f.grid, f.grid.inverse(coeffs))
 
 

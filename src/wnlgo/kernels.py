@@ -169,19 +169,20 @@ def _multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
         return np.ones(grid.shape)
     if kernel.kind == "zero":
         return np.zeros(grid.shape)
-    mesh = grid.frequency_mesh()
     if kernel.kind == "ds":
+        mesh = grid.frequency_mesh()
         num = mesh[0] ** 2
         den = mesh[0] ** 2 + mesh[1] ** 2
         den[0, 0] = 1.0
         out = num / den
     elif kernel.kind == "dipolar":
-        dot = sum(a * m for a, m in zip(kernel.axis, mesh))
-        norm2 = sum(m ** 2 for m in mesh)
+        xi = grid.frequency_axis()
+        dot = grid.separable([a * xi for a in kernel.axis])
+        norm2 = grid.separable([xi ** 2] * grid.dim)
         norm2[(0,) * grid.dim] = 1.0
         out = DIPOLAR_SCALE * (3.0 * dot ** 2 / norm2 - 1.0)
     else:
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = np.stack([m.ravel() for m in grid.frequency_mesh()], axis=-1)
         pts[0] = 1.0  # placeholder for the origin, overwritten below
         out = np.real(_call_symbol(kernel.fn, pts)).reshape(grid.shape)
     out[(0,) * grid.dim] = 0.0
@@ -252,10 +253,10 @@ def oscillatory_coefficient_limit(kernel: KernelSpec, kappa, A: GridFunction,
     if A.grid.dim != kernel.dim:
         raise ValueError("grid dimension mismatch")
     k_at_kappa = evaluate(kernel, kappa)
-    mesh = A.grid.mesh()
+    axis = A.grid.axis()
     out = []
     for eps in eps_list:
-        phase = np.exp(1j * sum(k / eps * m for k, m in zip(kappa, mesh)))
+        phase = np.exp(1j * A.grid.separable([k / eps * axis for k in kappa]))
         modulated = GridFunction(A.grid, A.values * phase)
         back = apply(kernel, modulated).values / phase
         diff = GridFunction(A.grid, back - k_at_kappa * A.values)

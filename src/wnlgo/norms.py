@@ -32,22 +32,14 @@ def wiener_norm(f: GridFunction) -> float:
     return float(np.sum(np.abs(raw)) / f.grid.size)
 
 
-def _bracket_sq(grid: SpectralGrid) -> np.ndarray:
-    """<xi>^2 = 1 + |xi|^2 on the frequency mesh, built per axis."""
-    out = np.ones(grid.shape)
-    xi2 = grid.frequency_axis() ** 2
-    for axis in range(grid.dim):
-        sh = [1] * grid.dim
-        sh[axis] = grid.points_per_axis
-        out = out + xi2.reshape(sh)
-    return out
-
-
 def sobolev_norm(f: GridFunction, s: float) -> float:
     """Discrete H^s norm, any real s."""
-    fhat = f.grid.forward(f.values)
-    weight = _bracket_sq(f.grid) ** float(s)
-    total = np.sum(weight * np.abs(fhat) ** 2) * f.grid.spectral_cell_volume
+    grid = f.grid
+    fhat = grid.forward(f.values)
+    xi2 = grid.frequency_axis() ** 2
+    # <xi>^2 = 1 + |xi|^2, the 1 folded into the first axis
+    weight = grid.separable([1.0 + xi2] + [xi2] * (grid.dim - 1)) ** float(s)
+    total = np.sum(weight * np.abs(fhat) ** 2) * grid.spectral_cell_volume
     return float(np.sqrt(total))
 
 
@@ -155,13 +147,8 @@ def scaled_profile_norm(spec: ScaledProfileSpec, sigma: float) -> float:
     else:
         mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
         base = np.asarray(spec.f(mesh.reshape(-1, dim))).reshape(grid.shape)
-    phase = np.zeros(grid.shape)
     osc_scale = eps ** ((1.0 + beta) / 2.0)
-    for ax, k in enumerate(spec.kappa):
-        if k:
-            sh = [1] * dim
-            sh[ax] = n
-            phase = phase + (k / osc_scale) * axis.reshape(sh)
+    phase = grid.separable([(k / osc_scale) * axis for k in spec.kappa])
     values = base * np.exp(1j * phase)
     return sobolev_norm(GridFunction(grid, values), sigma)
 

@@ -259,6 +259,8 @@ def close_phase_set(phi0, signature: Signature, nu: int,
     """
     if nu < 1:
         raise ValueError(f"nu must be a positive integer, got {nu}")
+    if max_generations < 0:
+        raise ValueError(f"max_generations must be >= 0, got {max_generations}")
     vectors = [as_wave_vector(k) for k in phi0]
     if not vectors:
         raise ValueError("phi0 must be nonempty")

@@ -116,13 +116,7 @@ def require_resolved(grid: SpectralGrid, kappas, eps: float) -> None:
 def _carrier_phase(grid: SpectralGrid, kappa, eps: float) -> np.ndarray:
     """exp(i kappa . x / eps) on the grid."""
     axis = grid.axis()
-    phase = np.zeros(grid.shape)
-    for ax, comp in enumerate(kappa):
-        if comp:
-            sh = [1] * grid.dim
-            sh[ax] = grid.points_per_axis
-            phase = phase + (comp / eps) * axis.reshape(sh)
-    return np.exp(1j * phase)
+    return np.exp(1j * grid.separable([(comp / eps) * axis for comp in kappa]))
 
 
 def oscillatory_initial_data(grid: SpectralGrid, modes, alphas,
@@ -144,13 +138,8 @@ def oscillatory_initial_data(grid: SpectralGrid, modes, alphas,
 
 def _free_symbol(grid: SpectralGrid, signature: Signature) -> np.ndarray:
     """Q(xi) = sum_m eta_m xi_m^2 on the frequency mesh."""
-    out = np.zeros(grid.shape)
     xi2 = grid.frequency_axis() ** 2
-    for axis in range(grid.dim):
-        sh = [1] * grid.dim
-        sh[axis] = grid.points_per_axis
-        out = out + signature.etas[axis] * xi2.reshape(sh)
-    return out
+    return grid.separable([eta * xi2 for eta in signature.etas])
 
 
 def evolve_semiclassical(field: SemiclassicalField, t_end: float,

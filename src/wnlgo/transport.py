@@ -210,13 +210,7 @@ def _advection_phases(state: ProfileSet, dt: float) -> np.ndarray:
     xi = grid.frequency_axis()
     out = np.empty((len(state.phase_set),) + grid.shape, dtype=np.complex128)
     for j, kappa in enumerate(state.phase_set.vectors):
-        dot = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            v = etas[axis] * kappa[axis]
-            if v:
-                sh = [1] * grid.dim
-                sh[axis] = grid.points_per_axis
-                dot = dot + v * xi.reshape(sh)
+        dot = grid.separable([(eta * k) * xi for eta, k in zip(etas, kappa)])
         out[j] = np.exp(-1j * dt * dot)
     return out
 
@@ -335,16 +329,11 @@ def profile_norms(state: ProfileSet, s_list=()) -> XNorms:
             bracket = (1.0 + sum(c * c for c in kappa)) ** (s / 2.0)
             mode_part += bracket * (l1 + l2)
         deriv_part = 0.0
-        xi_axes = [np.abs(grid.frequency_axis())] * grid.dim
+        xi_abs = np.abs(grid.frequency_axis())
         for beta in _iproduct(range(s + 1), repeat=grid.dim):
             if sum(beta) > s:
                 continue
-            weight = np.ones(grid.shape)
-            for axis, power in enumerate(beta):
-                if power:
-                    sh = [1] * grid.dim
-                    sh[axis] = grid.points_per_axis
-                    weight = weight * (xi_axes[axis] ** power).reshape(sh)
+            weight = grid.separable([xi_abs ** p for p in beta], np.multiply)
             for h in hats:
                 l1, l2 = _l1_l2(weight * h, measure)
                 deriv_part += l1 + l2

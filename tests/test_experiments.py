@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ def zero_mode_config(**overrides):
     cfg["rate_dt"] = 1e-3
     cfg.update(overrides)
     return cfg
+
+
+# sobolev_wkb.json switched to the scaled-profile family
+SCALED = {"profile_kind": "scaled", "sigma": -0.5, "kappa": [1.0],
+          "eps_list": [0.25, 0.125]}
 
 
 class TestFitPowerLaw:
@@ -254,6 +260,17 @@ class TestEmitResults:
             two = (tmp_path / "b" / fname).read_bytes()
             assert one == two, fname
 
+    def test_metadata_reports_the_phase_set(self, tmp_path):
+        # criterion 6's hyperbolic closure: box radius 2 cuts it short
+        raw = field_config()
+        raw["model"]["signature"] = "-+"
+        raw["phases"]["box_radius"] = 2
+        emit_results(run_experiment(parse_config(raw)), tmp_path)
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["phase_set"] == {"count": 9, "generations": 3,
+                                     "truncated_by_box": True,
+                                     "truncated_by_generations": False}
+
 
 class TestCli:
     def write(self, tmp_path, cfg):
@@ -368,15 +385,36 @@ class TestCli:
         ("phases", "phi0", [[1.5, 0], [1, 1], [0, 1]]),
         ("phases", "box_radius", 0), ("model", "kernel", 5),
         ("data", "amplitudes", 0.7), ("grid", "points_per_axis", 48),
-        (None, "snapshots", 0)],
+        (None, "snapshots", 0), (None, "rate_dt", 0), (None, "rate_dt", -1e-3),
+        (None, "output_dir", 5), ("data", "width", 0), ("data", "width", -0.42),
+        ("model", "j_exponent", 0.5), (None, "eps_list", [2.0]),
+        ("phases", "max_generations", 0), ("phases", "max_generations", -1)],
         ids=["nu-1.5", "T-NaN", "signature-+x", "phi0-1.5", "box_radius-0",
-             "kernel-5", "amplitudes-0.7", "points-48", "snapshots-0"])
+             "kernel-5", "amplitudes-0.7", "points-48", "snapshots-0",
+             "rate_dt-0", "rate_dt-negative", "output_dir-5", "width-0",
+             "width-negative", "j_exponent-0.5", "eps-2", "max_generations-0",
+             "max_generations-negative"])
     def test_bad_values_exit_two(self, tmp_path, capsys, section, key, value):
         with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
             cfg = json.load(fh)
         (cfg[section] if section else cfg)[key] = value
         code = main(["--config", self.write(tmp_path, cfg),
                      "--out", str(tmp_path / "r"), "zero-mode"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"dim": 0}, dict(SCALED, beta=0), dict(SCALED, scaled_points=48),
+        dict(SCALED, eps_list=[2.0, 0.5])],
+        ids=["dim-0", "scaled-beta-0", "scaled-points-48", "scaled-eps-2"])
+    def test_sobolev_bad_values_exit_two(self, tmp_path, capsys, overrides):
+        with open(os.path.join(CONFIGS, "sobolev_wkb.json")) as fh:
+            cfg = json.load(fh)
+        cfg.update(overrides)
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "sobolev-asymptotics"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:")
@@ -445,7 +483,9 @@ class TestCli:
         ["--phi0", "1,0;1,1;0,1", "--box-radius", "0"],
         ["--phi0", "1,0;1,1;0,1", "--signature=+x", "--box-radius", "2"],
         ["--phi0", "1.5,0", "--box-radius", "2"],
-        ["--phi0", "1,0;1,1;0,1", "--box-radius", "2", "--target", "5,5"]])
+        ["--phi0", "1,0;1,1;0,1", "--box-radius", "2", "--target", "5,5"],
+        ["--phi0", "1,0;1,1;0,1", "--box-radius", "2", "--max-generations",
+         "-1"]])
     def test_resonance_bad_input_exit_two(self, capsys, flags):
         assert main(["resonance"] + flags) == 2
         assert capsys.readouterr().err.startswith("config error:")
@@ -455,3 +495,71 @@ class TestCli:
             main(["resonance", "--phi0", "1,0;1,1;0,1"])
         assert exc.value.code == 2
         assert "--box-radius" in capsys.readouterr().err
+
+
+# -- seeded config fuzz ---------------------------------------------------------
+
+FUZZ_BASES = {"field": field_config(), "zero-mode": zero_mode_config()}
+for _name in ("converge_ds_elliptic", "zero_mode_ds", "sobolev_wkb"):
+    with open(os.path.join(CONFIGS, _name + ".json"), encoding="utf-8") as _fh:
+        FUZZ_BASES[_name] = json.load(_fh)
+# runs through cli.main too: small enough that every mutation stays cheap
+FUZZ_RUN = ("field", "zero-mode")
+FUZZ_KINDS = ("swap-type", 0, -1, 3, "delete", "unknown-key")
+
+
+def _leaves(node, path=()):
+    """Paths to every scalar of a JSON tree."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def _mutate(cfg: dict, path: tuple, kind) -> dict:
+    """cfg with one leaf changed: type swapped, set, deleted, or a key added."""
+    cfg = copy.deepcopy(cfg)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    leaf = path[-1]
+    if kind == "swap-type":
+        value = parent[leaf]
+        parent[leaf] = [value] if isinstance(value, str) else str(value)
+    elif kind == "delete":
+        del parent[leaf]
+    elif kind == "unknown-key":
+        (parent if isinstance(parent, dict) else cfg)["fuzz_key"] = 1
+    else:
+        parent[leaf] = kind
+    return cfg
+
+
+def _fuzz_cases(count: int = 150, seed: int = 5):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        base = rng.choice(sorted(FUZZ_BASES))
+        path = rng.choice(list(_leaves(FUZZ_BASES[base])))
+        kind = rng.choice(FUZZ_KINDS)
+        label = "-".join([base, ".".join(map(str, path)), str(kind)])
+        cases.append(pytest.param(base, path, kind, id=label))
+    return cases
+
+
+@pytest.mark.parametrize("base, path, kind", _fuzz_cases())
+def test_config_fuzz(tmp_path, capsys, base, path, kind):
+    cfg = _mutate(FUZZ_BASES[base], path, kind)
+    try:
+        parse_config(cfg)
+    except (ConfigError, AdmissibilityError, ResolutionError):
+        pass
+    if base in FUZZ_RUN:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg), encoding="utf-8")
+        code = main(["--config", str(config_path), "--out",
+                     str(tmp_path / "r"), FUZZ_BASES[base]["experiment"]])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in capsys.readouterr().err

@@ -108,6 +108,43 @@ class TestShift:
         assert np.max(np.abs(back.values - f.values)) < 1e-10
 
 
+class TestSeparable:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sum_matches_meshgrid(self, dim):
+        g = SpectralGrid(dim, 2.0, 8)
+        weights = np.random.default_rng(dim).standard_normal(dim)
+        got = g.separable([w * g.axis() for w in weights])
+        want = sum(w * x for w, x in zip(weights, g.mesh()))
+        assert got.shape == g.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_product_matches_meshgrid(self, dim):
+        g = SpectralGrid(dim, 2.0, 8)
+        powers = range(1, dim + 1)
+        got = g.separable([np.abs(g.frequency_axis()) ** p for p in powers],
+                          np.multiply)
+        want = np.prod([np.abs(xi) ** p for xi, p in
+                        zip(g.frequency_mesh(), powers)], axis=0)
+        assert got.shape == g.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_wrong_axis_count(self, dim):
+        g = SpectralGrid(dim, 2.0, 8)
+        with pytest.raises(ValueError, match="per-axis"):
+            g.separable([g.axis()] * (dim + 1))
+        with pytest.raises(ValueError, match="per-axis"):
+            g.separable([g.axis()] * (dim - 1))
+
+    def test_fresh_writable_array_in_one_dimension(self):
+        g = SpectralGrid(1, 2.0, 8)
+        axis = g.axis()
+        out = g.separable([axis])
+        out[0] = 1.0  # as the dipolar multiplier writes its origin entry
+        assert axis[0] == -2.0 and out[0] == 1.0
+
+
 def test_resample_band_limited_exact():
     g = SpectralGrid(1, np.pi, 32)
     f = GridFunction.from_callable(
