@@ -171,6 +171,30 @@ class ExperimentConfig:
             n = _pow2_at_least(self.points_scale / eps)
         return SpectralGrid(self.dim, self.half_box, n)
 
+    def cell_grid_for(self, eps: float) -> tuple:
+        """(grid, m): one period cell of grid_for(eps), m cells per axis.
+
+        Uniform data on integer seeds has period 2 pi eps / g per axis, g the
+        gcd of the seed components, and so does every closure mode; the
+        split-step flow keeps it (Fourier multipliers, pointwise nonlinearity).
+        The box holds M = box_pi_multiple g / eps whole periods, an integer
+        for admissible eps; m is the largest power of two dividing M, so it
+        divides n.  The cell grid SpectralGrid(dim, L/m, n/m) sees the full
+        grid's DFT at every m-th frequency, with the same Nyquist frequency,
+        so evolving on it is exact.  L^2 and H^s norms on the cell are the
+        full grid's divided by m^(d/2); means are the same.  Gaussian data
+        gives m = 1 and grid_for(eps).  Uniform converge does not use this:
+        assemble_approximation needs the profile grid's box.
+        """
+        grid = self.grid_for(eps)
+        periods = 1
+        if self.profile == "uniform":
+            g = math.gcd(*(abs(c) for kappa in self.phi0 for c in kappa))
+            periods = round(self.box_pi_multiple * g / eps) or 1  # g = 0: no period
+        m = periods & -periods
+        return SpectralGrid(self.dim, grid.half_length / m,
+                            grid.points_per_axis // m), m
+
     def phase_set(self) -> PhaseSet:
         """The closure of phi0, computed once by parse_config."""
         return self.closure
@@ -422,6 +446,10 @@ def _parse_sobolev(raw: dict) -> ExperimentConfig:
             raise ConfigError("scaled profile needs 'sigma'")
         if not cfg.kappa:
             raise ConfigError("scaled profile needs 'kappa'")
+        if "dim" in raw and cfg.dim != len(cfg.kappa):
+            raise ConfigError(
+                f"scaled profile runs in len(kappa) = {len(cfg.kappa)} "
+                f"dimensions, but dim is {cfg.dim}")
         if not (cfg.beta > 0 and cfg.width > 0):
             raise ConfigError("scaled profile needs beta > 0 and width > 0")
         with as_config_error():  # half_length > 0, scaled_points 0 or 2^k >= 4
@@ -683,13 +711,14 @@ def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     phase_set = cfg.phase_set()
 
     def one(eps: float):
-        grid = cfg.grid_for(eps)
+        grid, m = cfg.cell_grid_for(eps)
+        rescale = m ** (cfg.dim / 2.0)
         params = cfg.model_for(eps)
         u0 = oscillatory_initial_data(grid, phase_set,
                                       cfg.seed_amplitudes(grid), params)
-        initial = sobolev_norm(u0.values, cfg.s)
+        initial = rescale * sobolev_norm(u0.values, cfg.s)
         u = evolve_semiclassical(u0, cfg.t_final, cfg.dt)
-        final = sobolev_norm(u.values, cfg.s)
+        final = rescale * sobolev_norm(u.values, cfg.s)
         return {"initial_norm": initial, "final_norm": final,
                 "ratio": final / initial}
 
@@ -715,6 +744,7 @@ def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
          last_ratio > cfg.ratio_min, f"ratio {last_ratio:.3f}"),
     )
     meta = _base_metadata(cfg)
+    meta["cells_per_axis"] = [cfg.cell_grid_for(e)[1] for e in cfg.eps_list]
     return SweepResult("more-weakly", rows, slopes, assertions, meta, {})
 
 
@@ -736,12 +766,12 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     dilate = cfg.beta != 1.0
 
     def one(eps: float):
-        grid = cfg.grid_for(eps)
+        grid, m = cfg.cell_grid_for(eps)
         params = cfg.model_for(eps)
         u0 = oscillatory_initial_data(grid, phase_set,
                                       cfg.seed_amplitudes(grid), params)
         u_tau = evolve_semiclassical(u0, tau, cfg.dt)
-        pref = eps ** (-exponent)
+        pref = eps ** (-exponent) * m ** (cfg.dim / 2.0)
         if dilate:
             ygrid = SpectralGrid(cfg.dim,
                                  grid.half_length * eps ** ((cfg.beta - 1.0) / 2.0),
@@ -788,6 +818,7 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
 
     meta = _base_metadata(cfg)
     meta["tau"] = tau
+    meta["cells_per_axis"] = [cfg.cell_grid_for(e)[1] for e in cfg.eps_list]
     return SweepResult("inflate", rows, slopes, tuple(assertions), meta,
                        {"tau_scan": tau_series})
 

@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
-from wnlgo import AdmissibilityError, ConfigError, ResolutionError, \
-    read_snapshot
+from wnlgo import AdmissibilityError, ConfigError, GridFunction, \
+    ResolutionError, SpectralGrid, evolve_semiclassical, \
+    oscillatory_initial_data, read_snapshot, require_admissible, \
+    require_resolved, sobolev_norm
 from wnlgo.cli import main
 from wnlgo import cli, experiments
 from wnlgo.experiments import emit_results, fit_power_law, load_config, \
@@ -45,8 +47,30 @@ def zero_mode_config(**overrides):
     return cfg
 
 
-# sobolev_wkb.json switched to the scaled-profile family
-SCALED = {"profile_kind": "scaled", "sigma": -0.5, "kappa": [1.0],
+def more_weakly_config(**overrides):
+    # criterion 10's config at larger eps, where the n = 16/eps grids are small
+    cfg = field_config(experiment="more-weakly", T=1.25, dt=0.01, s=-0.75,
+                       eps_list=[0.25, 1 / 6, 0.125])
+    cfg["model"]["j_exponent"] = 1.5
+    cfg["grid"] = {"dim": 2, "box_pi_multiple": 1.0, "points_scale": 16}
+    cfg["data"]["amplitudes"] = [2.0, 1.0, 2.0]
+    cfg.update(overrides)
+    return cfg
+
+
+def inflate_config(**overrides):
+    # criterion 11's local cubic sweep at its two largest eps
+    cfg = field_config(experiment="inflate", T=5.0, dt=0.005, profile_dt=0.005,
+                       s=-0.6, sigma=-1.0, beta=1.0, eps_list=[0.25, 0.125])
+    cfg["grid"] = {"dim": 2, "box_pi_multiple": 1.0, "points_scale": 16}
+    cfg["data"]["amplitudes"] = [0.7, 0.7, 0.7]
+    cfg.update(overrides)
+    return cfg
+
+
+# sobolev_wkb.json switched to the scaled-profile family (in len(kappa) = 1
+# dimension, so dim must follow)
+SCALED = {"profile_kind": "scaled", "sigma": -0.5, "kappa": [1.0], "dim": 1,
           "eps_list": [0.25, 0.125]}
 
 
@@ -206,6 +230,15 @@ class TestConfigValidation:
                           "profile_kind": "scaled", "sigma": -1.0,
                           "eps_list": [0.5]})
 
+    def test_scaled_dim_must_match_kappa(self):
+        scaled = {"experiment": "sobolev-asymptotics", "profile_kind": "scaled",
+                  "sigma": -1.0, "kappa": [1.0, 0.0, 0.0],
+                  "eps_list": [0.5, 0.25]}
+        parse_config(scaled)  # dim omitted: len(kappa) dimensions
+        parse_config(dict(scaled, dim=3))
+        with pytest.raises(ConfigError, match="dim is 2"):
+            parse_config(dict(scaled, dim=2))
+
 
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
@@ -270,6 +303,84 @@ class TestEmitResults:
         assert meta["phase_set"] == {"count": 9, "generations": 3,
                                      "truncated_by_box": True,
                                      "truncated_by_generations": False}
+
+    @pytest.mark.parametrize("kind", ["more-weakly", "inflate"])
+    def test_metadata_reports_cells_per_axis(self, tmp_path, kind):
+        raw = (more_weakly_config if kind == "more-weakly" else
+               inflate_config)(eps_list=[0.5, 0.25, 1 / 6])
+        emit_results(run_experiment(parse_config(raw)), tmp_path)
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["cells_per_axis"] == [2, 4, 2]
+        assert "cells" not in (tmp_path / "sweep.csv").read_text()
+
+
+class TestPeriodCell:
+    @pytest.mark.parametrize("phi0, box_pi_multiple, eps, m", [
+        ([[1, 0], [1, 1], [0, 1]], 1.0, 1 / 6, 2),  # M = 6
+        ([[1, 0], [1, 1], [0, 1]], 1.0, 0.25, 4),
+        ([[2, 0], [2, 2], [0, 2]], 1.0, 0.25, 8),  # gcd 2
+        ([[1, 0], [1, 1], [0, 1]], 2.0, 0.25, 8)],
+        ids=["eps-1/6", "eps-1/4", "gcd-2", "box-2pi"])
+    def test_cells_per_axis(self, phi0, box_pi_multiple, eps, m):
+        raw = field_config(eps_list=[eps])
+        raw["grid"].update(points_per_axis=128, box_pi_multiple=box_pi_multiple)
+        raw["phases"]["phi0"] = phi0
+        cfg = parse_config(raw)
+        grid, cells = cfg.cell_grid_for(eps)
+        full = cfg.grid_for(eps)
+        assert cells == m
+        assert grid == SpectralGrid(2, full.half_length / m, 128 // m)
+        require_admissible(grid, cfg.phase_set().vectors, eps)
+        require_resolved(grid, cfg.phase_set().vectors, eps)
+
+    def test_gaussian_data_keeps_the_full_grid(self):
+        raw = field_config(eps_list=[0.25])
+        raw["data"].update(profile="gaussian", width=0.5)
+        cfg = parse_config(raw)
+        assert cfg.cell_grid_for(0.25) == (cfg.grid_for(0.25), 1)
+
+
+def _full_grid_row(cfg, eps: float, tau) -> dict:
+    """One sweep.csv row recomputed on the whole box, grid_for(eps)."""
+    grid = cfg.grid_for(eps)
+    u0 = oscillatory_initial_data(grid, cfg.phase_set(),
+                                  cfg.seed_amplitudes(grid), cfg.model_for(eps))
+    if cfg.experiment == "more-weakly":
+        initial = sobolev_norm(u0.values, cfg.s)
+        final = sobolev_norm(
+            evolve_semiclassical(u0, cfg.t_final, cfg.dt).values, cfg.s)
+        return {"initial_norm": initial, "final_norm": final,
+                "ratio": final / initial}
+    u_tau = evolve_semiclassical(u0, tau, cfg.dt).values.values
+    ygrid = SpectralGrid(cfg.dim, grid.half_length * eps ** ((cfg.beta - 1) / 2),
+                         grid.points_per_axis)
+    pref = eps ** (-(cfg.beta + 1 - cfg.j_exponent) / (2 * cfg.nu))
+    return {"phi_norm": pref * sobolev_norm(GridFunction(ygrid, u0.values.values),
+                                            cfg.s),
+            "psi_norm": pref * sobolev_norm(GridFunction(ygrid, u_tau), cfg.sigma),
+            "zero_amp": abs(np.mean(u_tau))}
+
+
+def _ds_inflate_config():
+    raw = inflate_config()
+    raw["model"].update(lam=1.0, mu=0.0, kernel="ds")
+    return raw
+
+
+@pytest.mark.parametrize("make_config", [
+    inflate_config, _ds_inflate_config,
+    lambda: inflate_config(beta=0.9, expect_inflation=False),
+    more_weakly_config], ids=["inflate-local", "inflate-ds", "inflate-beta-0.9",
+                              "more-weakly"])
+def test_period_cell_runs_match_the_full_grid(make_config):
+    cfg = parse_config(make_config())
+    result = run_experiment(cfg)
+    assert all(m > 1 for m in result.metadata["cells_per_axis"])
+    for eps, row in result.rows:
+        want = _full_grid_row(cfg, eps, result.metadata.get("tau"))
+        assert set(row) == set(want)
+        for key, value in want.items():
+            assert abs(row[key] - value) <= 1e-12 * abs(value), (eps, key)
 
 
 class TestCli:
@@ -407,8 +518,10 @@ class TestCli:
 
     @pytest.mark.parametrize("overrides", [
         {"dim": 0}, dict(SCALED, beta=0), dict(SCALED, scaled_points=48),
-        dict(SCALED, eps_list=[2.0, 0.5])],
-        ids=["dim-0", "scaled-beta-0", "scaled-points-48", "scaled-eps-2"])
+        dict(SCALED, eps_list=[2.0, 0.5]),
+        dict(SCALED, dim=2, kappa=[1.0, 0.0, 0.0])],
+        ids=["dim-0", "scaled-beta-0", "scaled-points-48", "scaled-eps-2",
+             "scaled-dim-2-kappa-3"])
     def test_sobolev_bad_values_exit_two(self, tmp_path, capsys, overrides):
         with open(os.path.join(CONFIGS, "sobolev_wkb.json")) as fh:
             cfg = json.load(fh)
