@@ -32,7 +32,7 @@ import os
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.fft
@@ -42,7 +42,7 @@ from .errors import ConfigError, as_config_error
 from .grid import GridFunction, SpectralGrid
 from .norms import ScaledProfileSpec, gaussian_sobolev_norm, scaled_profile_norm, \
     sobolev_norm
-from .resonance import PhaseSet, Signature, as_wave_vector, close_phase_set
+from .resonance import PhaseSet, Signature, close_phase_set
 from .solver import ModelParams, assemble_approximation, approximation_error, \
     evolve_semiclassical, oscillatory_initial_data, require_admissible, \
     require_resolved
@@ -53,35 +53,6 @@ from .transport import ProfileSet, TransportParams, evolve_profiles, zero_mode_r
 
 _EXPERIMENTS = ("converge", "zero-mode", "more-weakly", "inflate",
                 "sobolev-asymptotics")
-
-_MODEL_KEYS = {"lam": True, "mu": True, "nu": True, "signature": True,
-               "kernel": True, "j_exponent": False}
-_GRID_KEYS = {"dim": True, "box_pi_multiple": True, "points_scale": False,
-              "points_per_axis": False}
-_PHASES_KEYS = {"phi0": True, "box_radius": True, "max_generations": False}
-_DATA_KEYS = {"profile": True, "amplitudes": True, "width": False}
-
-_FIELD_TOP_KEYS = {"experiment": True, "model": True, "grid": True,
-                   "phases": True, "data": True, "eps_list": True, "T": True,
-                   "dt": True, "snapshots": False, "profile_points": False,
-                   "profile_dt": False, "output_dir": False, "s": False,
-                   "sigma": False, "beta": False, "ratio_min": False,
-                   "expect_inflation": False, "rate_dt": False}
-_SOBOLEV_TOP_KEYS = {"experiment": True, "eps_list": True, "profile_kind": True,
-                     "s": False, "sigma": False, "dim": False, "beta": False,
-                     "kappa": False, "width": False, "half_length": False,
-                     "scaled_points": False, "output_dir": False}
-
-
-def _check_keys(section: dict, allowed: dict, name: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {name}")
-    for key, required in allowed.items():
-        if required and key not in section:
-            raise ConfigError(f"missing required key {key!r} in {name}")
 
 
 def _real(value, name: str) -> float:
@@ -99,19 +70,110 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _boolean(value, name: str) -> bool:
-    """A JSON true/false; "no" or 0 is a ConfigError, not a truth value."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
+def _of_type(kind: type, what: str):
+    """Values of kind only: "no" or 0 is not a boolean, 5 not a string."""
+    def read(value, name: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return read
 
 
-def _as_complex(value) -> complex:
+def _one_of(*choices):
+    def read(value, name: str):
+        if value not in choices:
+            raise ConfigError(
+                f"unknown {name} {value!r}; expected one of {choices}")
+        return value
+    return read
+
+
+def _list_of(read_entry):
+    def read(value, name: str) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(read_entry(v, f"{name}[{i}]") for i, v in enumerate(value))
+    return read
+
+
+def _complex(value, name: str) -> complex:
+    """A number or a [re, im] pair."""
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
-            raise ConfigError(f"complex amplitude must be [re, im], got {value}")
-        return complex(_real(value[0], "amplitude"), _real(value[1], "amplitude"))
-    return complex(_real(value, "amplitude"))
+            raise ConfigError(f"{name} must be [re, im], got {value!r}")
+        return complex(_real(value[0], name), _real(value[1], name))
+    return complex(_real(value, name))
+
+
+def _signature(value, name: str) -> Signature:
+    with as_config_error():
+        return Signature.from_string(value)
+
+
+def _eps_list(value, name: str) -> tuple:
+    eps_list = _list_of(_real)(value, name)
+    if not eps_list:
+        raise ConfigError(f"{name} must be nonempty")
+    if any(not 0 < e <= 1 for e in eps_list):
+        raise ConfigError(f"{name} entries must be positive and at most 1")
+    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise ConfigError(f"{name} must be strictly decreasing")
+    return eps_list
+
+
+# One table per experiment family: key -> (reader, default), where the
+# default ... marks a required key; a nested table is a required section,
+# read into the same flat dict of ExperimentConfig fields.  The kernel stays
+# a string until _validate_field builds it for grid.dim.
+_FIELD_SCHEMA = {
+    "experiment": (_one_of(*_EXPERIMENTS), ...),
+    "model": {"lam": (_real, ...), "mu": (_real, ...), "nu": (_integer, ...),
+              "j_exponent": (_real, 1.0), "signature": (_signature, ...),
+              "kernel": (_of_type(str, "a string"), ...)},
+    "grid": {"dim": (_integer, ...), "box_pi_multiple": (_real, ...),
+             "points_scale": (_real, None), "points_per_axis": (_integer, None)},
+    "phases": {"phi0": (_list_of(_list_of(_integer)), ...),
+               "box_radius": (_integer, ...), "max_generations": (_integer, 8)},
+    "data": {"profile": (_one_of("gaussian", "uniform"), ...),
+             "amplitudes": (_list_of(_complex), ...), "width": (_real, 0.0)},
+    "eps_list": (_eps_list, ...), "T": (_real, ...), "dt": (_real, ...),
+    "snapshots": (_integer, 8), "profile_points": (_integer, 64),
+    "profile_dt": (_real, None),  # None: dt
+    "rate_dt": (_real, 1e-3), "s": (_real, None), "sigma": (_real, None),
+    "beta": (_real, 1.0), "ratio_min": (_real, 10.0),
+    "output_dir": (_of_type(str, "a string"), ""),
+    "expect_inflation": (_of_type(bool, "true or false"), True)}
+_SOBOLEV_SCHEMA = {
+    "experiment": (_one_of("sobolev-asymptotics"), ...),
+    "eps_list": (_eps_list, ...),
+    "profile_kind": (_one_of("wkb", "coherent", "scaled"), ...),
+    "s": (_real, None), "sigma": (_real, None), "dim": (_integer, 1),
+    "beta": (_real, 1.0), "kappa": (_list_of(_real), ()), "width": (_real, 1.0),
+    "half_length": (_real, 32.0), "scaled_points": (_integer, 0),
+    "output_dir": (_of_type(str, "a string"), "")}
+_FIELD_NAMES = {"T": "t_final"}  # config key -> ExperimentConfig field
+
+
+def _read(section, table: dict, name: str) -> dict:
+    """The ExperimentConfig fields of section, read against its table; name
+    is "config" or the section's dotted path."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    for key in section:
+        if key not in table:
+            raise ConfigError(f"unknown key {key!r} in {name}")
+    values = {}
+    for key, entry in table.items():
+        read, default = (None, ...) if isinstance(entry, dict) else entry
+        if key not in section and default is ...:
+            raise ConfigError(f"missing required key {key!r} in {name}")
+        path = key if name == "config" else f"{name}.{key}"
+        if read is None:
+            values.update(_read(section[key], entry, path))
+        else:
+            values[_FIELD_NAMES.get(key, key)] = \
+                read(section[key], path) if key in section else default
+    return values
 
 
 @dataclass(frozen=True)
@@ -237,109 +299,28 @@ def _pow2_at_least(x: float) -> int:
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    if "experiment" not in raw:
-        raise ConfigError("missing required key 'experiment'")
-    kind = raw["experiment"]
-    if kind not in _EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {kind!r}; expected one of {_EXPERIMENTS}")
-    if not isinstance(raw.get("output_dir", ""), str):
-        raise ConfigError(f"output_dir must be a string, got {raw['output_dir']!r}")
-    if kind == "sobolev-asymptotics":
-        return _parse_sobolev(raw)
-    return _parse_field(raw, kind)
+    """Read raw against its family's schema table, then check the rules that
+    tie several keys together."""
+    sobolev = isinstance(raw, dict) and "experiment" in raw \
+        and raw["experiment"] == "sobolev-asymptotics"
+    table, validate = (_SOBOLEV_SCHEMA, _validate_sobolev) if sobolev \
+        else (_FIELD_SCHEMA, _validate_field)
+    return validate(ExperimentConfig(raw=raw, **_read(raw, table, "config")))
 
 
-def _parse_eps_list(raw) -> tuple:
-    if not isinstance(raw, list):
-        raise ConfigError("eps_list must be a list")
-    eps_list = tuple(_real(e, "eps_list entry") for e in raw)
-    if not eps_list:
-        raise ConfigError("eps_list must be nonempty")
-    if any(not 0 < e <= 1 for e in eps_list):
-        raise ConfigError("eps_list entries must be positive and at most 1")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("eps_list must be strictly decreasing")
-    return eps_list
-
-
-def _parse_field(raw: dict, kind: str) -> ExperimentConfig:
-    _check_keys(raw, _FIELD_TOP_KEYS, "config")
-    model = raw["model"]
-    _check_keys(model, _MODEL_KEYS, "model")
-    grid = raw["grid"]
-    _check_keys(grid, _GRID_KEYS, "grid")
-    phases = raw["phases"]
-    _check_keys(phases, _PHASES_KEYS, "phases")
-    data = raw["data"]
-    _check_keys(data, _DATA_KEYS, "data")
-
-    if ("points_scale" in grid) == ("points_per_axis" in grid):
+def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg with kernel, closure and profile_dt set; checks the cross-key rules."""
+    if (cfg.points_scale is None) == (cfg.points_per_axis is None):
         raise ConfigError(
             "grid needs exactly one of 'points_scale' / 'points_per_axis'")
-    dim = _integer(grid["dim"], "grid.dim")
-    nu = _integer(model["nu"], "model.nu")
+    if cfg.signature.dim != cfg.dim:
+        raise ConfigError("signature length must equal grid dim")
     with as_config_error():
-        signature = Signature.from_string(model["signature"])
-        if signature.dim != dim:
-            raise ConfigError("signature length must equal grid dim")
-        kernel = _kernels.parse_kernel(model["kernel"], dim)
-        phi0 = tuple(as_wave_vector(v) for v in phases["phi0"])
-        box_radius = _integer(phases["box_radius"], "phases.box_radius")
-        max_generations = _integer(phases.get("max_generations", 8),
-                                   "phases.max_generations")
-        closure = close_phase_set(phi0, signature, nu, max_generations,
-                                  box_radius)
-    if not isinstance(data["amplitudes"], list):
-        raise ConfigError("data.amplitudes must be a list")
-    profile = data["profile"]
-    if profile not in ("gaussian", "uniform"):
-        raise ConfigError(f"unknown data profile {profile!r}")
-
-    cfg = ExperimentConfig(
-        experiment=kind,
-        raw=raw,
-        lam=_real(model["lam"], "model.lam"),
-        mu=_real(model["mu"], "model.mu"),
-        nu=nu,
-        j_exponent=_real(model.get("j_exponent", 1.0), "model.j_exponent"),
-        signature=signature,
-        kernel=kernel,
-        dim=dim,
-        box_pi_multiple=_real(grid["box_pi_multiple"], "grid.box_pi_multiple"),
-        points_scale=_real(grid["points_scale"], "grid.points_scale")
-        if "points_scale" in grid else None,
-        points_per_axis=_integer(grid["points_per_axis"], "grid.points_per_axis")
-        if "points_per_axis" in grid else None,
-        phi0=phi0,
-        box_radius=box_radius,
-        max_generations=max_generations,
-        profile=profile,
-        amplitudes=tuple(_as_complex(a) for a in data["amplitudes"]),
-        width=_real(data.get("width", 0.0), "data.width"),
-        eps_list=_parse_eps_list(raw["eps_list"]),
-        t_final=_real(raw["T"], "T"),
-        dt=_real(raw["dt"], "dt"),
-        rate_dt=_real(raw.get("rate_dt", 1e-3), "rate_dt"),
-        snapshots=_integer(raw.get("snapshots", 8), "snapshots"),
-        profile_points=_integer(raw.get("profile_points", 64), "profile_points"),
-        profile_dt=_real(raw.get("profile_dt", raw["dt"]), "profile_dt"),
-        s=_real(raw["s"], "s") if "s" in raw else None,
-        sigma=_real(raw["sigma"], "sigma") if "sigma" in raw else None,
-        beta=_real(raw.get("beta", 1.0), "beta"),
-        ratio_min=_real(raw.get("ratio_min", 10.0), "ratio_min"),
-        expect_inflation=_boolean(raw.get("expect_inflation", True),
-                                  "expect_inflation"),
-        output_dir=raw.get("output_dir", ""),
-        closure=closure,
-    )
-    _validate_field(cfg)
-    return cfg
-
-
-def _validate_field(cfg: ExperimentConfig) -> None:
+        cfg = replace(
+            cfg, kernel=_kernels.parse_kernel(cfg.kernel, cfg.dim),
+            closure=close_phase_set(cfg.phi0, cfg.signature, cfg.nu,
+                                    cfg.max_generations, cfg.box_radius),
+            profile_dt=cfg.dt if cfg.profile_dt is None else cfg.profile_dt)
     if cfg.t_final < 0 or cfg.dt <= 0 or cfg.profile_dt <= 0 or cfg.rate_dt <= 0:
         raise ConfigError("need T >= 0, dt > 0, profile_dt > 0 and rate_dt > 0")
     if cfg.j_exponent < 1:
@@ -353,6 +334,8 @@ def _validate_field(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"{phase_set.origin_count} seed modes need as many amplitudes, "
             f"got {len(cfg.amplitudes)}")
+    if not any(cfg.amplitudes):
+        raise ConfigError("data.amplitudes must not all be zero")
     with as_config_error():
         SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
         grids = [cfg.grid_for(eps) for eps in cfg.eps_list]
@@ -382,6 +365,7 @@ def _validate_field(cfg: ExperimentConfig) -> None:
                 "kappa_3 with orthogonal kappa_1, kappa_3")
         if (0,) * cfg.dim not in phase_set.vectors:
             raise ConfigError("zero-mode needs phases.max_generations >= 1")
+    return cfg
 
 
 def _validate_inflation_exponents(cfg: ExperimentConfig) -> None:
@@ -413,31 +397,12 @@ def _validate_inflation_exponents(cfg: ExperimentConfig) -> None:
             raise ConfigError("beta s_c must stay below d/2 - (J-1)(2+1/nu)")
 
 
-def _parse_sobolev(raw: dict) -> ExperimentConfig:
-    _check_keys(raw, _SOBOLEV_TOP_KEYS, "config")
-    kind = raw["profile_kind"]
-    if kind not in ("wkb", "coherent", "scaled"):
-        raise ConfigError(f"unknown profile_kind {kind!r}")
-    cfg = ExperimentConfig(
-        experiment="sobolev-asymptotics",
-        raw=raw,
-        eps_list=_parse_eps_list(raw["eps_list"]),
-        profile_kind=kind,
-        s=_real(raw["s"], "s") if "s" in raw else None,
-        sigma=_real(raw["sigma"], "sigma") if "sigma" in raw else None,
-        dim=_integer(raw.get("dim", 1), "dim"),
-        beta=_real(raw.get("beta", 1.0), "beta"),
-        kappa=tuple(_real(c, "kappa entry") for c in raw.get("kappa", ())),
-        width=_real(raw.get("width", 1.0), "width"),
-        half_length=_real(raw.get("half_length", 32.0), "half_length"),
-        scaled_points=_integer(raw.get("scaled_points", 0), "scaled_points"),
-        output_dir=raw.get("output_dir", ""),
-    )
+def _validate_sobolev(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.dim < 1:
         raise ConfigError(f"need dim >= 1, got {cfg.dim}")
-    if kind in ("wkb", "coherent"):
+    if cfg.profile_kind in ("wkb", "coherent"):
         if cfg.s is None:
-            raise ConfigError(f"{kind} profile needs 's'")
+            raise ConfigError(f"{cfg.profile_kind} profile needs 's'")
         if cfg.s == -cfg.dim / 2.0 or cfg.s >= 0:
             raise ConfigError(
                 "s must be negative and away from the -d/2 boundary")
@@ -446,7 +411,7 @@ def _parse_sobolev(raw: dict) -> ExperimentConfig:
             raise ConfigError("scaled profile needs 'sigma'")
         if not cfg.kappa:
             raise ConfigError("scaled profile needs 'kappa'")
-        if "dim" in raw and cfg.dim != len(cfg.kappa):
+        if "dim" in cfg.raw and cfg.dim != len(cfg.kappa):
             raise ConfigError(
                 f"scaled profile runs in len(kappa) = {len(cfg.kappa)} "
                 f"dimensions, but dim is {cfg.dim}")

@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wnlgo.experiments import emit_results, fit_power_law, load_config, \
     parse_config, run_convergence, run_experiment
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def field_config(**overrides):
@@ -238,6 +240,28 @@ class TestConfigValidation:
         parse_config(dict(scaled, dim=3))
         with pytest.raises(ConfigError, match="dim is 2"):
             parse_config(dict(scaled, dim=2))
+
+
+def _schema_keys(table, prefix=""):
+    """Every key of a schema table, section keys dotted (model.lam)."""
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            yield from _schema_keys(entry, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_readme_config_tables_match_the_schema():
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Config format", 1)[1].split("\n## ", 1)[0]
+    tables = [block.splitlines()[2:] for block in section.split("\n\n")
+              if block.startswith("|")]
+    # the backticked names in each table's first column
+    documented = [{name for row in rows
+                   for name in re.findall(r"`([^`]+)`", row.split("|")[1])}
+                  for rows in tables]
+    assert documented == [set(_schema_keys(experiments._FIELD_SCHEMA)),
+                          set(_schema_keys(experiments._SOBOLEV_SCHEMA))]
 
 
 def test_load_config_rejects_bad_json(tmp_path):
@@ -499,12 +523,13 @@ class TestCli:
         (None, "snapshots", 0), (None, "rate_dt", 0), (None, "rate_dt", -1e-3),
         (None, "output_dir", 5), ("data", "width", 0), ("data", "width", -0.42),
         ("model", "j_exponent", 0.5), (None, "eps_list", [2.0]),
-        ("phases", "max_generations", 0), ("phases", "max_generations", -1)],
+        ("phases", "max_generations", 0), ("phases", "max_generations", -1),
+        ("phases", "phi0", 3), ("phases", "phi0", [[True, 0], [1, 1], [0, 1]])],
         ids=["nu-1.5", "T-NaN", "signature-+x", "phi0-1.5", "box_radius-0",
              "kernel-5", "amplitudes-0.7", "points-48", "snapshots-0",
              "rate_dt-0", "rate_dt-negative", "output_dir-5", "width-0",
              "width-negative", "j_exponent-0.5", "eps-2", "max_generations-0",
-             "max_generations-negative"])
+             "max_generations-negative", "phi0-3", "phi0-true"])
     def test_bad_values_exit_two(self, tmp_path, capsys, section, key, value):
         with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
             cfg = json.load(fh)
@@ -519,9 +544,9 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         {"dim": 0}, dict(SCALED, beta=0), dict(SCALED, scaled_points=48),
         dict(SCALED, eps_list=[2.0, 0.5]),
-        dict(SCALED, dim=2, kappa=[1.0, 0.0, 0.0])],
+        dict(SCALED, dim=2, kappa=[1.0, 0.0, 0.0]), dict(SCALED, kappa=5)],
         ids=["dim-0", "scaled-beta-0", "scaled-points-48", "scaled-eps-2",
-             "scaled-dim-2-kappa-3"])
+             "scaled-dim-2-kappa-3", "kappa-5"])
     def test_sobolev_bad_values_exit_two(self, tmp_path, capsys, overrides):
         with open(os.path.join(CONFIGS, "sobolev_wkb.json")) as fh:
             cfg = json.load(fh)
@@ -531,6 +556,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, make_config", [
+        ("converge", field_config), ("more-weakly", more_weakly_config),
+        ("inflate", inflate_config)])
+    def test_zero_seed_data_exit_two(self, tmp_path, capsys, command,
+                                     make_config):
+        # vanishing data has no mass to drift and no norm to fit
+        cfg = make_config()
+        cfg["data"]["amplitudes"] = [0, 0, 0]
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), command])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and "data.amplitudes" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["no", 0, None])
@@ -631,8 +671,18 @@ def _leaves(node, path=()):
         yield path
 
 
+def _nodes(node, path=()):
+    """Paths to every node below the root of a JSON tree: dicts, lists and
+    scalars."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield path + (key,)
+            yield from _nodes(value, path + (key,))
+
+
 def _mutate(cfg: dict, path: tuple, kind) -> dict:
-    """cfg with one leaf changed: type swapped, set, deleted, or a key added."""
+    """cfg with one node changed: type swapped, set, deleted, or a key added."""
     cfg = copy.deepcopy(cfg)
     parent = cfg
     for key in path[:-1]:
@@ -676,3 +726,21 @@ def test_config_fuzz(tmp_path, capsys, base, path, kind):
                      str(tmp_path / "r"), FUZZ_BASES[base]["experiment"]])
         assert code in (0, 1, 2, 3, 4)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_every_node_mutation_parses_or_raises_a_typed_error():
+    # every node of every fuzz base (sections, lists and scalars) x every
+    # kind, through parse_config only
+    escapes, cases = [], 0
+    for base, cfg in sorted(FUZZ_BASES.items()):
+        for path in _nodes(cfg):
+            for kind in FUZZ_KINDS:
+                cases += 1
+                try:
+                    parse_config(_mutate(cfg, path, kind))
+                except (ConfigError, AdmissibilityError, ResolutionError):
+                    pass
+                except Exception as exc:
+                    escapes.append((base, path, kind, repr(exc)))
+    assert cases == 6 * 160  # 119 scalars and 41 dicts and lists
+    assert escapes == []
