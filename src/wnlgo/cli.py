@@ -131,6 +131,8 @@ def _cmd_profiles(args) -> int:
 def _cmd_simulate(args) -> int:
     """The converge worker at the first eps, written as one time series."""
     cfg = _require_field_config(args, "simulate")
+    # the whole box, also for a config whose own runs use one period cell
+    cfg.require_grid_budget(cfg.eps_list[0], cells=False)
     out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
     rows = error_series(cfg, cfg.eps_list[0])

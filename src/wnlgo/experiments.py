@@ -40,19 +40,21 @@ import scipy.fft
 from . import kernels as _kernels
 from .errors import ConfigError, as_config_error
 from .grid import GridFunction, SpectralGrid
-from .norms import ScaledProfileSpec, gaussian_sobolev_norm, scaled_profile_norm, \
-    sobolev_norm
+from .norms import ScaledProfileSpec, gaussian_sobolev_norm, scaled_grid, \
+    scaled_profile_norm, sobolev_norm
 from .resonance import PhaseSet, Signature, close_phase_set
 from .solver import ModelParams, assemble_approximation, approximation_error, \
     evolve_semiclassical, oscillatory_initial_data, require_admissible, \
     require_resolved
-from .transport import ProfileSet, TransportParams, evolve_profiles, zero_mode_rate
+from .transport import ProfileSet, TransportParams, constant_profile_history, \
+    evolve_profiles, zero_mode_rate
 
 
 # -- configuration -------------------------------------------------------------
 
 _EXPERIMENTS = ("converge", "zero-mode", "more-weakly", "inflate",
                 "sobolev-asymptotics")
+_CELL_EXPERIMENTS = ("more-weakly", "inflate")  # run on cfg.cell_grid_for(eps)
 
 
 def _real(value, name: str) -> float:
@@ -257,6 +259,14 @@ class ExperimentConfig:
         return SpectralGrid(self.dim, grid.half_length / m,
                             grid.points_per_axis // m), m
 
+    def require_grid_budget(self, eps: float, cells: bool) -> None:
+        """ConfigError naming the grid key unless the grid a run allocates at
+        eps (one period cell when cells, else the whole box) fits the budget."""
+        grid = self.cell_grid_for(eps)[0] if cells else self.grid_for(eps)
+        key = "grid.points_scale" if self.points_per_axis is None \
+            else "grid.points_per_axis"
+        _require_within_budget(grid, f"{key} at eps = {eps}")
+
     def phase_set(self) -> PhaseSet:
         """The closure of phi0, computed once by parse_config."""
         return self.closure
@@ -276,10 +286,10 @@ class ExperimentConfig:
         envelope = np.exp(-r2 / (2.0 * self.width * self.width))
         return [GridFunction(grid, amp * envelope) for amp in self.amplitudes]
 
-    def seed_profiles(self, eps: float, points: int | None = None) -> ProfileSet:
-        """Seed data on the profile grid (points per axis, default
-        profile_points), generated modes at zero, coupling weight eps^(J-1)."""
-        grid = SpectralGrid(self.dim, self.half_box, points or self.profile_points)
+    def seed_profiles(self, eps: float) -> ProfileSet:
+        """Seed data on the profile grid (profile_points per axis), generated
+        modes at zero, coupling weight eps^(J-1)."""
+        grid = SpectralGrid(self.dim, self.half_box, self.profile_points)
         weight = eps ** (self.j_exponent - 1.0)
         return ProfileSet.from_seed(self.phase_set(), grid,
                                     self.seed_amplitudes(grid),
@@ -289,6 +299,19 @@ class ExperimentConfig:
         """count + 1 equally spaced times on [0, T] (count defaults to snapshots)."""
         count = self.snapshots if count is None else count
         return [self.t_final * k / count for k in range(count + 1)]
+
+
+# Points in any one grid a run allocates: four times the largest grid of the
+# shipped configs, the tests and the benchmark (criterion 10's 4096^2 box), a
+# 1 GiB complex field.  Larger requests are config errors, not allocations.
+_POINT_BUDGET = 2 ** 26
+
+
+def _require_within_budget(grid: SpectralGrid, key: str) -> None:
+    if grid.size > _POINT_BUDGET:
+        raise ConfigError(
+            f"{key} gives {grid.points_per_axis}^{grid.dim} = {grid.size} grid "
+            f"points, above the budget of {_POINT_BUDGET} points per grid")
 
 
 def _pow2_at_least(x: float) -> int:
@@ -337,12 +360,15 @@ def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
     if not any(cfg.amplitudes):
         raise ConfigError("data.amplitudes must not all be zero")
     with as_config_error():
-        SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
+        profile_grid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
         grids = [cfg.grid_for(eps) for eps in cfg.eps_list]
     probe = SpectralGrid(cfg.dim, cfg.half_box, 4)
     for eps, grid in zip(cfg.eps_list, grids):
         require_admissible(probe, phase_set.vectors, eps)
         require_resolved(grid, phase_set.vectors, eps)
+    _require_within_budget(profile_grid, "profile_points")
+    for eps in cfg.eps_list:
+        cfg.require_grid_budget(eps, cells=cfg.experiment in _CELL_EXPERIMENTS)
 
     if cfg.experiment == "more-weakly":
         if cfg.s is None:
@@ -418,8 +444,22 @@ def _validate_sobolev(cfg: ExperimentConfig) -> ExperimentConfig:
         if not (cfg.beta > 0 and cfg.width > 0):
             raise ConfigError("scaled profile needs beta > 0 and width > 0")
         with as_config_error():  # half_length > 0, scaled_points 0 or 2^k >= 4
-            SpectralGrid(len(cfg.kappa), cfg.half_length, cfg.scaled_points or 4)
+            grid = SpectralGrid(len(cfg.kappa), cfg.half_length,
+                                cfg.scaled_points or 4)
+        _require_within_budget(grid, "scaled_points")
     return cfg
+
+
+def _scaled_spec(cfg: ExperimentConfig, eps: float) -> ScaledProfileSpec:
+    """The scaled family's Gaussian profile at eps."""
+    w = cfg.width
+
+    def profile(points):
+        r2 = np.sum(points ** 2, axis=-1)
+        return np.exp(-r2 / (2.0 * w * w))
+    return ScaledProfileSpec(profile, cfg.kappa, cfg.beta, eps,
+                             half_length=cfg.half_length,
+                             points_per_axis=cfg.scaled_points)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -530,6 +570,29 @@ def _zero_mode_history(cfg: ExperimentConfig, state: ProfileSet, samples: int):
         norms.append(snap.amplitudes[j0].l2_norm())
         masses.append(snap.total_mass())
     return times, norms, masses
+
+
+def _tau_scan(cfg: ExperimentConfig):
+    """(times, ||a_0(t)||_L2) of the weight-1 (eps = 1) profile system,
+    sampled at max(snapshots, 200) uniform intervals of [0, T].
+
+    Uniform seed profiles stay constant, so their system runs as an ODE for
+    one value per mode (transport.constant_profile_history), exactly; the
+    L^2 norm of a constant c on the box is |c| (2L)^(d/2).  Gaussian data
+    runs on the profile grid.
+    """
+    samples = max(cfg.snapshots, 200)
+    if cfg.profile != "uniform":
+        times, norms, _ = _zero_mode_history(cfg, cfg.seed_profiles(1.0), samples)
+        return times, norms
+    ps = cfg.phase_set()
+    j0 = ps.index((0,) * ps.dim)
+    values = list(cfg.amplitudes) + [0j] * (len(ps) - ps.origin_count)
+    times = cfg.snapshot_times(samples)
+    volume_root = (2.0 * cfg.half_box) ** (cfg.dim / 2.0)
+    history = constant_profile_history(ps, cfg.transport_params(1.0), values,
+                                       times, cfg.profile_dt)
+    return times, [float(abs(v[j0])) * volume_root for v in history]
 
 
 def _first_local_max(times, values) -> float:
@@ -719,11 +782,8 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     _require_slope_sweep(cfg)
     phase_set = cfg.phase_set()
 
-    # tau: first local max of ||a_0(t)|| in the weight-1 (eps = 1) profile system.
-    # For uniform seed data the profiles are spatially constant, so a tiny
-    # grid resolves them exactly.
-    state0 = cfg.seed_profiles(1.0, 4 if cfg.profile == "uniform" else None)
-    times, norms, _ = _zero_mode_history(cfg, state0, max(cfg.snapshots, 200))
+    # tau: first local max of ||a_0(t)|| in the weight-1 (eps = 1) profile system
+    times, norms = _tau_scan(cfg)
     tau = _first_local_max(times, norms)
     tau_series = [{"t": t, "a0_l2": a} for t, a in zip(times, norms)]
 
@@ -805,17 +865,12 @@ def run_sobolev_asymptotics(cfg: ExperimentConfig, threads: int = 1) -> SweepRes
             return {"norm": math.sqrt(sq)}
         predicted = abs(cfg.s) / 2.0 if cfg.s > -d / 2.0 else d / 4.0
     else:
-        w = cfg.width
-
-        def profile(points, w=w):
-            r2 = np.sum(points ** 2, axis=-1)
-            return np.exp(-r2 / (2.0 * w * w))
+        for eps in cfg.eps_list:  # scaled_points 0 sizes a grid per eps
+            _require_within_budget(scaled_grid(_scaled_spec(cfg, eps)),
+                                  f"scaled_points at eps = {eps}")
 
         def one(eps):
-            spec = ScaledProfileSpec(profile, cfg.kappa, cfg.beta, eps,
-                                     half_length=cfg.half_length,
-                                     points_per_axis=cfg.scaled_points)
-            return {"norm": scaled_profile_norm(spec, cfg.sigma)}
+            return {"norm": scaled_profile_norm(_scaled_spec(cfg, eps), cfg.sigma)}
         predicted = None
 
     outcomes = _sweep(cfg, one, threads)

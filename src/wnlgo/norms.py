@@ -105,8 +105,8 @@ def _choose_points(dim: int, box: float, carrier: float, base_n: int) -> int:
     return n
 
 
-def scaled_profile_norm(spec: ScaledProfileSpec, sigma: float) -> float:
-    """H^sigma norm of the scaled oscillating profile, built on its own grid.
+def scaled_grid(spec: ScaledProfileSpec) -> SpectralGrid:
+    """The grid scaled_profile_norm builds for spec.
 
     The box scales with the profile (half-length L0 * eps^{(beta-1)/2}) so
     the sample density relative to f stays constant and only the carrier
@@ -139,14 +139,21 @@ def scaled_profile_norm(spec: ScaledProfileSpec, sigma: float) -> float:
                 f"frequency {nyquist:.6g} of the requested grid")
     else:
         n = _choose_points(dim, box, carrier, base_n)
+    return SpectralGrid(dim, box, n)
 
-    grid = SpectralGrid(dim, box, n)
+
+def scaled_profile_norm(spec: ScaledProfileSpec, sigma: float) -> float:
+    """H^sigma norm of the scaled oscillating profile, built on its own grid
+    (scaled_grid)."""
+    eps, beta = spec.eps, spec.beta
+    stretch = eps ** ((1.0 - beta) / 2.0)  # argument factor of f
+    grid = scaled_grid(spec)
     axis = grid.axis()
     if isinstance(spec.f, GridFunction):
         base = _series_eval_axiswise(spec.f, axis * stretch)
     else:
-        mesh = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1)
-        base = np.asarray(spec.f(mesh.reshape(-1, dim))).reshape(grid.shape)
+        mesh = np.stack(np.meshgrid(*([axis] * grid.dim), indexing="ij"), axis=-1)
+        base = np.asarray(spec.f(mesh.reshape(-1, grid.dim))).reshape(grid.shape)
     osc_scale = eps ** ((1.0 + beta) / 2.0)
     phase = grid.separable([(k / osc_scale) * axis for k in spec.kappa])
     values = base * np.exp(1j * phase)

@@ -166,9 +166,13 @@ def _product(stack: np.ndarray, indices) -> np.ndarray:
     return out
 
 
-def _rhs_stack(stack: np.ndarray, phase_set: PhaseSet, grid: SpectralGrid,
-               params: TransportParams, coeffs) -> np.ndarray:
-    plan = _coupling_plan(phase_set)
+def _rhs_stack(stack: np.ndarray, plan: _Plan, coeffs, params: TransportParams,
+               apply_e) -> np.ndarray:
+    """The interaction term on a stack of amplitudes, one entry per mode.
+
+    An entry is a grid field, or one complex value per mode for spatially
+    constant profiles; apply_e applies E to the real (0, 0) class sum.
+    """
     conj = np.conj(stack)
     sums = []
     for from_pairs, terms in plan.sums:
@@ -180,7 +184,7 @@ def _rhs_stack(stack: np.ndarray, phase_set: PhaseSet, grid: SpectralGrid,
     s_field = sums[plan.common]
     if params.lam != 0.0:
         # the (0, 0) class is closed under conjugation, so its sum is real
-        es = _kernels.apply_raw(params.kernel, grid, s_field.real)
+        es = apply_e(s_field.real)
         common = params.lam * es + params.mu * s_field
     else:
         common = params.mu * s_field
@@ -193,11 +197,36 @@ def _rhs_stack(stack: np.ndarray, phase_set: PhaseSet, grid: SpectralGrid,
     return (-1j * params.weight) * out
 
 
+def _interaction(phase_set: PhaseSet, params: TransportParams,
+                 grid: SpectralGrid | None = None):
+    """stack -> _rhs_stack(stack, ...), with the coupling plan, coefficients
+    and E resolved once.
+
+    On grid fields E is the kernel's Fourier multiplier.  With grid None the
+    stack holds one constant per mode, and E acts on a constant as its
+    symbol's zero-mode value.
+    """
+    plan = _coupling_plan(phase_set)
+    coeffs = _coefficients(phase_set, params)
+    if grid is None:
+        probe = SpectralGrid(params.kernel.dim, np.pi, 4)
+        zero_mode = _kernels._multiplier(params.kernel, probe)[(0,) * probe.dim]
+
+        def apply_e(s):
+            return zero_mode * s
+    else:
+        def apply_e(s):
+            return _kernels.apply_raw(params.kernel, grid, s)
+
+    def rhs(stack):
+        return _rhs_stack(stack, plan, coeffs, params, apply_e)
+    return rhs
+
+
 def transport_rhs(state: ProfileSet) -> list:
     """Interaction part of d a_j / dt (advection excluded; handled by splitting)."""
-    coeffs = _coefficients(state.phase_set, state.params)
-    rhs = _rhs_stack(state.stack(), state.phase_set, state.grid, state.params, coeffs)
-    return [GridFunction(state.grid, r) for r in rhs]
+    rhs = _interaction(state.phase_set, state.params, state.grid)
+    return [GridFunction(state.grid, r) for r in rhs(state.stack())]
 
 
 # -- evolution ----------------------------------------------------------------
@@ -220,43 +249,82 @@ def _advect(stack: np.ndarray, phases: np.ndarray, axes) -> np.ndarray:
         phases * scipy.fft.fftn(stack, axes=axes, workers=1), axes=axes, workers=1)
 
 
-def evolve_profiles(state: ProfileSet, t_end: float, dt: float) -> ProfileSet:
-    """Advance the amplitude system to t_end with Strang splitting.
-
-    Half-step exact advection / RK4 on the interaction terms / half-step
-    advection, with interior half-steps fused.  Second order in dt.
-    """
+def _steps(span: float, dt: float) -> tuple:
+    """(n, span / n) with n = max(1, round(span / dt)): the steps covering span."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    span = t_end - state.time
     if span < 0:
         raise ValueError("t_end must not precede the current state time")
-    if span == 0:
-        return state
     n_steps = max(1, round(span / dt))
-    dt = span / n_steps
+    return n_steps, span / n_steps
 
-    phase_set, grid, params = state.phase_set, state.grid, state.params
-    coeffs = _coefficients(phase_set, params)
-    axes = tuple(range(1, grid.dim + 1))
-    half = _advection_phases(state, 0.5 * dt)
-    full = half * half
 
-    def rhs(a):
-        return _rhs_stack(a, phase_set, grid, params, coeffs)
+def _rk4(rhs, stack: np.ndarray, dt: float, n_steps: int, between=None):
+    """n_steps classical RK4 steps of d stack / dt = rhs(stack), each in
+    place; between(stack, step), if given, follows each step and returns the
+    stack to go on with.
 
-    stack = state.stack()
-    stack = _advect(stack, half, axes)
+    Each stage lives until the next step replaces it, across between: freed
+    together at the end of a step, the four stages made the allocator hand
+    their pages back to the system and fault them in again every step.
+    """
     for step in range(n_steps):
         k1 = rhs(stack)
         k2 = rhs(stack + (0.5 * dt) * k1)
         k3 = rhs(stack + (0.5 * dt) * k2)
         k4 = rhs(stack + dt * k3)
         stack += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        stack = _advect(stack, full if step < n_steps - 1 else half, axes)
+        if between is not None:
+            stack = between(stack, step)
+    return stack
 
+
+def evolve_profiles(state: ProfileSet, t_end: float, dt: float) -> ProfileSet:
+    """Advance the amplitude system to t_end with Strang splitting.
+
+    Half-step exact advection / RK4 on the interaction terms / half-step
+    advection, with interior half-steps fused.  Second order in dt.
+    """
+    span = t_end - state.time
+    n_steps, dt = _steps(span, dt)
+    if span == 0:
+        return state
+
+    grid = state.grid
+    rhs = _interaction(state.phase_set, state.params, grid)
+    axes = tuple(range(1, grid.dim + 1))
+    half = _advection_phases(state, 0.5 * dt)
+    full = half * half
+
+    def advect(stack, step):
+        return _advect(stack, full if step < n_steps - 1 else half, axes)
+
+    stack = _rk4(rhs, _advect(state.stack(), half, axes), dt, n_steps, advect)
     amps = tuple(GridFunction(grid, a) for a in stack)
     return replace(state, amplitudes=amps, time=state.time + span)
+
+
+def constant_profile_history(phase_set: PhaseSet, params: TransportParams,
+                             values, times, dt: float):
+    """Yield spatially constant profiles, one value per mode, at each of the
+    (nondecreasing) times, from values at time 0.
+
+    The profile system keeps constants constant, and on them it is an ODE in
+    C^count: advection moves a constant nowhere and E acts on it as its
+    symbol's zero-mode value, so each Strang step of evolve_profiles is
+    exactly one RK4 step of the interaction.  The steps are the ones
+    evolve_profiles takes between the same times.
+    """
+    rhs = _interaction(phase_set, params)
+    stack = np.array(values, dtype=np.complex128)
+    now = 0.0
+    for t in times:
+        span = t - now
+        n_steps, step = _steps(span, dt)
+        if span != 0:
+            stack = _rk4(rhs, stack, step, n_steps)
+        now += span  # the clock of ProfileSet.time
+        yield stack.copy()
 
 
 # -- derived quantities ---------------------------------------------------------

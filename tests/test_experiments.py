@@ -6,9 +6,10 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from wnlgo import AdmissibilityError, ConfigError, GridFunction, \
-    ResolutionError, SpectralGrid, evolve_semiclassical, \
+    ProfileSet, ResolutionError, SpectralGrid, evolve_semiclassical, \
     oscillatory_initial_data, read_snapshot, require_admissible, \
     require_resolved, sobolev_norm
 from wnlgo.cli import main
@@ -407,6 +408,86 @@ def test_period_cell_runs_match_the_full_grid(make_config):
             assert abs(row[key] - value) <= 1e-12 * abs(value), (eps, key)
 
 
+def _inflate_with(lam, mu, kernel):
+    return inflate_config(model={"lam": lam, "mu": mu, "nu": 1,
+                                 "signature": "++", "kernel": kernel})
+
+
+@pytest.mark.parametrize("lam, mu, kernel", [
+    (0.0, 1.0, "zero"), (1.0, 0.5, "ds"), (0.5, 0.3, "identity")],
+    ids=["local", "ds", "identity"])
+def test_constant_tau_scan_matches_the_grid(lam, mu, kernel):
+    # uniform data's tau scan, one value per mode, against the weight-1
+    # profile system of the same data on a 4^2 grid
+    cfg = parse_config(_inflate_with(lam, mu, kernel))
+    times, norms = experiments._tau_scan(cfg)
+    grid = SpectralGrid(cfg.dim, cfg.half_box, 4)
+    state = ProfileSet.from_seed(cfg.phase_set(), grid, cfg.seed_amplitudes(grid),
+                                 cfg.transport_params(1.0))
+    grid_times, grid_norms, _ = experiments._zero_mode_history(
+        cfg, state, len(times) - 1)
+    assert times == grid_times and len(times) == 201
+    tau = experiments._first_local_max(times, norms)
+    assert 0 < tau < cfg.t_final
+    assert tau == experiments._first_local_max(grid_times, grid_norms)
+    assert np.max(np.abs(np.subtract(norms, grid_norms))) \
+        <= 1e-13 * max(grid_norms)
+
+
+class TestTauScanWork:
+    """Profile-grid evolutions and FFTs of whole runs, counted."""
+
+    def count(self, monkeypatch, cfg):
+        calls = dict.fromkeys(("evolve_profiles", "fftn", "ifftn", "rfftn",
+                               "irfftn"), 0)
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return counted
+        monkeypatch.setattr(experiments, "evolve_profiles", counting(
+            "evolve_profiles", experiments.evolve_profiles))
+        for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(scipy.fft, name,
+                                counting(name, getattr(scipy.fft, name)))
+        result = run_experiment(cfg)
+        return calls, result
+
+    @pytest.mark.parametrize("make_config, real", [
+        (inflate_config, False), (_ds_inflate_config, True)],
+        ids=["local", "ds"])
+    def test_uniform_scan_has_no_grid_work(self, monkeypatch, make_config,
+                                           real):
+        # per eps: one split-step solve to tau (N + 1 fftn / ifftn, N
+        # rfftn / irfftn with the DS kernel), two Sobolev norms and the
+        # zero-mode amplitude (one fftn each); nothing else
+        cfg = parse_config(make_config())
+        calls, result = self.count(monkeypatch, cfg)
+        n = round(result.metadata["tau"] / cfg.dt)
+        solves = len(cfg.eps_list)
+        assert calls == {"evolve_profiles": 0, "fftn": solves * (n + 4),
+                         "ifftn": solves * (n + 1), "rfftn": solves * n * real,
+                         "irfftn": solves * n * real}
+
+    def test_gaussian_scan_runs_on_the_grid(self, monkeypatch):
+        raw = inflate_config(T=1.0)
+        raw["data"].update(profile="gaussian", width=0.5)
+        cfg = parse_config(raw)
+        calls, result = self.count(monkeypatch, cfg)
+        n = round(result.metadata["tau"] / cfg.dt)
+        solves = len(cfg.eps_list)
+        # 201 samples of [0, 1], one step of profile_dt each: two advections
+        assert calls == {"evolve_profiles": 201, "fftn": solves * (n + 4) + 400,
+                         "ifftn": solves * (n + 1) + 400, "rfftn": 0,
+                         "irfftn": 0}
+
+    def test_zero_mode_runs_on_the_grid(self, monkeypatch):
+        calls, _ = self.count(monkeypatch, parse_config(zero_mode_config()))
+        assert calls["evolve_profiles"] == 5  # two rate steps, three samples
+        assert calls["fftn"] > 0 and calls["rfftn"] > 0
+
+
 class TestCli:
     def write(self, tmp_path, cfg):
         path = tmp_path / "config.json"
@@ -524,12 +605,14 @@ class TestCli:
         (None, "output_dir", 5), ("data", "width", 0), ("data", "width", -0.42),
         ("model", "j_exponent", 0.5), (None, "eps_list", [2.0]),
         ("phases", "max_generations", 0), ("phases", "max_generations", -1),
-        ("phases", "phi0", 3), ("phases", "phi0", [[True, 0], [1, 1], [0, 1]])],
+        ("phases", "phi0", 3), ("phases", "phi0", [[True, 0], [1, 1], [0, 1]]),
+        ("grid", "points_per_axis", 2 ** 20), (None, "profile_points", 2 ** 22)],
         ids=["nu-1.5", "T-NaN", "signature-+x", "phi0-1.5", "box_radius-0",
              "kernel-5", "amplitudes-0.7", "points-48", "snapshots-0",
              "rate_dt-0", "rate_dt-negative", "output_dir-5", "width-0",
              "width-negative", "j_exponent-0.5", "eps-2", "max_generations-0",
-             "max_generations-negative", "phi0-3", "phi0-true"])
+             "max_generations-negative", "phi0-3", "phi0-true",
+             "points-2^20", "profile_points-2^22"])
     def test_bad_values_exit_two(self, tmp_path, capsys, section, key, value):
         with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
             cfg = json.load(fh)
@@ -544,9 +627,12 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         {"dim": 0}, dict(SCALED, beta=0), dict(SCALED, scaled_points=48),
         dict(SCALED, eps_list=[2.0, 0.5]),
-        dict(SCALED, dim=2, kappa=[1.0, 0.0, 0.0]), dict(SCALED, kappa=5)],
+        dict(SCALED, dim=2, kappa=[1.0, 0.0, 0.0]), dict(SCALED, kappa=5),
+        dict(SCALED, scaled_points=2 ** 27),
+        dict(SCALED, kappa=[1.0, 0.0], dim=2, eps_list=[2.0 ** -10, 2.0 ** -12])],
         ids=["dim-0", "scaled-beta-0", "scaled-points-48", "scaled-eps-2",
-             "scaled-dim-2-kappa-3", "kappa-5"])
+             "scaled-dim-2-kappa-3", "kappa-5", "scaled-points-2^27",
+             "scaled-auto-2^17"])
     def test_sobolev_bad_values_exit_two(self, tmp_path, capsys, overrides):
         with open(os.path.join(CONFIGS, "sobolev_wkb.json")) as fh:
             cfg = json.load(fh)
@@ -557,6 +643,37 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, profile", [
+        ("converge", "uniform"), ("inflate", "gaussian")])
+    def test_points_scale_over_budget_exit_two(self, tmp_path, capsys, command,
+                                               profile):
+        # 16 / eps = 2^20 points per axis on the whole box, which both runs
+        # solve (Gaussian data has no period cell)
+        cfg = (field_config if command == "converge" else inflate_config)(
+            eps_list=[2.0 ** -15, 2.0 ** -16])
+        cfg["grid"] = {"dim": 2, "box_pi_multiple": 1.0, "points_scale": 16}
+        cfg["data"].update(profile=profile, width=0.5)
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), command])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: grid.points_scale at eps = ")
+        assert "Traceback" not in err
+
+    def test_budget_counts_the_period_cell(self, tmp_path, capsys):
+        # uniform more-weakly runs each eps on one 16^2 period cell; simulate
+        # solves the whole box of the first eps, 2^19 points per axis
+        raw = more_weakly_config(eps_list=[2.0 ** -15, 2.0 ** -16])
+        cfg = parse_config(raw)
+        assert [cfg.cell_grid_for(e)[0].points_per_axis
+                for e in cfg.eps_list] == [16, 16]
+        code = main(["--config", self.write(tmp_path, raw),
+                     "--out", str(tmp_path / "r"), "simulate"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: grid.points_scale at eps = ")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("command, make_config", [
         ("converge", field_config), ("more-weakly", more_weakly_config),

@@ -7,7 +7,8 @@ import pytest
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     TransportParams, close_phase_set, davey_stewartson, evolve_profiles, \
     identity, is_resonant, profile_norms, shift_in_fourier, transport_rhs, \
-    zero_mode_rate
+    zero, zero_mode_rate
+from wnlgo.transport import _interaction
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -168,6 +169,29 @@ def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n):
     got = np.stack([r.values for r in transport_rhs(state)])
     expect = brute_force_rhs(state)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("signature, params", [
+    (ELLIPTIC, TransportParams(0.8, -0.4, 1, davey_stewartson(), weight=1.3)),
+    (HYPERBOLIC, TransportParams(0.6, 0.3, 1, identity(2))),
+    (HYPERBOLIC, TransportParams(0.9, 0.2, 1, zero(2))),
+    (HYPERBOLIC, TransportParams(0.0, 1.0, 2, zero(2), weight=0.7))],
+    ids=["ds", "identity", "zero-kernel", "nu2-local"])
+def test_constant_rhs_matches_the_grid(signature, params):
+    # _rhs_stack on one value per mode against the same values broadcast to
+    # every point of a 4^2 grid: E acts on a constant as its zero-mode value
+    # (0 but for the identity kernel)
+    ps = close_phase_set(RECT, signature, params.nu,
+                         box_radius=4 if params.nu == 1 else 2)
+    grid = SpectralGrid(2, np.pi, 4)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(len(ps)) + 1j * rng.standard_normal(len(ps))
+    got = _interaction(ps, params)(values)
+    on_grid = _interaction(ps, params, grid)(
+        np.broadcast_to(values[:, None, None], (len(ps),) + grid.shape).copy())
+    assert got.shape == values.shape
+    assert np.max(np.abs(on_grid - got[:, None, None])) \
+        <= 1e-14 * np.max(np.abs(got))
 
 
 def test_weight_scales_interaction():
