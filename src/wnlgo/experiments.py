@@ -301,9 +301,10 @@ class ExperimentConfig:
         return [self.t_final * k / count for k in range(count + 1)]
 
 
-# Points in any one grid a run allocates: four times the largest grid of the
-# shipped configs, the tests and the benchmark (criterion 10's 4096^2 box), a
-# 1 GiB complex field.  Larger requests are config errors, not allocations.
+# Points in any one grid a run allocates, and in the class sums one transport
+# rhs holds at once: four times the largest grid of the shipped configs, the
+# tests and the benchmark (criterion 10's 4096^2 box), a 1 GiB complex field.
+# Larger requests are config errors, not allocations.
 _POINT_BUDGET = 2 ** 26
 
 
@@ -312,6 +313,19 @@ def _require_within_budget(grid: SpectralGrid, key: str) -> None:
         raise ConfigError(
             f"{key} gives {grid.points_per_axis}^{grid.dim} = {grid.size} grid "
             f"points, above the budget of {_POINT_BUDGET} points per grid")
+
+
+def _require_class_sums_within_budget(cfg: ExperimentConfig,
+                                      profile_grid: SpectralGrid) -> None:
+    """One transport rhs holds every class sum of the coupling plan on the
+    profile grid; the plan's sums are among the prefix index's level keys."""
+    sums = sum(len(codes) for codes in cfg.phase_set().prefix_index.levels)
+    if sums * profile_grid.size > _POINT_BUDGET:
+        raise ConfigError(
+            f"phases.box_radius = {cfg.box_radius} and profile_points = "
+            f"{cfg.profile_points} give up to {sums} class sums of "
+            f"{profile_grid.size} points in one transport rhs, above the "
+            f"budget of {_POINT_BUDGET} points")
 
 
 def _pow2_at_least(x: float) -> int:
@@ -367,6 +381,7 @@ def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
         require_admissible(probe, phase_set.vectors, eps)
         require_resolved(grid, phase_set.vectors, eps)
     _require_within_budget(profile_grid, "profile_points")
+    _require_class_sums_within_budget(cfg, profile_grid)
     for eps in cfg.eps_list:
         cfg.require_grid_budget(eps, cells=cfg.experiment in _CELL_EXPERIMENTS)
 

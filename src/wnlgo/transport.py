@@ -103,15 +103,20 @@ class ProfileSet:
 class _Plan:
     """The class sums one rhs evaluation forms on a phase set, in order.
 
-    Each entry of sums is (from_pairs, terms): a level-1 class sums
-    a_{l1} conj(a_{l2}) over its member pairs, a higher class sums
-    (class one level down) * (pair class) over (sum id, sum id) terms.
-    common is the (0, 0) class at level nu, which feeds the multiplier E;
-    couplings[j] pairs every other mode l with the class keyed
-    (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)).
+    Each entry of sums is (kind, terms): a "pairs" class sums
+    a_{l1} conj(a_{l2}) over its member pairs, a "terms" class (level >= 2)
+    sums (class one level down) * (pair class) over (sum id, sum id) terms,
+    and a "conj" entry is the complex conjugate of the earlier sum id terms.
+    keys[i] is the (code, level) of sum i.  The class keyed by the negated
+    code at the same level is the conjugate of the class keyed by the code:
+    at level 1 negating a key swaps each member pair, and a level-m term
+    (rest, k) becomes (-rest, -k).  common is the (0, 0) class at level nu,
+    which feeds the multiplier E; couplings[j] pairs every other mode l with
+    the class keyed (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)).
     """
 
     sums: tuple
+    keys: tuple
     common: int
     couplings: tuple
 
@@ -123,11 +128,13 @@ def _coupling_plan(phase_set: PhaseSet) -> _Plan:
 
     def sum_id(code: int, level: int) -> int:
         if (code, level) not in ids:
-            if level == 1:
-                entry = (True, tuple(index.pairs(code)))
+            if (-code, level) in ids:
+                entry = ("conj", ids[-code, level])
+            elif level == 1:
+                entry = ("pairs", tuple(index.pairs(code)))
             else:
-                entry = (False, tuple((sum_id(rest, level - 1), sum_id(k, 1))
-                                      for rest, k in index.terms(code, level)))
+                entry = ("terms", tuple((sum_id(rest, level - 1), sum_id(k, 1))
+                                        for rest, k in index.terms(code, level)))
             ids[code, level] = len(sums)
             sums.append(entry)
         return ids[code, level]
@@ -137,25 +144,35 @@ def _coupling_plan(phase_set: PhaseSet) -> _Plan:
     couplings = tuple(
         tuple((l, sum_id(index.key(j, l), nu)) for l in range(count) if l != j)
         for j in range(count))
-    return _Plan(tuple(sums), common, couplings)
+    return _Plan(tuple(sums), tuple(ids), common, couplings)  # ids in sum order
 
 
-def _mode_pair_coefficient(phase_set: PhaseSet, params: TransportParams,
-                           j: int, last: int) -> float:
-    c = params.mu
-    if params.lam != 0.0:
+def _mode_pair_coefficient(phase_set: PhaseSet, lam: float, mu: float,
+                           kernel: _kernels.KernelSpec, j: int,
+                           last: int) -> float:
+    c = mu
+    if lam != 0.0:
         delta = np.array([a - b for a, b in
                           zip(phase_set.vectors[j], phase_set.vectors[last])],
                          dtype=float)
-        c = c + params.lam * _kernels.evaluate(params.kernel, delta)
+        c = c + lam * _kernels.evaluate(kernel, delta)
     return c
 
 
-def _coefficients(phase_set: PhaseSet, params: TransportParams):
-    """mu + lam*Khat(kappa_j - kappa_l), aligned with the plan's couplings."""
-    return tuple(
-        tuple(_mode_pair_coefficient(phase_set, params, j, l) for l, _ in row)
-        for j, row in enumerate(_coupling_plan(phase_set).couplings))
+@lru_cache(maxsize=32)
+def _coefficients(phase_set: PhaseSet, lam: float, mu: float,
+                  kernel: _kernels.KernelSpec) -> tuple:
+    """(sum id, mu + lam*Khat(kappa_j - kappa_l)) for every coupled class.
+
+    kappa_j - kappa_l is part of the class key, so every coupling (j, l) of
+    a class shares one coefficient; it is taken from the first.
+    """
+    first = {}
+    for j, row in enumerate(_coupling_plan(phase_set).couplings):
+        for l, sid in row:
+            first.setdefault(sid, (j, l))
+    return tuple((sid, _mode_pair_coefficient(phase_set, lam, mu, kernel, j, l))
+                 for sid, (j, l) in first.items())
 
 
 def _product(stack: np.ndarray, indices) -> np.ndarray:
@@ -172,27 +189,38 @@ def _rhs_stack(stack: np.ndarray, plan: _Plan, coeffs, params: TransportParams,
 
     An entry is a grid field, or one complex value per mode for spatially
     constant profiles; apply_e applies E to the real (0, 0) class sum.
+    Every sum is built, conjugates from their unscaled sources, before the
+    coupled ones are scaled by their coefficients, so nothing relies on
+    Khat being exactly even.
     """
     conj = np.conj(stack)
     sums = []
-    for from_pairs, terms in plan.sums:
-        left, right = (stack, conj) if from_pairs else (sums, sums)
+    for kind, terms in plan.sums:
+        if kind == "conj":
+            sums.append(np.conj(sums[terms]))
+            continue
+        left, right = (stack, conj) if kind == "pairs" else (sums, sums)
         acc = left[terms[0][0]] * right[terms[0][1]]
         for a, b in terms[1:]:
             acc += left[a] * right[b]
         sums.append(acc)
+    for sid, c in coeffs:
+        sums[sid] *= c
     s_field = sums[plan.common]
     if params.lam != 0.0:
-        # the (0, 0) class is closed under conjugation, so its sum is real
-        es = apply_e(s_field.real)
-        common = params.lam * es + params.mu * s_field
+        # the (0, 0) class is closed under conjugation, so its sum is real;
+        # lam as a complex scalar makes common complex, so that its product
+        # with each mode below needs no cast
+        common = complex(params.lam) * apply_e(s_field.real)
+        if params.mu != 0.0:
+            common += params.mu * s_field
     else:
         common = params.mu * s_field
     out = np.empty_like(stack)
     for j, row in enumerate(plan.couplings):
         acc = common * stack[j]
-        for (l, sid), c in zip(row, coeffs[j]):
-            acc += c * (sums[sid] * stack[l])
+        for l, sid in row:
+            acc += sums[sid] * stack[l]
         out[j] = acc
     return (-1j * params.weight) * out
 
@@ -207,7 +235,7 @@ def _interaction(phase_set: PhaseSet, params: TransportParams,
     symbol's zero-mode value.
     """
     plan = _coupling_plan(phase_set)
-    coeffs = _coefficients(phase_set, params)
+    coeffs = _coefficients(phase_set, params.lam, params.mu, params.kernel)
     if grid is None:
         probe = SpectralGrid(params.kernel.dim, np.pi, 4)
         zero_mode = _kernels._multiplier(params.kernel, probe)[(0,) * probe.dim]
@@ -364,7 +392,8 @@ def zero_mode_rate(kappas, alphas, params: TransportParams,
     stack = np.stack([a.values for a in alphas])
     for rt in resonant_tuples(ps, j0):
         if max(rt.indices) < 3:
-            c = _mode_pair_coefficient(ps, params, j0, rt.indices[-1])
+            c = _mode_pair_coefficient(ps, params.lam, params.mu,
+                                       params.kernel, j0, rt.indices[-1])
             acc += c * _product(stack, rt.indices)
     return GridFunction(grid, (-1j * params.weight) * acc)
 

@@ -675,6 +675,30 @@ class TestCli:
         assert err.startswith("config error: grid.points_scale at eps = ")
         assert not (tmp_path / "r").exists()
 
+    def test_class_sums_over_budget_exit_two(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the 65-mode closure of box 16 has 1215 class sums, and one rhs on
+        # 256^2 profile points would hold 1215 * 2^16 > 2^26 points of them
+        raw = field_config(eps_list=[1.0], profile_points=256)
+        raw["model"] = {"lam": 1.0, "mu": 0.0, "nu": 1, "signature": "-+",
+                        "kernel": "ds"}
+        raw["grid"]["points_per_axis"] = 256
+        raw["phases"]["box_radius"] = 16
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("profiles allocated past the budget check")
+        monkeypatch.setattr(experiments.ExperimentConfig, "seed_profiles",
+                            allocate)
+        code = main(["--config", self.write(tmp_path, raw),
+                     "--out", str(tmp_path / "r"), "profiles"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: phases.box_radius = 16 and "
+                              "profile_points = 256 give up to 1215 class sums")
+        assert not (tmp_path / "r").exists()
+        raw["profile_points"] = 128
+        assert len(parse_config(raw).phase_set()) == 65
+
     @pytest.mark.parametrize("command, make_config", [
         ("converge", field_config), ("more-weakly", more_weakly_config),
         ("inflate", inflate_config)])

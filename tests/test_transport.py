@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
-    TransportParams, close_phase_set, davey_stewartson, evolve_profiles, \
-    identity, is_resonant, profile_norms, shift_in_fourier, transport_rhs, \
-    zero, zero_mode_rate
-from wnlgo.transport import _interaction
+    TransportParams, close_phase_set, custom, davey_stewartson, \
+    evolve_profiles, identity, is_resonant, profile_norms, shift_in_fourier, \
+    transport_rhs, zero, zero_mode_rate
+from wnlgo.transport import _coefficients, _coupling_plan, _interaction
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -154,12 +154,24 @@ def brute_force_rhs(state):
     return -1j * params.weight * np.stack(rhs)
 
 
-@pytest.mark.parametrize("signature,nu,box_radius,n", [
-    (ELLIPTIC, 1, 4, 16), (HYPERBOLIC, 2, 2, 8)], ids=["nu1", "nu2"])
-def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n):
-    # random data on every mode, generated ones included
+def _axis_even_symbol(p):
+    # even in each axis separately, so the real-density E (apply_raw) and
+    # the oracle's complex apply agree on the Nyquist rows too
+    r2 = p[..., 0] ** 2 + p[..., 1] ** 2
+    return p[..., 0] ** 2 * p[..., 1] ** 2 / (r2 * r2)
+
+
+@pytest.mark.parametrize("signature,nu,box_radius,n,kernel", [
+    (ELLIPTIC, 1, 4, 16, davey_stewartson()),
+    (HYPERBOLIC, 2, 2, 8, davey_stewartson()),
+    (HYPERBOLIC, 1, 4, 8, davey_stewartson()),
+    (HYPERBOLIC, 1, 4, 8, custom(2, _axis_even_symbol))],
+    ids=["nu1", "nu2", "nu1-hyperbolic", "nu1-hyperbolic-custom"])
+def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n, kernel):
+    # random data on every mode, generated ones included; the hyperbolic
+    # nu = 1 box holds 17 modes, with conjugate and multi-member classes
     grid = SpectralGrid(2, np.pi, n)
-    params = TransportParams(0.8, -0.4, nu, davey_stewartson(), weight=1.3)
+    params = TransportParams(0.8, -0.4, nu, kernel, weight=1.3)
     ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
     rng = np.random.default_rng(7)
     amps = tuple(GridFunction(grid, rng.standard_normal(grid.shape)
@@ -169,6 +181,65 @@ def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n):
     got = np.stack([r.values for r in transport_rhs(state)])
     expect = brute_force_rhs(state)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+class TestPlanWork:
+    """The coupling plan's work as exact counts, not timings."""
+
+    @staticmethod
+    def plan(nu, box_radius):
+        return _coupling_plan(close_phase_set(RECT, HYPERBOLIC, nu,
+                                              box_radius=box_radius))
+
+    @staticmethod
+    def products(plan):
+        return sum(len(terms) for kind, terms in plan.sums if kind != "conj")
+
+    def test_nu1_forms_half_the_pair_products(self):
+        plan = self.plan(1, 16)
+        count = len(plan.couplings)
+        assert count == 65
+        assert self.products(plan) == (count ** 2 + count) // 2 == 2145
+        assert sum(kind == "conj" for kind, _ in plan.sums) == 607
+
+    def test_nu2_products(self):
+        plan = self.plan(2, 2)
+        assert len(plan.couplings) == 9
+        assert self.products(plan) == 425
+
+    @pytest.mark.parametrize("nu, box_radius", [(1, 16), (2, 2)])
+    def test_conjugates_point_to_earlier_negated_codes(self, nu, box_radius):
+        plan = self.plan(nu, box_radius)
+        index = close_phase_set(RECT, HYPERBOLIC, nu,
+                                box_radius=box_radius).prefix_index
+        built = set()
+        for i, ((kind, terms), (code, level)) in enumerate(
+                zip(plan.sums, plan.keys)):
+            if kind == "conj":
+                assert terms < i
+                assert plan.keys[terms] == (-code, level)
+            else:
+                assert (-code, level) not in built
+            if kind == "pairs":
+                assert all(index.key(a, b) == code for a, b in terms)
+            built.add((code, level))
+        assert len(built) == len(plan.sums)
+        for j, row in enumerate(plan.couplings):
+            assert all(plan.keys[sid] == (index.key(j, l), nu) for l, sid in row)
+
+    def test_one_coefficient_per_coupled_class(self):
+        ps = close_phase_set(RECT, HYPERBOLIC, 1, box_radius=16)
+        lam, mu, kernel = 0.8, -0.4, davey_stewartson()
+        plan = _coupling_plan(ps)
+        coeffs = _coefficients(ps, lam, mu, kernel)
+        by_sum = dict(coeffs)
+        assert len(by_sum) == len(coeffs)
+        assert set(by_sum) == {sid for row in plan.couplings for _, sid in row}
+        assert plan.common not in by_sum
+        for j, row in enumerate(plan.couplings):
+            for l, sid in row:
+                delta = np.subtract(ps.vectors[j], ps.vectors[l]).astype(float)
+                assert by_sum[sid] == mu + lam * evaluate_kernel(kernel, delta)
 
 
 @pytest.mark.parametrize("signature, params", [
