@@ -47,7 +47,7 @@ from .solver import ModelParams, assemble_approximation, approximation_error, \
     evolve_semiclassical, oscillatory_initial_data, require_admissible, \
     require_resolved
 from .transport import ProfileSet, TransportParams, constant_profile_history, \
-    evolve_profiles, zero_mode_rate
+    evolve_profiles, plan_facts, zero_mode_rate
 
 
 # -- configuration -------------------------------------------------------------
@@ -537,7 +537,7 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _base_metadata(cfg: ExperimentConfig) -> dict:
+def _base_metadata(cfg: ExperimentConfig, profiles: bool = False) -> dict:
     meta = {"config": cfg.raw, "git_hash": _git_hash(),
             "package_version": _package_version()}
     ps = cfg.closure
@@ -546,6 +546,8 @@ def _base_metadata(cfg: ExperimentConfig) -> dict:
             "count": len(ps), "generations": ps.generations,
             "truncated_by_box": ps.truncated_by_box,
             "truncated_by_generations": ps.truncated_by_generations}
+        if profiles:
+            meta["phase_set"].update(plan_facts(ps, cfg.transport_params()))
     return meta
 
 
@@ -689,7 +691,7 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         assertions.append(("errors strictly decreasing in eps", mono,
                            f"l2 errors {['%.6g' % v for v in l2s]}"))
 
-    meta = _base_metadata(cfg)
+    meta = _base_metadata(cfg, profiles=True)
     meta["snapshot_times"] = cfg.snapshot_times()
     return SweepResult("converge", rows, slopes, tuple(assertions), meta, series)
 
@@ -743,7 +745,7 @@ def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
             "finite-difference rate matches closed form (sup, relative)",
             worst <= 1e-4, f"worst relative error {worst:.3e}"))
 
-    meta = _base_metadata(cfg)
+    meta = _base_metadata(cfg, profiles=True)
     return SweepResult("zero-mode", rows, {}, tuple(assertions), meta, series)
 
 
@@ -856,7 +858,7 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
                            all(r <= 1.1 for r in ratios),
                            f"ratios {['%.3f' % r for r in ratios]}"))
 
-    meta = _base_metadata(cfg)
+    meta = _base_metadata(cfg, profiles=True)
     meta["tau"] = tau
     meta["cells_per_axis"] = [cfg.cell_grid_for(e)[1] for e in cfg.eps_list]
     return SweepResult("inflate", rows, slopes, tuple(assertions), meta,

@@ -83,10 +83,7 @@ def require_admissible(grid: SpectralGrid, kappas, eps: float) -> None:
         for comp in kappa:
             r = comp / (eps * dxi)
             if abs(r - round(r)) > 1e-9 * max(1.0, abs(r)):
-                g = 0
-                for kv in kappas:
-                    for c in kv:
-                        g = math.gcd(g, abs(int(c)))
+                g = math.gcd(*(abs(int(c)) for kv in kappas for c in kv))
                 suggestions = []
                 if g:
                     base = grid.half_length * g / math.pi
@@ -114,9 +111,9 @@ def require_resolved(grid: SpectralGrid, kappas, eps: float) -> None:
 
 
 def _carrier_phase(grid: SpectralGrid, kappa, eps: float) -> np.ndarray:
-    """exp(i kappa . x / eps) on the grid."""
-    axis = grid.axis()
-    return np.exp(1j * grid.separable([(comp / eps) * axis for comp in kappa]))
+    """exp(i kappa . x / eps) on the grid, a product of 1-D exponentials."""
+    return grid.separable([np.exp((1j * c / eps) * grid.axis()) for c in kappa],
+                          np.multiply)
 
 
 def oscillatory_initial_data(grid: SpectralGrid, modes, alphas,
@@ -142,6 +139,14 @@ def _free_symbol(grid: SpectralGrid, signature: Signature) -> np.ndarray:
     return grid.separable([eta * xi2 for eta in signature.etas])
 
 
+def _free_phase(grid: SpectralGrid, signature: Signature,
+                scale: float) -> np.ndarray:
+    """exp(-i scale Q(xi)), a product of 1-D exponentials."""
+    xi2 = grid.frequency_axis() ** 2
+    return grid.separable([np.exp((-1j * scale * eta) * xi2)
+                           for eta in signature.etas], np.multiply)
+
+
 def evolve_semiclassical(field: SemiclassicalField, t_end: float,
                          dt: float) -> SemiclassicalField:
     """Advance to t_end by Strang splitting (free half / exact nonlinear / free half).
@@ -150,7 +155,8 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     potential V = lam E(|u|^{2nu}) + mu |u|^{2nu}; no time-stepping error
     enters there, only the order-2 splitting commutator.  Each step works in
     place on one complex buffer: the density is real, so E runs on real FFTs
-    (:func:`kernels.apply_raw`), and the rotation is written as cos + i sin.
+    (:func:`kernels.apply_raw`), and the rotation takes one tangent:
+    exp(i theta) = z / conj(z) with z = 1 + i tan(theta / 2) for finite theta.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -162,10 +168,9 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
 
     p = field.params
     grid = field.grid
-    q = _free_symbol(grid, p.signature)
-    half = np.exp(-0.5j * p.eps * (0.5 * dt) * q)
+    half = _free_phase(grid, p.signature, 0.25 * p.eps * dt)
     full = half * half
-    angle = -dt * p.eps ** (p.j_exponent - 1.0)
+    angle = -0.5 * dt * p.eps ** (p.j_exponent - 1.0)  # theta / 2 per unit V
     nonlocal_term = p.lam != 0.0 and p.kernel.kind != "zero"
 
     u = scipy.fft.fftn(field.values.values, workers=1)
@@ -173,7 +178,8 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     u = scipy.fft.ifftn(u, overwrite_x=True, workers=1)
     density = np.empty(grid.shape)
     square = np.empty(grid.shape)
-    rotation = np.empty(grid.shape, dtype=np.complex128)
+    z = np.ones(grid.shape, dtype=np.complex128)  # 1 + i tan(theta / 2)
+    zbar = np.empty_like(z)
     for step in range(n_steps):
         np.square(u.real, out=density)
         density += np.square(u.imag, out=square)
@@ -188,9 +194,9 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
         else:
             theta = density
             theta *= p.mu * angle
-        np.cos(theta, out=rotation.real)
-        np.sin(theta, out=rotation.imag)
-        u *= rotation
+        np.tan(theta, out=z.imag)
+        u *= z
+        u /= np.conjugate(z, out=zbar)
         u = scipy.fft.fftn(u, overwrite_x=True, workers=1)
         u *= full if step < n_steps - 1 else half
         u = scipy.fft.ifftn(u, overwrite_x=True, workers=1)

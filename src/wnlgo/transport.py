@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product as _iproduct
+from itertools import chain, product as _iproduct
 
 import numpy as np
 import scipy.fft
@@ -159,7 +159,6 @@ def _mode_pair_coefficient(phase_set: PhaseSet, lam: float, mu: float,
     return c
 
 
-@lru_cache(maxsize=32)
 def _coefficients(phase_set: PhaseSet, lam: float, mu: float,
                   kernel: _kernels.KernelSpec) -> tuple:
     """(sum id, mu + lam*Khat(kappa_j - kappa_l)) for every coupled class.
@@ -173,6 +172,38 @@ def _coefficients(phase_set: PhaseSet, lam: float, mu: float,
             first.setdefault(sid, (j, l))
     return tuple((sid, _mode_pair_coefficient(phase_set, lam, mu, kernel, j, l))
                  for sid, (j, l) in first.items())
+
+
+@lru_cache(maxsize=32)
+def _resolved_plan(phase_set: PhaseSet, lam: float, mu: float,
+                   kernel: _kernels.KernelSpec) -> tuple:
+    """(plan, coefficients) for one rhs: the coupling plan without the
+    couplings whose class coefficient is exactly 0, each of which would add
+    0 * S * a_l = +-0, and without the sums only they reach, renumbered."""
+    plan = _coupling_plan(phase_set)
+    coeffs = dict(_coefficients(phase_set, lam, mu, kernel))
+    reached = {plan.common} | {sid for sid, c in coeffs.items() if c != 0.0}
+    for sid, (kind, terms) in reversed(list(enumerate(plan.sums))):
+        if sid in reached and kind != "pairs":  # sources precede their users
+            reached.update([terms] if kind == "conj" else chain(*terms))
+    new = {sid: i for i, sid in enumerate(sorted(reached))}
+    sums = tuple((kind, new[terms] if kind == "conj" else terms if kind == "pairs"
+                  else tuple((new[a], new[b]) for a, b in terms))
+                 for kind, terms in (plan.sums[sid] for sid in new))
+    couplings = tuple(tuple((l, new[sid]) for l, sid in row if coeffs[sid] != 0.0)
+                      for row in plan.couplings)
+    keys = tuple(plan.keys[sid] for sid in new)
+    return (_Plan(sums, keys, new[plan.common], couplings),
+            tuple((new[sid], c) for sid, c in coeffs.items() if c != 0.0))
+
+
+def plan_facts(phase_set: PhaseSet, params: TransportParams) -> dict:
+    """Coupled classes, the zero-coefficient ones, pair products per rhs."""
+    args = (phase_set, params.lam, params.mu, params.kernel)
+    coeffs = [c for _, c in _coefficients(*args)]
+    zero, sums = coeffs.count(0.0), _resolved_plan(*args)[0].sums
+    return dict(coupled_classes=len(coeffs), zero_coefficient_classes=zero,
+                pair_products=sum(len(t) for kind, t in sums if kind != "conj"))
 
 
 def _product(stack: np.ndarray, indices) -> np.ndarray:
@@ -227,15 +258,15 @@ def _rhs_stack(stack: np.ndarray, plan: _Plan, coeffs, params: TransportParams,
 
 def _interaction(phase_set: PhaseSet, params: TransportParams,
                  grid: SpectralGrid | None = None):
-    """stack -> _rhs_stack(stack, ...), with the coupling plan, coefficients
-    and E resolved once.
+    """stack -> _rhs_stack(stack, ...), with the resolved plan, its
+    coefficients and E resolved once.
 
     On grid fields E is the kernel's Fourier multiplier.  With grid None the
     stack holds one constant per mode, and E acts on a constant as its
     symbol's zero-mode value.
     """
-    plan = _coupling_plan(phase_set)
-    coeffs = _coefficients(phase_set, params.lam, params.mu, params.kernel)
+    plan, coeffs = _resolved_plan(phase_set, params.lam, params.mu,
+                                  params.kernel)
     if grid is None:
         probe = SpectralGrid(params.kernel.dim, np.pi, 4)
         zero_mode = _kernels._multiplier(params.kernel, probe)[(0,) * probe.dim]
@@ -261,14 +292,15 @@ def transport_rhs(state: ProfileSet) -> list:
 
 
 def _advection_phases(state: ProfileSet, dt: float) -> np.ndarray:
-    """exp(-i dt v_j . xi) for each mode, stacked; advection by dt in Fourier."""
+    """exp(-i dt v_j . xi) for each mode from 1-D exponentials, stacked;
+    advection by dt in Fourier."""
     grid = state.grid
     etas = state.phase_set.signature.etas
     xi = grid.frequency_axis()
     out = np.empty((len(state.phase_set),) + grid.shape, dtype=np.complex128)
     for j, kappa in enumerate(state.phase_set.vectors):
-        dot = grid.separable([(eta * k) * xi for eta, k in zip(etas, kappa)])
-        out[j] = np.exp(-1j * dt * dot)
+        out[j] = grid.separable([np.exp((-1j * dt * eta * k) * xi)
+                                 for eta, k in zip(etas, kappa)], np.multiply)
     return out
 
 

@@ -327,7 +327,34 @@ class TestEmitResults:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["phase_set"] == {"count": 9, "generations": 3,
                                      "truncated_by_box": True,
-                                     "truncated_by_generations": False}
+                                     "truncated_by_generations": False,
+                                     "coupled_classes": 38,
+                                     "zero_coefficient_classes": 0,
+                                     "pair_products": 45}
+
+    def test_metadata_reports_the_resolved_plan(self, tmp_path):
+        # the DS coefficient of the classes keyed kappa_j - kappa_l = (0, +-1)
+        # is 0 with mu = 0; their couplings and the pair products of their
+        # sums are skipped (10 products in the full plan)
+        with open(os.path.join(CONFIGS, "converge_ds_elliptic.json")) as fh:
+            raw = json.load(fh)
+        raw.update(T=0.0, eps_list=[0.25, 0.125])
+        emit_results(run_experiment(parse_config(raw)), tmp_path)
+        meta = json.loads((tmp_path / "metadata.json").read_text())
+        assert meta["phase_set"] == {"count": 4, "generations": 1,
+                                     "truncated_by_box": False,
+                                     "truncated_by_generations": False,
+                                     "coupled_classes": 8,
+                                     "zero_coefficient_classes": 2,
+                                     "pair_products": 8}
+
+    @pytest.mark.parametrize("make_config, plan", [
+        (zero_mode_config, True), (inflate_config, True),
+        (more_weakly_config, False)],
+        ids=["zero-mode", "inflate", "more-weakly"])
+    def test_plan_facts_only_where_profiles_evolve(self, make_config, plan):
+        result = run_experiment(parse_config(make_config()))
+        assert ("pair_products" in result.metadata["phase_set"]) == plan
 
     @pytest.mark.parametrize("kind", ["more-weakly", "inflate"])
     def test_metadata_reports_cells_per_axis(self, tmp_path, kind):

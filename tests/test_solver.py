@@ -9,7 +9,8 @@ from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     oscillatory_initial_data, require_admissible, require_resolved, \
     shift_in_fourier, zero
 from wnlgo.kernels import apply
-from wnlgo.solver import _free_symbol
+from wnlgo.solver import _carrier_phase, _free_phase, _free_symbol
+from wnlgo.transport import _advection_phases
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -69,6 +70,21 @@ def test_constant_orbit_is_exact():
         u0 = oscillatory_initial_data(grid, [(0, 0)], [c], p)
         out = evolve_semiclassical(u0, t, dt=0.07)
         exact = c * np.exp(-1j * t * coupling * c ** 2)
+        assert np.max(np.abs(out.values.values - exact)) < 1e-13
+
+
+def test_constant_orbit_through_half_turns():
+    # each step rotates the constant state by theta = pi, where the tangent
+    # of theta / 2 in the rotation sits at its pole
+    grid = SpectralGrid(2, np.pi, 16)
+    c, dt, steps = 0.8, 0.07, 10
+    coupling = -np.pi / (dt * c ** 2)
+    for kernel, lam, mu in ((zero(2), 0.0, coupling),
+                            (identity(2), coupling, 0.0)):
+        p = ModelParams(0.5, 1.0, lam, mu, 1, ELLIPTIC, kernel)
+        u0 = oscillatory_initial_data(grid, [(0, 0)], [c], p)
+        out = evolve_semiclassical(u0, steps * dt, dt=dt)
+        exact = c * np.exp(-1j * steps * dt * coupling * c ** 2)
         assert np.max(np.abs(out.values.values - exact)) < 1e-13
 
 
@@ -285,24 +301,105 @@ def three_wave_field(p, grid=None):
 
 
 STEP_CASES = {
-    # name: (lam, mu, nu, kernel, signature, t_end)
+    # name: (lam, mu, nu, kernel, signature, t_end[, eps, n, dt]); the
+    # default is eps = 0.25 on 64^2 with dt = 0.002, 50 steps
     "ds-nu1": (1.0, 0.5, 1, davey_stewartson(), ELLIPTIC, 0.1),
     "local-nu2": (0.0, -1.0, 2, zero(2), ELLIPTIC, 0.1),
     "lam0-ds": (0.0, 1.0, 1, davey_stewartson(), HYPERBOLIC, 0.1),
     "zero-kernel": (1.0, 0.5, 1, zero(2), ELLIPTIC, 0.1),
     "backward-ds": (1.0, -0.5, 1, davey_stewartson(), HYPERBOLIC, -0.1),
     "identity-nu2": (0.7, 0.3, 2, identity(2), ELLIPTIC, 0.1),
+    # first-step rotations |theta| beyond pi (asserted in the test); the
+    # focusing local case runs 3 steps, because its instability amplifies
+    # rounding differences over longer runs
+    "local-wide-angle": (0.0, -60.0, 1, zero(2), ELLIPTIC, 0.06, 0.25, 64, 0.02),
+    "defocusing-wide-angle": (0.0, 60.0, 1, zero(2), ELLIPTIC, 1.0, 0.25, 64, 0.02),
+    "ds-wide-angle": (50.0, 0.0, 1, davey_stewartson(), ELLIPTIC, 2.5, 0.25, 64, 0.05),
+    "backward-ds-wide-angle": (50.0, 0.0, 1, davey_stewartson(), HYPERBOLIC,
+                               -2.5, 0.25, 64, 0.05),
+    # 16^2 grids, as the period cells of uniform data
+    "local-16": (0.0, -1.0, 2, zero(2), ELLIPTIC, 0.1, 1.0, 16, 0.002),
+    "local-16-wide-angle": (0.0, 60.0, 1, zero(2), ELLIPTIC, 0.1, 1.0, 16, 0.02),
 }
+
+
+def largest_rotation(u0, dt):
+    """max |theta| of the first step's rotation, as reference_evolve forms it."""
+    p = u0.params
+    density = np.abs(u0.values.values) ** (2 * p.nu)
+    potential = p.mu * density
+    if p.lam != 0.0:
+        potential = potential + p.lam * apply(
+            p.kernel, GridFunction(u0.grid, density)).values.real
+    return np.max(np.abs(dt * p.eps ** (p.j_exponent - 1.0) * potential))
 
 
 @pytest.mark.parametrize("name", sorted(STEP_CASES))
 def test_step_matches_reference_loop(name):
-    lam, mu, nu, kernel, signature, t_end = STEP_CASES[name]
-    p = ModelParams(0.25, 1.5, lam, mu, nu, signature, kernel)
-    u0 = three_wave_field(p)
-    out = evolve_semiclassical(u0, t_end, dt=0.002)  # 50 steps
-    ref = reference_evolve(u0, t_end, dt=0.002)
+    lam, mu, nu, kernel, signature, t_end, *setup = STEP_CASES[name]
+    eps, n, dt = setup or (0.25, 64, 0.002)
+    p = ModelParams(eps, 1.5, lam, mu, nu, signature, kernel)
+    u0 = three_wave_field(p, SpectralGrid(2, np.pi, n))
+    if "wide-angle" in name:
+        assert largest_rotation(u0, dt) > np.pi
+    out = evolve_semiclassical(u0, t_end, dt=dt)
+    ref = reference_evolve(u0, t_end, dt=dt)
     assert np.linalg.norm(out.values.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def exact_phase(argument):
+    """exp(i argument) from an n-d argument, in extended precision, with the
+    argument's own rounding as the bound to allow."""
+    arg = sum(argument)
+    allow = np.finfo(np.longdouble).eps * float(np.max(np.abs(arg)))
+    return np.exp(1j * arg), allow
+
+
+PHASE_GRIDS = [SpectralGrid(2, np.pi, 64), SpectralGrid(3, np.pi, 16)]
+
+
+class TestPhasesFromOneDimensionalExponentials:
+    """Each separable phase against exp of the n-d exponent."""
+
+    @pytest.mark.parametrize("grid", PHASE_GRIDS, ids=["64^2", "16^3"])
+    @pytest.mark.parametrize("kappa, eps", [((1, 1, 1), 0.25), ((2, -1, 1), 0.5),
+                                            ((0, 3, -2), 1.0)])
+    def test_carrier(self, grid, kappa, eps):
+        kappa = kappa[:grid.dim]
+        mesh = [x.astype(np.longdouble) for x in grid.mesh()]
+        expect, allow = exact_phase(np.longdouble(k) / np.longdouble(eps) * x
+                                    for k, x in zip(kappa, mesh))
+        got = _carrier_phase(grid, kappa, eps)
+        assert np.max(np.abs(got - expect)) <= 1e-15 + allow
+
+    @pytest.mark.parametrize("grid", PHASE_GRIDS, ids=["64^2", "16^3"])
+    @pytest.mark.parametrize("scale", [1.25e-4, 0.01])
+    def test_free_flow(self, grid, scale):
+        signature = Signature.from_string("-+" + "+" * (grid.dim - 2))
+        xi = [x.astype(np.longdouble) for x in grid.frequency_mesh()]
+        expect, allow = exact_phase(-np.longdouble(scale) * eta * x * x
+                                    for eta, x in zip(signature.etas, xi))
+        got = _free_phase(grid, signature, scale)
+        assert np.max(np.abs(got - expect)) <= 1e-15 + allow
+
+    @pytest.mark.parametrize("grid", PHASE_GRIDS, ids=["64^2", "16^3"])
+    @pytest.mark.parametrize("dt", [0.005, 0.05])
+    def test_advection(self, grid, dt):
+        d = grid.dim
+        signature = Signature.from_string("-+" + "+" * (d - 2))
+        seeds = [(1,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2),
+                 (0, 1) + (0,) * (d - 2)]
+        ps = close_phase_set(seeds, signature, 1, box_radius=2)
+        state = ProfileSet.from_seed(
+            ps, grid, [GridFunction.zeros(grid)] * ps.origin_count,
+            TransportParams(1.0, 0.0, 1, zero(d)))
+        got = _advection_phases(state, dt)
+        xi = [x.astype(np.longdouble) for x in grid.frequency_mesh()]
+        for j, kappa in enumerate(ps.vectors):
+            expect, allow = exact_phase(-np.longdouble(dt) * eta * k * x
+                                        for eta, k, x in
+                                        zip(signature.etas, kappa, xi))
+            assert np.max(np.abs(got[j] - expect)) <= 1e-15 + allow
 
 
 class TestTransformCount:
@@ -334,3 +431,24 @@ class TestTransformCount:
         n = 5
         assert self.count(monkeypatch, u0, n * 0.01, 0.01) == {
             "fftn": n + 1, "ifftn": n + 1, "rfftn": 0, "irfftn": 0}
+
+    def test_ds_run_takes_one_tangent_per_step(self, monkeypatch):
+        # numpy's float64 cos and sin are much slower than its tan here, and
+        # every phase is a product of 1-D exponentials
+        u0 = three_wave_field(params_for(0.25, lam=1.0, mu=0.5,
+                                         kernel=davey_stewartson()))
+        calls = dict.fromkeys(("tan", "cos", "sin", "exp"), 0)
+        exp_dims = []
+        for name in calls:
+            original = getattr(np, name)
+
+            def counted(x, *args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                if _name == "exp":
+                    exp_dims.append(np.ndim(x))
+                return _original(x, *args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        n = 7
+        evolve_semiclassical(u0, n * 0.01, 0.01)
+        assert (calls["tan"], calls["cos"], calls["sin"]) == (n, 0, 0)
+        assert calls["exp"] > 0 and max(exp_dims) <= 1

@@ -8,7 +8,9 @@ from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     TransportParams, close_phase_set, custom, davey_stewartson, \
     evolve_profiles, identity, is_resonant, profile_norms, shift_in_fourier, \
     transport_rhs, zero, zero_mode_rate
-from wnlgo.transport import _coefficients, _coupling_plan, _interaction
+from wnlgo.kernels import apply_raw
+from wnlgo.transport import _coefficients, _coupling_plan, _interaction, \
+    _resolved_plan, _rhs_stack
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -161,17 +163,23 @@ def _axis_even_symbol(p):
     return p[..., 0] ** 2 * p[..., 1] ** 2 / (r2 * r2)
 
 
-@pytest.mark.parametrize("signature,nu,box_radius,n,kernel", [
-    (ELLIPTIC, 1, 4, 16, davey_stewartson()),
-    (HYPERBOLIC, 2, 2, 8, davey_stewartson()),
-    (HYPERBOLIC, 1, 4, 8, davey_stewartson()),
-    (HYPERBOLIC, 1, 4, 8, custom(2, _axis_even_symbol))],
-    ids=["nu1", "nu2", "nu1-hyperbolic", "nu1-hyperbolic-custom"])
-def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n, kernel):
+@pytest.mark.parametrize("signature,nu,box_radius,n,kernel,mu", [
+    (ELLIPTIC, 1, 4, 16, davey_stewartson(), -0.4),
+    (HYPERBOLIC, 2, 2, 8, davey_stewartson(), -0.4),
+    (HYPERBOLIC, 1, 4, 8, davey_stewartson(), -0.4),
+    (HYPERBOLIC, 1, 4, 8, custom(2, _axis_even_symbol), -0.4),
+    (ELLIPTIC, 1, 4, 16, davey_stewartson(), 0.0),
+    (HYPERBOLIC, 2, 2, 8, davey_stewartson(), 0.0)],
+    ids=["nu1", "nu2", "nu1-hyperbolic", "nu1-hyperbolic-custom", "nu1-mu0",
+         "nu2-mu0"])
+def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n, kernel,
+                                        mu):
     # random data on every mode, generated ones included; the hyperbolic
-    # nu = 1 box holds 17 modes, with conjugate and multi-member classes
+    # nu = 1 box holds 17 modes, with conjugate and multi-member classes;
+    # with mu = 0 the DS coefficient of some classes is exactly 0, and the
+    # rhs skips their couplings
     grid = SpectralGrid(2, np.pi, n)
-    params = TransportParams(0.8, -0.4, nu, kernel, weight=1.3)
+    params = TransportParams(0.8, mu, nu, kernel, weight=1.3)
     ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
     rng = np.random.default_rng(7)
     amps = tuple(GridFunction(grid, rng.standard_normal(grid.shape)
@@ -181,6 +189,42 @@ def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n, kernel):
     got = np.stack([r.values for r in transport_rhs(state)])
     expect = brute_force_rhs(state)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def _nearly_even_symbol(p):
+    # the DS symbol plus 1e-12 on xi_2 > 0 only, within the evenness check's
+    # tolerance: Khat(0, 1) = 1e-12 but Khat(0, -1) = 0
+    r2 = p[..., 0] ** 2 + p[..., 1] ** 2
+    return (p[..., 0] ** 2 + 1e-12 * (p[..., 1] > 0) * p[..., 1] ** 2) / r2
+
+
+@pytest.mark.parametrize("signature, nu, box_radius, kernel", [
+    (ELLIPTIC, 1, 4, davey_stewartson()),
+    (HYPERBOLIC, 2, 2, davey_stewartson()),
+    (ELLIPTIC, 1, 4, custom(2, _nearly_even_symbol))],
+    ids=["ds", "nu2-ds", "nearly-even-custom"])
+def test_skipping_zero_couplings_is_bit_identical(signature, nu, box_radius,
+                                                  kernel):
+    # the rhs on the resolved plan against the full plan with every
+    # coefficient; for the custom symbol the class keyed (0, -1) has
+    # coefficient 0 but is the conj source of the (0, 1) class, so its sum
+    # stays in the plan while its couplings go
+    ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
+    lam, mu = 0.8, 0.0
+    params = TransportParams(lam, mu, nu, kernel, weight=1.3)
+    grid = SpectralGrid(2, np.pi, 8)
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((len(ps),) + grid.shape) \
+        + 1j * rng.standard_normal((len(ps),) + grid.shape)
+
+    def apply_e(s):
+        return apply_raw(kernel, grid, s)
+    full_plan = _coupling_plan(ps)
+    full = _rhs_stack(stack, full_plan, _coefficients(ps, lam, mu, kernel),
+                      params, apply_e)
+    plan, coeffs = _resolved_plan(ps, lam, mu, kernel)
+    assert sum(map(len, plan.couplings)) < sum(map(len, full_plan.couplings))
+    assert np.array_equal(_rhs_stack(stack, plan, coeffs, params, apply_e), full)
 
 
 class TestPlanWork:
@@ -241,13 +285,64 @@ class TestPlanWork:
                 delta = np.subtract(ps.vectors[j], ps.vectors[l]).astype(float)
                 assert by_sum[sid] == mu + lam * evaluate_kernel(kernel, delta)
 
+    @staticmethod
+    def sum_ops(plan):
+        """Ufunc calls that form the sums: k products and k - 1 additions
+        for a class of k terms, one conj for a conjugate class."""
+        return sum(1 if kind == "conj" else 2 * len(terms) - 1
+                   for kind, terms in plan.sums)
+
+    @pytest.mark.parametrize("signature, box_radius, couplings, sum_ops", [
+        (ELLIPTIC, 4, (12, 8), (19, 15)),
+        (HYPERBOLIC, 16, (4160, 4096), (4289, 4225))],
+        ids=["elliptic", "hyperbolic"])
+    def test_zero_coefficient_couplings_are_skipped(self, signature,
+                                                    box_radius, couplings,
+                                                    sum_ops):
+        # the DS symbol vanishes for kappa_j - kappa_l on the xi_2 axis, so
+        # with mu = 0 those classes' couplings and the sums only they reach
+        # drop out of the resolved plan
+        ps = close_phase_set(RECT, signature, 1, box_radius=box_radius)
+        lam, mu, kernel = 1.0, 0.0, davey_stewartson()
+        full = _coupling_plan(ps)
+        plan, coeffs = _resolved_plan(ps, lam, mu, kernel)
+        assert [sum(len(row) for row in p.couplings) for p in (full, plan)] \
+            == list(couplings)
+        assert [self.sum_ops(p) for p in (full, plan)] == list(sum_ops)
+        by_key = {full.keys[sid]: c
+                  for sid, c in _coefficients(ps, lam, mu, kernel)}
+        assert dict((plan.keys[sid], c) for sid, c in coeffs) \
+            == {key: c for key, c in by_key.items() if c != 0.0}
+        for j, (full_row, row) in enumerate(zip(full.couplings,
+                                                plan.couplings)):
+            kept = {(l, full.keys[sid]) for l, sid in full_row
+                    if by_key[full.keys[sid]] != 0.0}
+            assert {(l, plan.keys[sid]) for l, sid in row} == kept
+        full_sums = dict(zip(full.keys, full.sums))
+        for i, (kind, terms) in enumerate(plan.sums):
+            code, level = plan.keys[i]
+            if kind == "conj":  # sources keep their place before their users
+                assert terms < i and plan.keys[terms] == (-code, level)
+            else:
+                assert (kind, terms) == full_sums[code, level]
+        assert plan.keys[plan.common] == full.keys[full.common]
+
+    @pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (1.0, 0.5)])
+    def test_nonzero_coefficients_keep_the_plan(self, lam, mu):
+        ps = close_phase_set(RECT, HYPERBOLIC, 2, box_radius=2)
+        plan, coeffs = _resolved_plan(ps, lam, mu, davey_stewartson())
+        assert plan == _coupling_plan(ps)
+        assert coeffs == _coefficients(ps, lam, mu, davey_stewartson())
+
 
 @pytest.mark.parametrize("signature, params", [
     (ELLIPTIC, TransportParams(0.8, -0.4, 1, davey_stewartson(), weight=1.3)),
     (HYPERBOLIC, TransportParams(0.6, 0.3, 1, identity(2))),
     (HYPERBOLIC, TransportParams(0.9, 0.2, 1, zero(2))),
-    (HYPERBOLIC, TransportParams(0.0, 1.0, 2, zero(2), weight=0.7))],
-    ids=["ds", "identity", "zero-kernel", "nu2-local"])
+    (HYPERBOLIC, TransportParams(0.0, 1.0, 2, zero(2), weight=0.7)),
+    (ELLIPTIC, TransportParams(0.8, 0.0, 1, davey_stewartson())),
+    (HYPERBOLIC, TransportParams(0.8, 0.0, 2, davey_stewartson(), weight=1.3))],
+    ids=["ds", "identity", "zero-kernel", "nu2-local", "ds-mu0", "nu2-ds-mu0"])
 def test_constant_rhs_matches_the_grid(signature, params):
     # _rhs_stack on one value per mode against the same values broadcast to
     # every point of a 4^2 grid: E acts on a constant as its zero-mode value
