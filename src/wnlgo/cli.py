@@ -21,8 +21,8 @@ import sys
 
 from .errors import AdmissibilityError, ConfigError, ResolutionError, \
     as_config_error
-from .experiments import _EXPERIMENTS, emit_results, error_series, load_config, \
-    run_experiment, _atomic_write, _csv_text, _profile_snapshots
+from .experiments import _EXPERIMENTS, _RUNNERS, emit_results, error_series, \
+    _atomic_write, _csv_text, _profile_snapshots, load_config
 from .grid import write_snapshot
 from .resonance import Signature, close_phase_set, resonant_tuples
 
@@ -92,25 +92,29 @@ def _cmd_resonance(args) -> int:
     return 0
 
 
-def _require_field_config(args, command: str):
+def _config_and_out(args) -> tuple:
+    """(config, output directory) of a config-driven command, or a
+    ConfigError before any work."""
     if not args.config:
-        raise ConfigError(f"'{command}' needs --config")
+        raise ConfigError(f"'{args.command}' needs --config")
     cfg = load_config(args.config)
-    if cfg.experiment == "sobolev-asymptotics":
-        raise ConfigError(f"'{command}' needs a field experiment config")
-    return cfg
-
-
-def _out_dir(args, cfg) -> str:
+    # runners check their own configs; profiles and simulate need a field one
+    if args.command not in _RUNNERS and cfg.closure is None:
+        raise ConfigError(f"'{args.command}' needs a field experiment config")
     out = args.out or cfg.output_dir
     if not out:
         raise ConfigError("no output directory: pass --out or set output_dir")
-    return out
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"cannot make output directory {out!r}: "
+                          f"{existing!r} is not a directory")
+    return cfg, out
 
 
 def _cmd_profiles(args) -> int:
-    cfg = _require_field_config(args, "profiles")
-    out = _out_dir(args, cfg)
+    cfg, out = _config_and_out(args)
     os.makedirs(out, exist_ok=True)
     times = cfg.snapshot_times()
     index = {"modes": [list(v) for v in cfg.phase_set().vectors],
@@ -130,10 +134,9 @@ def _cmd_profiles(args) -> int:
 
 def _cmd_simulate(args) -> int:
     """The converge worker at the first eps, written as one time series."""
-    cfg = _require_field_config(args, "simulate")
+    cfg, out = _config_and_out(args)
     # the whole box, also for a config whose own runs use one period cell
     cfg.require_grid_budget(cfg.eps_list[0], cells=False)
-    out = _out_dir(args, cfg)
     os.makedirs(out, exist_ok=True)
     rows = error_series(cfg, cfg.eps_list[0])
     _atomic_write(os.path.join(out, "timeseries.csv"),
@@ -143,14 +146,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if not args.config:
-        raise ConfigError(f"'{args.command}' needs --config")
-    cfg = load_config(args.config)
-    if cfg.experiment != args.command:
-        raise ConfigError(
-            f"config is for {cfg.experiment!r}, not {args.command!r}")
-    result = run_experiment(cfg, threads=max(1, args.threads))
-    out = _out_dir(args, cfg)
+    cfg, out = _config_and_out(args)
+    # the runner of the command, which refuses a config for another one
+    result = _RUNNERS[args.command](cfg, threads=max(1, args.threads))
     emit_results(result, out)
     for name, ok, detail in result.assertions:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})\n")

@@ -18,6 +18,11 @@ Five experiment kinds, all driven by a JSON config and an eps sweep:
                       norms (wkb / coherent profiles) or grid slopes of the
                       scaled-profile family.
 
+Each runner defines only its per-eps work and its assertions; the one
+driver, _sweep, runs the eps loop, fits the slopes, builds the metadata and
+the SweepResult.  Whatever every sweep should do per eps (a check that each
+metric is finite, a timing span) belongs in _sweep.
+
 Determinism: fixed iteration orders everywhere, float repr round-trip
 formatting in CSV, no timestamps in data rows; the git hash goes into the
 JSON metadata only.  Sweep entries may run on a thread pool (they share no
@@ -55,6 +60,7 @@ from .transport import ProfileSet, TransportParams, constant_profile_history, \
 _EXPERIMENTS = ("converge", "zero-mode", "more-weakly", "inflate",
                 "sobolev-asymptotics")
 _CELL_EXPERIMENTS = ("more-weakly", "inflate")  # run on cfg.cell_grid_for(eps)
+_PROFILE_EXPERIMENTS = ("converge", "zero-mode", "inflate")  # evolve profiles
 
 
 def _real(value, name: str) -> float:
@@ -478,11 +484,13 @@ def _scaled_spec(cfg: ExperimentConfig, eps: float) -> ScaledProfileSpec:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(raw)
 
 
@@ -537,34 +545,59 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _base_metadata(cfg: ExperimentConfig, profiles: bool = False) -> dict:
-    meta = {"config": cfg.raw, "git_hash": _git_hash(),
-            "package_version": _package_version()}
-    ps = cfg.closure
-    if ps is not None:
-        meta["phase_set"] = {
-            "count": len(ps), "generations": ps.generations,
-            "truncated_by_box": ps.truncated_by_box,
-            "truncated_by_generations": ps.truncated_by_generations}
-        if profiles:
-            meta["phase_set"].update(plan_facts(ps, cfg.transport_params()))
-    return meta
-
-
-def _sweep(cfg: ExperimentConfig, worker, threads: int = 1) -> list:
-    """Run worker(eps) for each eps, preserving config order."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, cfg.eps_list))
-    return [worker(eps) for eps in cfg.eps_list]
-
-
-def _require_slope_sweep(cfg: ExperimentConfig) -> None:
-    """A sweep that fits a power law in eps needs at least two eps values."""
-    if len(cfg.eps_list) < 2:
+def _require_experiment(cfg: ExperimentConfig, name: str,
+                        fits_slope: bool = True) -> None:
+    """The checks of the runner for name, before any work: a config for name,
+    with at least two eps values when the sweep fits a power law in eps."""
+    if cfg.experiment != name:
+        raise ConfigError(f"config is for {cfg.experiment!r}, not {name!r}")
+    if fits_slope and len(cfg.eps_list) < 2:
         raise ConfigError(
             f"{cfg.experiment} fits a slope in eps and needs at least two "
             f"eps values, got {len(cfg.eps_list)}")
+
+
+def _sweep(cfg: ExperimentConfig, one, assess, threads: int, slopes=(),
+           series: str = "", meta=None, extra_series=None) -> SweepResult:
+    """Run one(eps) over cfg.eps_list in config order and return the result.
+
+    one(eps) gives the metrics of eps, or (metrics, rows) when series names
+    the series that concatenates the rows of every eps.  A key of slopes is
+    fitted when two eps values or more all give it a positive value.
+    assess(metrics, fitted slopes) gives the assertions; a missing fit
+    should fail its assertion.  meta and extra_series are added as given.
+    """
+    if threads > 1:  # the eps entries share no mutable state
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(one, cfg.eps_list))
+    else:
+        outcomes = [one(eps) for eps in cfg.eps_list]
+    all_series = dict(extra_series or {})
+    if series:
+        outcomes, per_eps = zip(*outcomes)
+        all_series[series] = [row for rows in per_eps for row in rows]
+    fitted = {}
+    for key in slopes:
+        values = [m[key] for m in outcomes]
+        if len(values) >= 2 and all(v > 0 for v in values):
+            fitted[key] = fit_power_law(cfg.eps_list, values)
+
+    metadata = {"config": cfg.raw, "git_hash": _git_hash(),
+                "package_version": _package_version(), **(meta or {})}
+    ps = cfg.closure
+    if ps is not None:
+        metadata["phase_set"] = {
+            "count": len(ps), "generations": ps.generations,
+            "truncated_by_box": ps.truncated_by_box,
+            "truncated_by_generations": ps.truncated_by_generations}
+        if cfg.experiment in _PROFILE_EXPERIMENTS:
+            metadata["phase_set"].update(plan_facts(ps, cfg.transport_params()))
+    if cfg.experiment in _CELL_EXPERIMENTS:
+        metadata["cells_per_axis"] = [cfg.cell_grid_for(e)[1]
+                                      for e in cfg.eps_list]
+    return SweepResult(cfg.experiment, tuple(zip(cfg.eps_list, outcomes)),
+                       fitted, tuple(assess(outcomes, fitted)), metadata,
+                       all_series)
 
 
 # -- shared profile-evolution helpers -------------------------------------------
@@ -648,66 +681,50 @@ def error_series(cfg: ExperimentConfig, eps: float, snapshots=None) -> list:
 
 
 def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    if cfg.experiment != "converge":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not 'converge'")
-    if cfg.t_final > 0 and cfg.lam == 0.0:
-        _require_slope_sweep(cfg)
+    _require_experiment(cfg, "converge", cfg.t_final > 0 and cfg.lam == 0.0)
     shared_snaps = None
     if cfg.j_exponent == 1.0:
         shared_snaps = list(_profile_snapshots(
             cfg.seed_profiles(1.0), cfg.snapshot_times(), cfg.profile_dt))
+    error_keys = ("l2_err", "sup_err", "wiener_err")
 
     def one(eps: float):
         series_rows = error_series(cfg, eps, shared_snaps)
-        metrics = {key: max(r[key] for r in series_rows)
-                   for key in ("l2_err", "sup_err", "wiener_err")}
+        # np.max, not max: a NaN after a finite first row must not be dropped
+        metrics = {key: float(np.max([r[key] for r in series_rows]))
+                   for key in error_keys}
         mass0 = series_rows[0]["mass"]
         metrics["mass_drift"] = abs(series_rows[-1]["mass"] - mass0) / mass0
         return metrics, series_rows
 
-    outcomes = _sweep(cfg, one, threads)
-    rows = tuple((eps, m) for eps, (m, _) in zip(cfg.eps_list, outcomes))
-    series = {"timeseries": [r for _, (_, s) in zip(cfg.eps_list, outcomes)
-                             for r in s]}
-    slopes = {}
-    if len(cfg.eps_list) >= 2:
-        for key in ("l2_err", "sup_err", "wiener_err"):
-            vals = [m[key] for _, m in rows]
-            if all(v > 0 for v in vals):
-                slopes[key] = fit_power_law(cfg.eps_list, vals)
-
-    assertions = []
-    if cfg.t_final == 0:
-        flat = max(m["l2_err"] for _, m in rows)
-        assertions.append(("zero-time errors vanish", flat == 0.0,
-                           f"max l2 error {flat}"))
-    elif cfg.lam == 0.0:
-        sl = slopes.get("l2_err", float("nan"))
-        assertions.append(("l2 error slope >= 0.9", sl >= 0.9,
-                           f"fitted slope {sl:.4f}"))
-    else:
-        l2s = [m["l2_err"] for _, m in rows]
+    def assess(metrics, slopes):
+        l2s = [m["l2_err"] for m in metrics]
+        if cfg.t_final == 0:
+            flat = float(np.max(l2s))
+            return [("zero-time errors vanish", flat == 0.0,
+                     f"max l2 error {flat}")]
+        if cfg.lam == 0.0:
+            sl = slopes.get("l2_err", math.nan)
+            return [("l2 error slope >= 0.9", sl >= 0.9,
+                     f"fitted slope {sl:.4f}")]
         mono = all(b < a for a, b in zip(l2s, l2s[1:]))
-        assertions.append(("errors strictly decreasing in eps", mono,
-                           f"l2 errors {['%.6g' % v for v in l2s]}"))
+        return [("errors strictly decreasing in eps", mono,
+                 f"l2 errors {['%.6g' % v for v in l2s]}")]
 
-    meta = _base_metadata(cfg, profiles=True)
-    meta["snapshot_times"] = cfg.snapshot_times()
-    return SweepResult("converge", rows, slopes, tuple(assertions), meta, series)
+    return _sweep(cfg, one, assess, threads, slopes=error_keys,
+                  series="timeseries",
+                  meta={"snapshot_times": cfg.snapshot_times()})
 
 
 def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    if cfg.experiment != "zero-mode":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not 'zero-mode'")
+    _require_experiment(cfg, "zero-mode", fits_slope=False)
     phase_set = cfg.phase_set()
     alphas = cfg.seed_profiles(1.0).amplitudes[:phase_set.origin_count]
     scale = (max(a.sup_norm() for a in alphas) ** 2
              * max(a.l2_norm() for a in alphas))
-    flat_case = abs(cfg.lam + 2.0 * cfg.mu) < 1e-14
 
     def one(eps: float):
         state0 = cfg.seed_profiles(eps)
-        tparams = state0.params
         j0 = phase_set.index((0,) * cfg.dim)
 
         # finite-difference rate at t = 0, refined once to kill the O(h) term
@@ -715,7 +732,7 @@ def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         a_h = evolve_profiles(state0, h, h / 8.0).amplitudes[j0].values
         a_h2 = evolve_profiles(state0, h / 2.0, h / 8.0).amplitudes[j0].values
         fd_rate = (4.0 * a_h2 - a_h) / h
-        predicted = zero_mode_rate(cfg.phi0, alphas, tparams, cfg.signature)
+        predicted = zero_mode_rate(cfg.phi0, alphas, state0.params, cfg.signature)
         pred_sup = float(np.max(np.abs(predicted.values)))
         diff_sup = float(np.max(np.abs(fd_rate - predicted.values)))
         rate_err = diff_sup / pred_sup if pred_sup > 0 else diff_sup
@@ -724,35 +741,24 @@ def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         rows = [{"eps": eps, "t": t, "a0_l2": a, "mass": m}
                 for t, a, m in zip(times, norms, masses)]
         metrics = {"rate_rel_err": rate_err, "rate_pred_sup": pred_sup,
-                   "a0_max": max(norms), "a0_final": norms[-1]}
+                   "a0_max": float(np.max(norms)), "a0_final": norms[-1]}
         return metrics, rows
 
-    outcomes = _sweep(cfg, one, threads)
-    rows = tuple((eps, m) for eps, (m, _) in zip(cfg.eps_list, outcomes))
-    series = {"zero_mode": [r for _, (_, s) in zip(cfg.eps_list, outcomes)
-                            for r in s]}
+    def assess(metrics, slopes):
+        if abs(cfg.lam + 2.0 * cfg.mu) < 1e-14:  # the couplings cancel
+            worst = float(np.max([m["a0_max"] for m in metrics]))
+            return [("zero mode stays flat (cancelling couplings)",
+                     worst <= 1e-6 * scale,
+                     f"max ||a0|| {worst:.3e} vs 1e-6 * scale {1e-6 * scale:.3e}")]
+        worst = float(np.max([m["rate_rel_err"] for m in metrics]))
+        return [("finite-difference rate matches closed form (sup, relative)",
+                 worst <= 1e-4, f"worst relative error {worst:.3e}")]
 
-    assertions = []
-    if flat_case:
-        worst = max(m["a0_max"] for _, m in rows)
-        assertions.append((
-            "zero mode stays flat (cancelling couplings)",
-            worst <= 1e-6 * scale,
-            f"max ||a0|| {worst:.3e} vs 1e-6 * scale {1e-6 * scale:.3e}"))
-    else:
-        worst = max(m["rate_rel_err"] for _, m in rows)
-        assertions.append((
-            "finite-difference rate matches closed form (sup, relative)",
-            worst <= 1e-4, f"worst relative error {worst:.3e}"))
-
-    meta = _base_metadata(cfg, profiles=True)
-    return SweepResult("zero-mode", rows, {}, tuple(assertions), meta, series)
+    return _sweep(cfg, one, assess, threads, series="zero_mode")
 
 
 def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    if cfg.experiment != "more-weakly":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not 'more-weakly'")
-    _require_slope_sweep(cfg)
+    _require_experiment(cfg, "more-weakly")
     phase_set = cfg.phase_set()
 
     def one(eps: float):
@@ -767,36 +773,27 @@ def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         return {"initial_norm": initial, "final_norm": final,
                 "ratio": final / initial}
 
-    outcomes = _sweep(cfg, one, threads)
-    rows = tuple(zip(cfg.eps_list, outcomes))
-    slopes = {
-        "initial_norm": fit_power_law(cfg.eps_list,
-                                      [m["initial_norm"] for m in outcomes]),
-        "final_norm": fit_power_law(cfg.eps_list,
-                                    [m["final_norm"] for m in outcomes]),
-    }
-    expected_final = cfg.j_exponent - 1.0
-    expected_initial = abs(cfg.s)
-    last_ratio = outcomes[-1]["ratio"]
-    assertions = (
-        (f"final-norm slope within 0.15 of {expected_final}",
-         abs(slopes["final_norm"] - expected_final) <= 0.15,
-         f"fitted {slopes['final_norm']:.4f}"),
-        (f"initial-norm slope within 0.15 of {expected_initial}",
-         abs(slopes["initial_norm"] - expected_initial) <= 0.15,
-         f"fitted {slopes['initial_norm']:.4f}"),
-        (f"final/initial ratio at smallest eps exceeds {cfg.ratio_min}",
-         last_ratio > cfg.ratio_min, f"ratio {last_ratio:.3f}"),
-    )
-    meta = _base_metadata(cfg)
-    meta["cells_per_axis"] = [cfg.cell_grid_for(e)[1] for e in cfg.eps_list]
-    return SweepResult("more-weakly", rows, slopes, assertions, meta, {})
+    def assess(metrics, slopes):
+        expected_final = cfg.j_exponent - 1.0
+        expected_initial = abs(cfg.s)
+        final = slopes.get("final_norm", math.nan)
+        initial = slopes.get("initial_norm", math.nan)
+        last_ratio = metrics[-1]["ratio"]
+        return [
+            (f"final-norm slope within 0.15 of {expected_final}",
+             abs(final - expected_final) <= 0.15, f"fitted {final:.4f}"),
+            (f"initial-norm slope within 0.15 of {expected_initial}",
+             abs(initial - expected_initial) <= 0.15, f"fitted {initial:.4f}"),
+            (f"final/initial ratio at smallest eps exceeds {cfg.ratio_min}",
+             last_ratio > cfg.ratio_min, f"ratio {last_ratio:.3f}"),
+        ]
+
+    return _sweep(cfg, one, assess, threads,
+                  slopes=("initial_norm", "final_norm"))
 
 
 def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    if cfg.experiment != "inflate":
-        raise ConfigError(f"config is for {cfg.experiment!r}, not 'inflate'")
-    _require_slope_sweep(cfg)
+    _require_experiment(cfg, "inflate")
     phase_set = cfg.phase_set()
 
     # tau: first local max of ||a_0(t)|| in the weight-1 (eps = 1) profile system
@@ -805,7 +802,6 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
     tau_series = [{"t": t, "a0_l2": a} for t, a in zip(times, norms)]
 
     exponent = (cfg.beta + 1.0 - cfg.j_exponent) / (2.0 * cfg.nu)
-    dilate = cfg.beta != 1.0
 
     def one(eps: float):
         grid, m = cfg.cell_grid_for(eps)
@@ -814,62 +810,47 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
                                       cfg.seed_amplitudes(grid), params)
         u_tau = evolve_semiclassical(u0, tau, cfg.dt)
         pref = eps ** (-exponent) * m ** (cfg.dim / 2.0)
-        if dilate:
-            ygrid = SpectralGrid(cfg.dim,
-                                 grid.half_length * eps ** ((cfg.beta - 1.0) / 2.0),
-                                 grid.points_per_axis)
-            phi = pref * sobolev_norm(GridFunction(ygrid, u0.values.values), cfg.s)
-            psi = pref * sobolev_norm(GridFunction(ygrid, u_tau.values.values),
-                                      cfg.sigma)
-        else:
-            phi = pref * sobolev_norm(u0.values, cfg.s)
-            psi = pref * sobolev_norm(u_tau.values, cfg.sigma)
+        # the norms in y = x eps^((beta-1)/2); beta = 1 gives the grid itself
+        ygrid = SpectralGrid(cfg.dim,
+                             grid.half_length * eps ** ((cfg.beta - 1.0) / 2.0),
+                             grid.points_per_axis)
+        phi = pref * sobolev_norm(GridFunction(ygrid, u0.values.values), cfg.s)
+        psi = pref * sobolev_norm(GridFunction(ygrid, u_tau.values.values),
+                                  cfg.sigma)
         raw = scipy.fft.fftn(u_tau.values.values, workers=1)
         zero_amp = float(abs(raw[(0,) * cfg.dim])) / grid.size
         return {"phi_norm": phi, "psi_norm": psi, "zero_amp": zero_amp}
 
-    outcomes = _sweep(cfg, one, threads)
-    rows = tuple(zip(cfg.eps_list, outcomes))
-    phis = [m["phi_norm"] for m in outcomes]
-    psis = [m["psi_norm"] for m in outcomes]
-    slopes = {"phi_norm": fit_power_law(cfg.eps_list, phis),
-              "psi_norm": fit_power_law(cfg.eps_list, psis)}
-
-    assertions = []
-    if cfg.expect_inflation:
+    def assess(metrics, slopes):
+        phis = [m["phi_norm"] for m in metrics]
+        psis = [m["psi_norm"] for m in metrics]
+        if not cfg.expect_inflation:
+            ratios = [b / a for a, b in zip(psis, psis[1:])]
+            return [("no inflation signal (psi norms not growing)",
+                     all(r <= 1.1 for r in ratios),
+                     f"ratios {['%.3f' % r for r in ratios]}")]
         mono = all(b < a for a, b in zip(phis, phis[1:]))
-        assertions.append(("phi norms strictly decreasing", mono,
-                           f"{['%.6g' % v for v in phis]}"))
         # squared-norm bookkeeping: psi^2 must grow >= 1.5x per eps halving
         sq_ratios = [(b / a) ** 2 for a, b in zip(psis, psis[1:])]
-        assertions.append(("psi squared norms grow >= 1.5x per halving",
-                           all(r >= 1.5 for r in sq_ratios),
-                           f"squared ratios {['%.3f' % r for r in sq_ratios]}"))
-        predicted = ((cfg.j_exponent - 1.0)
-                     - (cfg.beta + 1.0 - cfg.j_exponent) / (2.0 * cfg.nu)
+        predicted = ((cfg.j_exponent - 1.0) - exponent
                      - cfg.dim * (1.0 - cfg.beta) / 4.0)
-        assertions.append((
-            f"psi growth exponent within 0.15 of {predicted}",
-            abs(slopes["psi_norm"] - predicted) <= 0.15,
-            f"fitted {slopes['psi_norm']:.4f}"))
-    else:
-        ratios = [b / a for a, b in zip(psis, psis[1:])]
-        assertions.append(("no inflation signal (psi norms not growing)",
-                           all(r <= 1.1 for r in ratios),
-                           f"ratios {['%.3f' % r for r in ratios]}"))
+        psi_slope = slopes.get("psi_norm", math.nan)
+        return [
+            ("phi norms strictly decreasing", mono,
+             f"{['%.6g' % v for v in phis]}"),
+            ("psi squared norms grow >= 1.5x per halving",
+             all(r >= 1.5 for r in sq_ratios),
+             f"squared ratios {['%.3f' % r for r in sq_ratios]}"),
+            (f"psi growth exponent within 0.15 of {predicted}",
+             abs(psi_slope - predicted) <= 0.15, f"fitted {psi_slope:.4f}"),
+        ]
 
-    meta = _base_metadata(cfg, profiles=True)
-    meta["tau"] = tau
-    meta["cells_per_axis"] = [cfg.cell_grid_for(e)[1] for e in cfg.eps_list]
-    return SweepResult("inflate", rows, slopes, tuple(assertions), meta,
-                       {"tau_scan": tau_series})
+    return _sweep(cfg, one, assess, threads, slopes=("phi_norm", "psi_norm"),
+                  meta={"tau": tau}, extra_series={"tau_scan": tau_series})
 
 
 def run_sobolev_asymptotics(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    if cfg.experiment != "sobolev-asymptotics":
-        raise ConfigError(
-            f"config is for {cfg.experiment!r}, not 'sobolev-asymptotics'")
-    _require_slope_sweep(cfg)
+    _require_experiment(cfg, "sobolev-asymptotics")
     d = cfg.dim
 
     if cfg.profile_kind == "wkb":
@@ -890,16 +871,14 @@ def run_sobolev_asymptotics(cfg: ExperimentConfig, threads: int = 1) -> SweepRes
             return {"norm": scaled_profile_norm(_scaled_spec(cfg, eps), cfg.sigma)}
         predicted = None
 
-    outcomes = _sweep(cfg, one, threads)
-    rows = tuple(zip(cfg.eps_list, outcomes))
-    slope = fit_power_law(cfg.eps_list, [m["norm"] for m in outcomes])
-    slopes = {"norm": slope}
-    assertions = ()
-    if predicted is not None:
-        assertions = ((f"fitted slope within 0.05 of {predicted}",
-                       abs(slope - predicted) <= 0.05, f"fitted {slope:.5f}"),)
-    meta = _base_metadata(cfg)
-    return SweepResult("sobolev-asymptotics", rows, slopes, assertions, meta, {})
+    def assess(metrics, slopes):
+        if predicted is None:
+            return []
+        slope = slopes.get("norm", math.nan)
+        return [(f"fitted slope within 0.05 of {predicted}",
+                 abs(slope - predicted) <= 0.05, f"fitted {slope:.5f}")]
+
+    return _sweep(cfg, one, assess, threads, slopes=("norm",))
 
 
 _RUNNERS = {

@@ -247,7 +247,10 @@ def write_snapshot(f: GridFunction, path) -> None:
 
 def read_snapshot(path) -> GridFunction:
     with open(path, "rb") as fh:
-        magic, version, dim, n, half_length = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"not a field snapshot: {path} is too short")
+        magic, version, dim, n, half_length = _HEADER.unpack(header)
         if magic != MAGIC:
             raise ValueError(f"not a field snapshot: bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:

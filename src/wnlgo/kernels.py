@@ -162,14 +162,17 @@ def evaluate(kernel: KernelSpec, xi) -> float:
     return float(np.real(_call_symbol(kernel.fn, xi[None, :])[0]))
 
 
+def zero_mode_value(kernel: KernelSpec) -> float:
+    """The multiplier at the zero frequency: 1 for identity, else 0."""
+    return 1.0 if kernel.kind == "identity" else 0.0
+
+
 @lru_cache(maxsize=64)
 def _multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
-    """Symbol sampled on the grid frequency lattice, zero mode fixed."""
-    if kernel.kind == "identity":
-        return np.ones(grid.shape)
-    if kernel.kind == "zero":
-        return np.zeros(grid.shape)
-    if kernel.kind == "ds":
+    """Symbol sampled on the grid frequency lattice, zero mode fixed; read-only."""
+    if kernel.kind in ("identity", "zero"):  # constant, as at the origin
+        out = np.full(grid.shape, zero_mode_value(kernel))
+    elif kernel.kind == "ds":
         mesh = grid.frequency_mesh()
         num = mesh[0] ** 2
         den = mesh[0] ** 2 + mesh[1] ** 2
@@ -185,7 +188,7 @@ def _multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
         pts = np.stack([m.ravel() for m in grid.frequency_mesh()], axis=-1)
         pts[0] = 1.0  # placeholder for the origin, overwritten below
         out = np.real(_call_symbol(kernel.fn, pts)).reshape(grid.shape)
-    out[(0,) * grid.dim] = 0.0
+    out[(0,) * grid.dim] = zero_mode_value(kernel)
     out.setflags(write=False)
     return out
 

@@ -170,9 +170,6 @@ class PhaseSet:
         """The 2nu-prefix classes of this set, built on first use."""
         return PrefixIndex(self.vectors, self.signature, self.nu)
 
-    def array(self) -> np.ndarray:
-        return np.array(self.vectors, dtype=np.int64)
-
 
 class PrefixIndex:
     """The 2nu-prefixes of a list of wave vectors, sorted into classes by key.

@@ -268,8 +268,7 @@ def _interaction(phase_set: PhaseSet, params: TransportParams,
     plan, coeffs = _resolved_plan(phase_set, params.lam, params.mu,
                                   params.kernel)
     if grid is None:
-        probe = SpectralGrid(params.kernel.dim, np.pi, 4)
-        zero_mode = _kernels._multiplier(params.kernel, probe)[(0,) * probe.dim]
+        zero_mode = _kernels.zero_mode_value(params.kernel)
 
         def apply_e(s):
             return zero_mode * s

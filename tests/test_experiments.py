@@ -583,6 +583,55 @@ class TestCli:
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["--out", str(tmp_path / "r"), "converge"]) == 2
 
+    @pytest.mark.parametrize("command", ["zero-mode", "profiles", "simulate"])
+    @pytest.mark.parametrize("paths, message", [
+        (["--config", "missing.json", "--out", "r"], "cannot read config"),
+        (["--config", "config.json"], "no output directory"),
+        (["--config", "config.json", "--out", "file"], "not a directory"),
+        (["--config", "config.json", "--out", "file/r"], "not a directory")])
+    def test_unusable_paths_exit_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, paths, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started")
+        for name in ("evolve_profiles", "evolve_semiclassical"):
+            monkeypatch.setattr(experiments, name, no_work)
+        self.write(tmp_path, zero_mode_config())
+        (tmp_path / "file").write_text("")
+        monkeypatch.chdir(tmp_path)
+        assert main(paths + [command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+    @pytest.mark.parametrize("command", ["profiles", "simulate"])
+    def test_field_commands_refuse_a_sobolev_config(self, tmp_path, capsys,
+                                                   command):
+        cfg = {"experiment": "sobolev-asymptotics", "profile_kind": "wkb",
+               "s": -0.25, "dim": 1, "eps_list": [0.5, 0.25]}
+        assert main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), command]) == 2
+        assert "needs a field experiment config" in capsys.readouterr().err
+
+    def test_diverged_errors_fail(self, tmp_path, capsys):
+        # the profile RK4 overflows: every error after t = 0 is NaN, which a
+        # finite first row must not hide from the monotonicity assertion
+        cfg = {"experiment": "converge",
+               "model": {"lam": 1.0, "mu": 0.0, "nu": 1, "signature": "++",
+                         "kernel": "ds"},
+               "grid": {"dim": 2, "box_pi_multiple": 1.0,
+                        "points_per_axis": 64},
+               "phases": {"phi0": [[1, 0], [1, 1], [0, 1]], "box_radius": 4},
+               "data": {"profile": "gaussian", "amplitudes": [40, 32, 36],
+                        "width": 0.42},
+               "eps_list": [0.5, 0.25], "T": 1.0, "dt": 0.01, "snapshots": 4,
+               "profile_points": 16, "profile_dt": 0.25}
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--config", self.write(tmp_path, cfg),
+                         "--out", str(tmp_path / "r"), "converge"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "FAIL  errors strictly decreasing in eps  " \
+               "(l2 errors ['nan', 'nan'])" in out
+
     def test_profiles_writes_snapshots(self, tmp_path):
         cfg_path = self.write(tmp_path, field_config(T=0.02, snapshots=1))
         out_dir = tmp_path / "profiles"

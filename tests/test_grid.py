@@ -3,7 +3,7 @@ import pytest
 
 from wnlgo import GridFunction, SpectralGrid, read_snapshot, resample, \
     shift_in_fourier, write_snapshot
-from wnlgo.grid import forward_transform, inverse_transform
+from wnlgo.grid import MAGIC, forward_transform, inverse_transform
 
 
 def gaussian_1d(grid, width=1.0):
@@ -191,6 +191,12 @@ class TestSnapshots:
         path = tmp_path / "junk.wglf"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            read_snapshot(path)
+
+    def test_short_header(self, tmp_path):
+        path = tmp_path / "stub.wglf"
+        path.write_bytes(MAGIC + b"\x00" * 4)
+        with pytest.raises(ValueError, match="stub.wglf is too short"):
             read_snapshot(path)
 
     def test_truncated_payload(self, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from wnlgo import DIPOLAR_SCALE, GridFunction, SpectralGrid, apply, apply_raw, \
     custom, davey_stewartson, dipolar, evaluate, identity, \
     oscillatory_coefficient_limit, parse_kernel, zero
+from wnlgo import kernels
 
 
 def test_ds_values():
@@ -120,6 +121,18 @@ class TestApplyRaw:
         assert got.dtype == np.float64 and got.shape == grid.shape
         scale = max(np.linalg.norm(expected), np.linalg.norm(values))
         assert np.linalg.norm(got - expected) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
+    def test_cached_multipliers_are_read_only(self, name):
+        # one cached array serves every later call with this kernel and grid
+        kernel, grid = REAL_APPLY_CASES[name]
+        for table in (kernels._multiplier(kernel, grid),
+                      kernels._half_multiplier(kernel, grid)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(1,) * grid.dim] = 7.0
+            assert table[(0,) * grid.dim] == kernels.zero_mode_value(kernel)
+        assert kernels.zero_mode_value(kernel) == (kernel.kind == "identity")
 
     def test_input_is_left_unchanged(self):
         kernel, grid = REAL_APPLY_CASES["ds"]
