@@ -646,6 +646,10 @@ def _tau_scan(cfg: ExperimentConfig):
 
 
 def _first_local_max(times, values) -> float:
+    """Time of the first interior local max before the first non-finite value,
+    else of the largest value before it: tau never lands on a blow-up."""
+    finite = np.isfinite(values)
+    values = values[:len(values) if finite.all() else int(np.argmin(finite))]
     for k in range(1, len(values) - 1):
         if values[k] >= values[k - 1] and values[k] > values[k + 1]:
             return times[k]

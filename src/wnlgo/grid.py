@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.fft
@@ -119,23 +119,13 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    @property
-    def _phase(self) -> np.ndarray:
-        """(-1)^{k_1+...+k_d} on the index lattice (cached)."""
-        cached = _PHASE_CACHE.get((self.dim, self.points_per_axis))
-        if cached is None:
-            p1 = (-1.0) ** np.arange(self.points_per_axis)
-            cached = self.separable([p1] * self.dim, np.multiply)
-            _PHASE_CACHE[(self.dim, self.points_per_axis)] = cached
-        return cached
-
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Discrete realization of the forward transform on raw arrays."""
         values = np.asarray(values)
         if values.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {values.shape}")
         factor = (2.0 * np.pi) ** (-self.dim / 2.0) * self.cell_volume
-        return factor * self._phase * scipy.fft.fftn(values, workers=1)
+        return factor * _sign_pattern(self) * scipy.fft.fftn(values, workers=1)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward` (exact round trip)."""
@@ -144,10 +134,17 @@ class SpectralGrid:
             raise ValueError(f"expected shape {self.shape}, got {coeffs.shape}")
         factor = ((2.0 * np.pi) ** (-self.dim / 2.0)
                   * self.spectral_cell_volume * self.size)
-        return factor * scipy.fft.ifftn(self._phase * coeffs, workers=1)
+        return factor * scipy.fft.ifftn(_sign_pattern(self) * coeffs, workers=1)
 
 
-_PHASE_CACHE: dict = {}
+@lru_cache(maxsize=64)
+def _sign_pattern(grid: SpectralGrid) -> np.ndarray:
+    """(-1)^{k_1+...+k_d} on the index lattice; read-only, as every transform
+    on the grid shares it."""
+    out = grid.separable([(-1.0) ** np.arange(grid.points_per_axis)] * grid.dim,
+                         np.multiply)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

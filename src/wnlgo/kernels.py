@@ -8,6 +8,11 @@ origin; for the non-trivial kernels the discrete zero mode is multiplied by 0
 d_x1 Laplace^{-1} d_x1, which annihilates constants; the dipolar symbol has
 zero angular average).  The identity and zero kernels keep their constant
 symbol at the origin.
+
+Each kind's formula is written once, in :func:`symbol`.  It serves
+:func:`evaluate`, the grid multiplier of E and the transport coupling
+coefficients mu + lam Khat(kappa_j - kappa_l), so the coefficients are the
+values E applies to a product oscillating at kappa_j - kappa_l.
 """
 
 from __future__ import annotations
@@ -49,8 +54,9 @@ class KernelSpec:
             if self.dim != 3:
                 raise ValueError("dipolar kernel requires dim=3")
             ax = np.asarray(self.axis, dtype=float)
-            if ax.shape != (3,) or abs(np.linalg.norm(ax) - 1.0) > 1e-12:
-                raise ValueError("dipolar axis must be a unit 3-vector")
+            if ax.shape != (3,) or not np.isclose(np.linalg.norm(ax), 1.0,
+                                                  rtol=0.0, atol=1e-12):
+                raise ValueError("dipolar axis must be a finite unit 3-vector")
         if self.kind == "custom":
             if not callable(self.fn):
                 raise ValueError("custom kernel needs a callable symbol")
@@ -85,7 +91,8 @@ def custom(dim: int, fn) -> KernelSpec:
     """Wrap a user symbol; evenness, reality and homogeneity are spot-checked.
 
     The callable is probed on 32 random +/-xi pairs and rays c*xi for
-    c in {0.5, 2, 10}; violations raise ValueError at construction.
+    c in {0.5, 2, 10}; violations, and non-finite values, raise ValueError
+    at construction.
     """
     return KernelSpec("custom", dim, fn=fn)
 
@@ -93,24 +100,15 @@ def custom(dim: int, fn) -> KernelSpec:
 def parse_kernel(text: str, dim: int) -> KernelSpec:
     """Build a kernel from a CLI/config string.
 
-    Accepted forms: "identity", "zero", "ds", "dipolar:ax,ay,az".
+    Accepted forms: "identity", "zero", "ds", "dipolar:ax,ay,az"; the
+    dimension and axis rules are :class:`KernelSpec`'s.
     """
-    if text == "identity":
-        return identity(dim)
-    if text == "zero":
-        return zero(dim)
-    if text == "ds":
-        if dim != 2:
-            raise ValueError(f"'ds' kernel is two-dimensional, got dim={dim}")
-        return davey_stewartson()
-    if isinstance(text, str) and text.startswith("dipolar:"):
-        if dim != 3:
-            raise ValueError(f"'dipolar' kernel is three-dimensional, got dim={dim}")
-        parts = text.split(":", 1)[1].split(",")
-        if len(parts) != 3:
-            raise ValueError(f"dipolar axis needs three components, got {text!r}")
-        return dipolar(tuple(float(p) for p in parts))
-    raise ValueError(f"unknown kernel {text!r}")
+    kind, colon, axis = text.partition(":")
+    if kind not in ("identity", "zero", "ds", "dipolar") \
+            or bool(colon) != (kind == "dipolar"):
+        raise ValueError(f"unknown kernel {text!r}")
+    axis = tuple(float(a) for a in axis.split(",")) if colon else ()
+    return KernelSpec(kind, dim, axis)
 
 
 def _call_symbol(fn, pts: np.ndarray) -> np.ndarray:
@@ -128,18 +126,33 @@ def _validate_custom(fn, dim: int) -> None:
     rng = np.random.default_rng(1234)
     pts = rng.normal(size=(32, dim))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    base = _call_symbol(fn, pts)
+    base, neg, *scaled = (_call_symbol(fn, c * pts)
+                          for c in (1.0, -1.0, 0.5, 2.0, 10.0))
+    if not all(np.all(np.isfinite(v)) for v in (base, neg, *scaled)):
+        raise ValueError("custom kernel symbol must be finite")
     if np.iscomplexobj(base) and np.max(np.abs(np.imag(base))) > _VALIDATION_TOL:
         raise ValueError("custom kernel symbol must be real-valued")
     base = np.real(base)
-    neg = np.real(_call_symbol(fn, -pts))
-    if np.max(np.abs(neg - base)) > _VALIDATION_TOL:
+    if np.max(np.abs(np.real(neg) - base)) > _VALIDATION_TOL:
         raise ValueError("custom kernel symbol must be even: Khat(-xi) == Khat(xi)")
-    for c in (0.5, 2.0, 10.0):
-        scaled = np.real(_call_symbol(fn, c * pts))
-        if np.max(np.abs(scaled - base)) > _VALIDATION_TOL:
+    for values in scaled:
+        if np.max(np.abs(np.real(values) - base)) > _VALIDATION_TOL:
             raise ValueError(
                 "custom kernel symbol must be homogeneous of degree zero")
+
+
+def symbol(kernel: KernelSpec, points) -> np.ndarray:
+    """Khat at each row of an (N, d) array of nonzero frequencies."""
+    p = np.asarray(points, dtype=float)
+    if kernel.kind in ("identity", "zero"):  # constant, as at the origin
+        return np.full(len(p), zero_mode_value(kernel))
+    if kernel.kind == "ds":
+        return p[:, 0] ** 2 / (p[:, 0] ** 2 + p[:, 1] ** 2)
+    if kernel.kind == "dipolar":
+        (ax, ay, az), (x, y, z) = kernel.axis, p.T
+        dot = ax * x + ay * y + az * z
+        return DIPOLAR_SCALE * (3.0 * dot ** 2 / (x ** 2 + y ** 2 + z ** 2) - 1.0)
+    return np.real(_call_symbol(kernel.fn, p))
 
 
 def evaluate(kernel: KernelSpec, xi) -> float:
@@ -150,16 +163,7 @@ def evaluate(kernel: KernelSpec, xi) -> float:
     if not np.any(xi):
         raise ValueError("kernel symbol is undefined at xi = 0; "
                          "use apply(), which fixes the zero-mode convention")
-    if kernel.kind == "identity":
-        return 1.0
-    if kernel.kind == "zero":
-        return 0.0
-    if kernel.kind == "ds":
-        return float(xi[0] ** 2 / (xi[0] ** 2 + xi[1] ** 2))
-    if kernel.kind == "dipolar":
-        cos_theta = np.dot(kernel.axis, xi) / np.linalg.norm(xi)
-        return float(DIPOLAR_SCALE * (3.0 * cos_theta ** 2 - 1.0))
-    return float(np.real(_call_symbol(kernel.fn, xi[None, :])[0]))
+    return float(symbol(kernel, xi[None, :])[0])
 
 
 def zero_mode_value(kernel: KernelSpec) -> float:
@@ -170,25 +174,11 @@ def zero_mode_value(kernel: KernelSpec) -> float:
 @lru_cache(maxsize=64)
 def _multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
     """Symbol sampled on the grid frequency lattice, zero mode fixed; read-only."""
-    if kernel.kind in ("identity", "zero"):  # constant, as at the origin
-        out = np.full(grid.shape, zero_mode_value(kernel))
-    elif kernel.kind == "ds":
-        mesh = grid.frequency_mesh()
-        num = mesh[0] ** 2
-        den = mesh[0] ** 2 + mesh[1] ** 2
-        den[0, 0] = 1.0
-        out = num / den
-    elif kernel.kind == "dipolar":
-        xi = grid.frequency_axis()
-        dot = grid.separable([a * xi for a in kernel.axis])
-        norm2 = grid.separable([xi ** 2] * grid.dim)
-        norm2[(0,) * grid.dim] = 1.0
-        out = DIPOLAR_SCALE * (3.0 * dot ** 2 / norm2 - 1.0)
-    else:
-        pts = np.stack([m.ravel() for m in grid.frequency_mesh()], axis=-1)
-        pts[0] = 1.0  # placeholder for the origin, overwritten below
-        out = np.real(_call_symbol(kernel.fn, pts)).reshape(grid.shape)
-    out[(0,) * grid.dim] = zero_mode_value(kernel)
+    points = np.stack([m.ravel() for m in grid.frequency_mesh()], axis=-1)
+    out = np.empty(grid.size)
+    out[0] = zero_mode_value(kernel)  # the origin comes first in FFT order
+    out[1:] = symbol(kernel, points[1:])
+    out = out.reshape(grid.shape)
     out.setflags(write=False)
     return out
 

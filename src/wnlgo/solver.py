@@ -25,7 +25,7 @@ from .errors import AdmissibilityError, ResolutionError
 from .grid import GridFunction, SpectralGrid, resample
 from .norms import wiener_norm
 from .resonance import PhaseSet, Signature, as_wave_vector
-from .transport import ProfileSet
+from .transport import ProfileSet, _steps
 
 
 @dataclass(frozen=True)
@@ -158,12 +158,10 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     (:func:`kernels.apply_raw`), and the rotation takes one tangent:
     exp(i theta) = z / conj(z) with z = 1 + i tan(theta / 2) for finite theta.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     span = t_end - field.time
-    if abs(span) == 0:
+    n_steps, _ = _steps(abs(span), dt)
+    if span == 0:
         return field
-    n_steps = max(1, round(abs(span) / dt))
     dt = span / n_steps  # signed; backward evolution reverses the flow
 
     p = field.params

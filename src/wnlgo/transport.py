@@ -147,16 +147,12 @@ def _coupling_plan(phase_set: PhaseSet) -> _Plan:
     return _Plan(tuple(sums), tuple(ids), common, couplings)  # ids in sum order
 
 
-def _mode_pair_coefficient(phase_set: PhaseSet, lam: float, mu: float,
-                           kernel: _kernels.KernelSpec, j: int,
-                           last: int) -> float:
-    c = mu
-    if lam != 0.0:
-        delta = np.array([a - b for a, b in
-                          zip(phase_set.vectors[j], phase_set.vectors[last])],
-                         dtype=float)
-        c = c + lam * _kernels.evaluate(kernel, delta)
-    return c
+def _pair_coefficients(phase_set: PhaseSet, lam: float, mu: float,
+                       kernel: _kernels.KernelSpec, pairs) -> list:
+    """mu + lam*Khat(kappa_j - kappa_l) for each (j, l) of pairs, j != l."""
+    j, l = np.array(pairs, dtype=int).reshape(-1, 2).T
+    vectors = np.array(phase_set.vectors, dtype=float)
+    return (mu + lam * _kernels.symbol(kernel, vectors[j] - vectors[l])).tolist()
 
 
 def _coefficients(phase_set: PhaseSet, lam: float, mu: float,
@@ -170,8 +166,8 @@ def _coefficients(phase_set: PhaseSet, lam: float, mu: float,
     for j, row in enumerate(_coupling_plan(phase_set).couplings):
         for l, sid in row:
             first.setdefault(sid, (j, l))
-    return tuple((sid, _mode_pair_coefficient(phase_set, lam, mu, kernel, j, l))
-                 for sid, (j, l) in first.items())
+    coeffs = _pair_coefficients(phase_set, lam, mu, kernel, list(first.values()))
+    return tuple(zip(first, coeffs))
 
 
 @lru_cache(maxsize=32)
@@ -421,11 +417,11 @@ def zero_mode_rate(kappas, alphas, params: TransportParams,
     grid = alphas[0].grid
     acc = np.zeros(grid.shape, dtype=np.complex128)
     stack = np.stack([a.values for a in alphas])
-    for rt in resonant_tuples(ps, j0):
-        if max(rt.indices) < 3:
-            c = _mode_pair_coefficient(ps, params.lam, params.mu,
-                                       params.kernel, j0, rt.indices[-1])
-            acc += c * _product(stack, rt.indices)
+    seeded = [rt.indices for rt in resonant_tuples(ps, j0) if max(rt.indices) < 3]
+    coeffs = _pair_coefficients(ps, params.lam, params.mu, params.kernel,
+                                [(j0, indices[-1]) for indices in seeded])
+    for c, indices in zip(coeffs, seeded):
+        acc += c * _product(stack, indices)
     return GridFunction(grid, (-1j * params.weight) * acc)
 
 

@@ -133,6 +133,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="signature"):
             parse_config(cfg)
 
+    def test_kernel_axis_must_be_finite(self):
+        cfg = field_config(
+            grid={"dim": 3, "box_pi_multiple": 1.0, "points_per_axis": 32},
+            phases={"phi0": [[1, 0, 0], [1, 1, 0], [0, 1, 0]], "box_radius": 1},
+            eps_list=[1.0], profile_points=16)
+        cfg["model"].update(signature="+++", kernel="dipolar:0,0,1")
+        parse_config(cfg)
+        cfg["model"]["kernel"] = "dipolar:nan,0,1"
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(cfg)
+
     def test_gaussian_profile_needs_width(self):
         cfg = field_config()
         cfg["data"]["profile"] = "gaussian"
@@ -433,6 +444,15 @@ def test_period_cell_runs_match_the_full_grid(make_config):
         assert set(row) == set(want)
         for key, value in want.items():
             assert abs(row[key] - value) <= 1e-12 * abs(value), (eps, key)
+
+
+@pytest.mark.parametrize("values, tau", [
+    ([0.1, 0.3, 0.2, 0.4], 1), ([0.1, 0.2, 0.3, 0.4], 3),
+    ([0.1, 0.2, np.nan, np.nan], 1), ([0.1, 0.2, 0.3, np.inf], 2)],
+    ids=["local-max", "rising", "nan", "inf"])
+def test_first_local_max_stops_at_a_blow_up(values, tau):
+    # the first local max, else the largest value, of the finite prefix
+    assert experiments._first_local_max([0, 1, 2, 3], values) == tau
 
 
 def _inflate_with(lam, mu, kernel):

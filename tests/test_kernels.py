@@ -4,7 +4,7 @@ import pytest
 from wnlgo import DIPOLAR_SCALE, GridFunction, SpectralGrid, apply, apply_raw, \
     custom, davey_stewartson, dipolar, evaluate, identity, \
     oscillatory_coefficient_limit, parse_kernel, zero
-from wnlgo import kernels
+from wnlgo import grid as grid_module, kernels
 
 
 def test_ds_values():
@@ -134,6 +134,28 @@ class TestApplyRaw:
             assert table[(0,) * grid.dim] == kernels.zero_mode_value(kernel)
         assert kernels.zero_mode_value(kernel) == (kernel.kind == "identity")
 
+    def test_cached_sign_pattern_is_read_only(self):
+        # one cached array serves every later transform on this grid
+        for _, grid in REAL_APPLY_CASES.values():
+            values = np.random.default_rng(33).standard_normal(grid.shape)
+            before = grid.forward(values)
+            table = grid_module._sign_pattern(grid)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[(1,) * grid.dim] = 7.0
+            assert np.array_equal(grid.forward(values), before)
+
+    @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
+    def test_evaluate_is_the_lattice_multiplier(self, name):
+        # one symbol serves both: Khat at each nonzero lattice frequency is
+        # the multiplier there, bit for bit
+        kernel, grid = REAL_APPLY_CASES[name]
+        table = kernels._multiplier(kernel, grid)
+        mesh = grid.frequency_mesh()
+        for k in np.ndindex(grid.shape):
+            if any(k):
+                assert evaluate(kernel, [m[k] for m in mesh]) == table[k], k
+
     def test_input_is_left_unchanged(self):
         kernel, grid = REAL_APPLY_CASES["ds"]
         values = np.random.default_rng(32).standard_normal(grid.shape)
@@ -169,6 +191,14 @@ class TestCustom:
         with pytest.raises(ValueError, match="homogeneous"):
             apply(custom(2, fn),
                   GridFunction.zeros(SpectralGrid(2, 1.0, 8)))
+
+    @pytest.mark.parametrize("fn", [
+        lambda p: np.full(len(p), np.nan),
+        lambda p: np.where(np.sum(p ** 2, axis=-1) > 2.0, np.nan, 1.0)],
+        ids=["everywhere", "scaled-probes"])
+    def test_rejects_non_finite_symbol(self, fn):
+        with pytest.raises(ValueError, match="finite"):
+            custom(2, fn)
 
     def test_rejects_complex_symbol(self):
         fn = lambda p: 1.0j * np.ones(p.shape[0])
@@ -212,6 +242,11 @@ def test_parse_kernel():
     with pytest.raises(ValueError):
         parse_kernel("ds", 3)
     with pytest.raises(ValueError):
+        parse_kernel("dipolar:0,0,1", 2)
+    with pytest.raises(ValueError):
         parse_kernel("dipolar:1,2", 3)
+    for axis in ("nan,0,1", "inf,0,0"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_kernel(f"dipolar:{axis}", 3)
     with pytest.raises(ValueError):
         parse_kernel("sobolev", 2)
