@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--out", help="output directory (or file for "
                                       "'resonance')")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep entries")
+    parser.add_argument("--threads", type=int, default=1, metavar="N",
+                        help="worker threads for sweep entries, N >= 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     res = sub.add_parser("resonance", help="close a phase set, list tuples")
@@ -148,7 +148,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg, out = _config_and_out(args)
     # the runner of the command, which refuses a config for another one
-    result = _RUNNERS[args.command](cfg, threads=max(1, args.threads))
+    result = _RUNNERS[args.command](cfg, threads=args.threads)
     emit_results(result, out)
     for name, ok, detail in result.assertions:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})\n")
@@ -158,7 +158,10 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     try:
         if args.command == "resonance":
             return _cmd_resonance(args)

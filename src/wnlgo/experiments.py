@@ -38,13 +38,14 @@ import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 import scipy.fft
 
 from . import kernels as _kernels
 from .errors import ConfigError, as_config_error
-from .grid import GridFunction, SpectralGrid
+from .grid import GridFunction, SpectralGrid, pow2_at_least
 from .norms import ScaledProfileSpec, gaussian_sobolev_norm, scaled_grid, \
     scaled_profile_norm, sobolev_norm
 from .resonance import PhaseSet, Signature, close_phase_set
@@ -238,7 +239,7 @@ class ExperimentConfig:
         if self.points_per_axis is not None:
             n = self.points_per_axis
         else:
-            n = _pow2_at_least(self.points_scale / eps)
+            n = pow2_at_least(self.points_scale / eps)
         return SpectralGrid(self.dim, self.half_box, n)
 
     def cell_grid_for(self, eps: float) -> tuple:
@@ -332,13 +333,6 @@ def _require_class_sums_within_budget(cfg: ExperimentConfig,
             f"{cfg.profile_points} give up to {sums} class sums of "
             f"{profile_grid.size} points in one transport rhs, above the "
             f"budget of {_POINT_BUDGET} points")
-
-
-def _pow2_at_least(x: float) -> int:
-    n = 4
-    while n < x - 1e-9:
-        n *= 2
-    return n
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -565,7 +559,9 @@ def _sweep(cfg: ExperimentConfig, one, assess, threads: int, slopes=(),
     the series that concatenates the rows of every eps.  A key of slopes is
     fitted when two eps values or more all give it a positive value.
     assess(metrics, fitted slopes) gives the assertions; a missing fit
-    should fail its assertion.  meta and extra_series are added as given.
+    should fail its assertion.  "all values finite" follows them and fails
+    on the first nan or inf of the metrics or any series, which the CSVs
+    still write.  meta and extra_series are added as given.
     """
     if threads > 1:  # the eps entries share no mutable state
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -595,9 +591,27 @@ def _sweep(cfg: ExperimentConfig, one, assess, threads: int, slopes=(),
     if cfg.experiment in _CELL_EXPERIMENTS:
         metadata["cells_per_axis"] = [cfg.cell_grid_for(e)[1]
                                       for e in cfg.eps_list]
-    return SweepResult(cfg.experiment, tuple(zip(cfg.eps_list, outcomes)),
-                       fitted, tuple(assess(outcomes, fitted)), metadata,
+    rows = tuple(zip(cfg.eps_list, outcomes))
+    # last, so that each runner's own assertions keep their places
+    where = _first_non_finite([*all_series.values(),
+                               [dict(m, eps=eps) for eps, m in rows]])
+    finite = ("all values finite", not where,
+              f"first non-finite: {where}" if where else "no nan or inf")
+    return SweepResult(cfg.experiment, rows, fitted,
+                       (*assess(outcomes, fitted), finite), metadata,
                        all_series)
+
+
+def _first_non_finite(tables) -> str:
+    """'column at eps = ..., t = ...' for the first nan or inf in the rows
+    of tables (every row has an eps or a t, or both), else ''."""
+    for row in chain.from_iterable(tables):
+        for key, value in row.items():
+            if not math.isfinite(value):
+                at = ", ".join(f"{k} = {row[k]!r}"
+                               for k in ("eps", "t") if k in row)
+                return f"{key} at {at}"
+    return ""
 
 
 # -- shared profile-evolution helpers -------------------------------------------

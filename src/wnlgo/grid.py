@@ -30,8 +30,12 @@ MAGIC = b"WGLF"
 SNAPSHOT_VERSION = 1
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def pow2_at_least(x: float) -> int:
+    """The smallest power of two, 4 or more, not below x (to 1e-9)."""
+    n = 4
+    while n < x - 1e-9:
+        n *= 2
+    return n
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ class SpectralGrid:
         if not self.half_length > 0:
             raise ValueError(f"half_length must be > 0, got {self.half_length}")
         n = self.points_per_axis
-        if n < 4 or not _is_pow2(n):
+        if pow2_at_least(n) != n:
             raise ValueError(f"points_per_axis must be a power of two >= 4, got {n}")
 
     # -- geometry -----------------------------------------------------------

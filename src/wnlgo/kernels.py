@@ -178,6 +178,10 @@ def _multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
     out = np.empty(grid.size)
     out[0] = zero_mode_value(kernel)  # the origin comes first in FFT order
     out[1:] = symbol(kernel, points[1:])
+    bad = np.flatnonzero(~np.isfinite(out))  # custom: probed off the lattice
+    if bad.size:
+        raise ValueError(f"kernel symbol is not finite at lattice frequency "
+                         f"{tuple(points[bad[0]].tolist())}")
     out = out.reshape(grid.shape)
     out.setflags(write=False)
     return out

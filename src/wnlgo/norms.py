@@ -23,7 +23,7 @@ import scipy.fft
 import scipy.integrate
 
 from .errors import ResolutionError
-from .grid import GridFunction, SpectralGrid
+from .grid import GridFunction, SpectralGrid, pow2_at_least
 
 
 def wiener_norm(f: GridFunction) -> float:
@@ -92,16 +92,13 @@ def _series_eval_axiswise(f: GridFunction, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _choose_points(dim: int, box: float, carrier: float, base_n: int) -> int:
+def _choose_points(box: float, carrier: float, base_n: int) -> int:
     """Smallest power of two resolving the carrier with margin 4."""
-    need = max(base_n, int(math.ceil(8.0 * carrier * box / math.pi)))
-    n = 4
-    while n < need:
-        n *= 2
-        if n > 1 << 22:
-            raise ResolutionError(
-                f"cannot resolve carrier frequency {carrier:.3g} on box "
-                f"{box:.3g} within 2^22 points per axis")
+    n = pow2_at_least(max(base_n, math.ceil(8.0 * carrier * box / math.pi)))
+    if n > 1 << 22:
+        raise ResolutionError(
+            f"cannot resolve carrier frequency {carrier:.3g} on box "
+            f"{box:.3g} within 2^22 points per axis")
     return n
 
 
@@ -138,7 +135,7 @@ def scaled_grid(spec: ScaledProfileSpec) -> SpectralGrid:
                 f"carrier frequency {carrier:.6g} exceeds half the Nyquist "
                 f"frequency {nyquist:.6g} of the requested grid")
     else:
-        n = _choose_points(dim, box, carrier, base_n)
+        n = _choose_points(box, carrier, base_n)
     return SpectralGrid(dim, box, n)
 
 

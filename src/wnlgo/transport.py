@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain, product as _iproduct
+from itertools import product as _iproduct
 
 import numpy as np
 import scipy.fft
@@ -101,7 +101,7 @@ class ProfileSet:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The class sums one rhs evaluation forms on a phase set, in order.
+    """The sums one rhs evaluation forms for a phase set and model, in order.
 
     Each entry of sums is (kind, terms): a "pairs" class sums
     a_{l1} conj(a_{l2}) over its member pairs, a "terms" class (level >= 2)
@@ -111,19 +111,36 @@ class _Plan:
     code at the same level is the conjugate of the class keyed by the code:
     at level 1 negating a key swaps each member pair, and a level-m term
     (rest, k) becomes (-rest, -k).  common is the (0, 0) class at level nu,
-    which feeds the multiplier E; couplings[j] pairs every other mode l with
-    the class keyed (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)).
+    which feeds the multiplier E; couplings[j] pairs mode l with the class
+    keyed (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)) where the class's
+    coefficient mu + lam*Khat(kappa_j - kappa_l), kept in coefficients as
+    (sum id, c), is not exactly 0 (a term with it would add 0 * S * a_l =
+    +-0).  zero_classes counts the classes left out; sums only they would
+    reach are never formed.
     """
 
     sums: tuple
     keys: tuple
     common: int
     couplings: tuple
+    coefficients: tuple
+    zero_classes: int
 
 
 @lru_cache(maxsize=32)
-def _coupling_plan(phase_set: PhaseSet) -> _Plan:
+def _plan(phase_set: PhaseSet, lam: float, mu: float,
+          kernel: _kernels.KernelSpec) -> _Plan:
     index = phase_set.prefix_index
+    codes = (index.codes[:, None] - index.codes).tolist()  # index.key(j, l)
+    # kappa_j - kappa_l is part of the key: a class's first coupling gives
+    # the coefficient of all of them
+    first = {}
+    for j, row in enumerate(codes):
+        for l, code in enumerate(row):
+            if l != j:
+                first.setdefault(code, (j, l))
+    coeff = dict(zip(first, _pair_coefficients(phase_set, lam, mu, kernel,
+                                               list(first.values()))))
     sums, ids = [], {}
 
     def sum_id(code: int, level: int) -> int:
@@ -139,12 +156,15 @@ def _coupling_plan(phase_set: PhaseSet) -> _Plan:
             sums.append(entry)
         return ids[code, level]
 
-    nu, count = phase_set.nu, len(phase_set)
+    nu = phase_set.nu
     common = sum_id(0, nu)
     couplings = tuple(
-        tuple((l, sum_id(index.key(j, l), nu)) for l in range(count) if l != j)
-        for j in range(count))
-    return _Plan(tuple(sums), tuple(ids), common, couplings)  # ids in sum order
+        tuple((l, sum_id(code, nu)) for l, code in enumerate(row)
+              if l != j and coeff[code] != 0.0)
+        for j, row in enumerate(codes))
+    kept = tuple((ids[code, nu], c) for code, c in coeff.items() if c != 0.0)
+    return _Plan(tuple(sums), tuple(ids), common, couplings, kept,
+                 len(coeff) - len(kept))  # ids in sum order
 
 
 def _pair_coefficients(phase_set: PhaseSet, lam: float, mu: float,
@@ -155,51 +175,13 @@ def _pair_coefficients(phase_set: PhaseSet, lam: float, mu: float,
     return (mu + lam * _kernels.symbol(kernel, vectors[j] - vectors[l])).tolist()
 
 
-def _coefficients(phase_set: PhaseSet, lam: float, mu: float,
-                  kernel: _kernels.KernelSpec) -> tuple:
-    """(sum id, mu + lam*Khat(kappa_j - kappa_l)) for every coupled class.
-
-    kappa_j - kappa_l is part of the class key, so every coupling (j, l) of
-    a class shares one coefficient; it is taken from the first.
-    """
-    first = {}
-    for j, row in enumerate(_coupling_plan(phase_set).couplings):
-        for l, sid in row:
-            first.setdefault(sid, (j, l))
-    coeffs = _pair_coefficients(phase_set, lam, mu, kernel, list(first.values()))
-    return tuple(zip(first, coeffs))
-
-
-@lru_cache(maxsize=32)
-def _resolved_plan(phase_set: PhaseSet, lam: float, mu: float,
-                   kernel: _kernels.KernelSpec) -> tuple:
-    """(plan, coefficients) for one rhs: the coupling plan without the
-    couplings whose class coefficient is exactly 0, each of which would add
-    0 * S * a_l = +-0, and without the sums only they reach, renumbered."""
-    plan = _coupling_plan(phase_set)
-    coeffs = dict(_coefficients(phase_set, lam, mu, kernel))
-    reached = {plan.common} | {sid for sid, c in coeffs.items() if c != 0.0}
-    for sid, (kind, terms) in reversed(list(enumerate(plan.sums))):
-        if sid in reached and kind != "pairs":  # sources precede their users
-            reached.update([terms] if kind == "conj" else chain(*terms))
-    new = {sid: i for i, sid in enumerate(sorted(reached))}
-    sums = tuple((kind, new[terms] if kind == "conj" else terms if kind == "pairs"
-                  else tuple((new[a], new[b]) for a, b in terms))
-                 for kind, terms in (plan.sums[sid] for sid in new))
-    couplings = tuple(tuple((l, new[sid]) for l, sid in row if coeffs[sid] != 0.0)
-                      for row in plan.couplings)
-    keys = tuple(plan.keys[sid] for sid in new)
-    return (_Plan(sums, keys, new[plan.common], couplings),
-            tuple((new[sid], c) for sid, c in coeffs.items() if c != 0.0))
-
-
 def plan_facts(phase_set: PhaseSet, params: TransportParams) -> dict:
     """Coupled classes, the zero-coefficient ones, pair products per rhs."""
-    args = (phase_set, params.lam, params.mu, params.kernel)
-    coeffs = [c for _, c in _coefficients(*args)]
-    zero, sums = coeffs.count(0.0), _resolved_plan(*args)[0].sums
-    return dict(coupled_classes=len(coeffs), zero_coefficient_classes=zero,
-                pair_products=sum(len(t) for kind, t in sums if kind != "conj"))
+    plan = _plan(phase_set, params.lam, params.mu, params.kernel)
+    return dict(coupled_classes=len(plan.coefficients) + plan.zero_classes,
+                zero_coefficient_classes=plan.zero_classes,
+                pair_products=sum(len(t) for kind, t in plan.sums
+                                  if kind != "conj"))
 
 
 def _product(stack: np.ndarray, indices) -> np.ndarray:
@@ -210,7 +192,7 @@ def _product(stack: np.ndarray, indices) -> np.ndarray:
     return out
 
 
-def _rhs_stack(stack: np.ndarray, plan: _Plan, coeffs, params: TransportParams,
+def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
                apply_e) -> np.ndarray:
     """The interaction term on a stack of amplitudes, one entry per mode.
 
@@ -231,7 +213,7 @@ def _rhs_stack(stack: np.ndarray, plan: _Plan, coeffs, params: TransportParams,
         for a, b in terms[1:]:
             acc += left[a] * right[b]
         sums.append(acc)
-    for sid, c in coeffs:
+    for sid, c in plan.coefficients:
         sums[sid] *= c
     s_field = sums[plan.common]
     if params.lam != 0.0:
@@ -254,15 +236,14 @@ def _rhs_stack(stack: np.ndarray, plan: _Plan, coeffs, params: TransportParams,
 
 def _interaction(phase_set: PhaseSet, params: TransportParams,
                  grid: SpectralGrid | None = None):
-    """stack -> _rhs_stack(stack, ...), with the resolved plan, its
-    coefficients and E resolved once.
+    """stack -> _rhs_stack(stack, ...), with the model's plan and E
+    resolved once.
 
     On grid fields E is the kernel's Fourier multiplier.  With grid None the
     stack holds one constant per mode, and E acts on a constant as its
     symbol's zero-mode value.
     """
-    plan, coeffs = _resolved_plan(phase_set, params.lam, params.mu,
-                                  params.kernel)
+    plan = _plan(phase_set, params.lam, params.mu, params.kernel)
     if grid is None:
         zero_mode = _kernels.zero_mode_value(params.kernel)
 
@@ -273,7 +254,7 @@ def _interaction(phase_set: PhaseSet, params: TransportParams,
             return _kernels.apply_raw(params.kernel, grid, s)
 
     def rhs(stack):
-        return _rhs_stack(stack, plan, coeffs, params, apply_e)
+        return _rhs_stack(stack, plan, params, apply_e)
     return rhs
 
 

@@ -303,6 +303,15 @@ def test_zero_mode_rate_assertion_passes():
     assert metrics["rate_rel_err"] < 1e-6
 
 
+@pytest.mark.parametrize("make_config", [
+    zero_mode_config, inflate_config, more_weakly_config],
+    ids=["zero-mode", "inflate", "more-weakly"])
+def test_finite_runs_pass_the_finiteness_check_last(make_config):
+    result = run_experiment(parse_config(make_config()))
+    assert result.assertions[-1] == ("all values finite", True,
+                                     "no nan or inf")
+
+
 class TestEmitResults:
     def test_files_and_layout(self, tmp_path):
         raw = zero_mode_config()
@@ -652,6 +661,34 @@ class TestCli:
         assert "FAIL  errors strictly decreasing in eps  " \
                "(l2 errors ['nan', 'nan'])" in out
 
+    @pytest.mark.parametrize("mu, own_line", [
+        (0.0, "PASS  finite-difference rate matches closed form"),
+        (-0.5, "FAIL  zero mode stays flat (cancelling couplings)  "
+               "(max ||a0|| nan")], ids=["driven", "flat"])
+    def test_diverged_zero_mode_fails(self, tmp_path, capsys, mu, own_line):
+        # the rate at t = 0 is fine, but the history overflows after t = 0.5;
+        # sweep.csv keeps its nan, and the run must not pass
+        with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
+            cfg = json.load(fh)
+        cfg["model"]["mu"] = mu
+        cfg["data"]["amplitudes"] = [40, 32, 36]
+        cfg["grid"]["points_per_axis"] = 32
+        cfg.update(T=5, profile_dt=0.5, rate_dt=1e-6, snapshots=10,
+                   profile_points=32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--config", self.write(tmp_path, cfg),
+                         "--out", str(tmp_path / "r"), "zero-mode"])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith(own_line)
+        assert out[1] == ("FAIL  all values finite  (first non-finite: "
+                          "a0_l2 at eps = 1.0, t = 1.0)")
+        sweep = (tmp_path / "r" / "sweep.csv").read_text().splitlines()
+        assert sweep[0] == "eps,a0_final,a0_max,rate_pred_sup,rate_rel_err"
+        assert sweep[1].startswith("1.0,nan,nan,")
+        meta = json.loads((tmp_path / "r" / "metadata.json").read_text())
+        assert meta["assertions"][-1]["name"] == "all values finite"
+
     def test_profiles_writes_snapshots(self, tmp_path):
         cfg_path = self.write(tmp_path, field_config(T=0.02, snapshots=1))
         out_dir = tmp_path / "profiles"
@@ -885,6 +922,17 @@ class TestCli:
             main(["resonance", "--phi0", "1,0;1,1;0,1"])
         assert exc.value.code == 2
         assert "--box-radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                threads):
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", os.path.join(CONFIGS, "sobolev_wkb.json"),
+                  "--out", str(tmp_path / "r"), f"--threads={threads}",
+                  "sobolev-asymptotics"])
+        assert exc.value.code == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 # -- seeded config fuzz ---------------------------------------------------------

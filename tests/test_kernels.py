@@ -200,6 +200,17 @@ class TestCustom:
         with pytest.raises(ValueError, match="finite"):
             custom(2, fn)
 
+    def test_rejects_non_finite_lattice_samples(self):
+        # finite on the random probes, which never sit on an axis, but nan
+        # on the xi_2 = 0 lattice line; apply_raw shares the multiplier
+        k = custom(2, lambda p: np.where(p[:, 1] == 0, np.nan, 1.0))
+        grid = SpectralGrid(2, np.pi, 8)
+        for run in (lambda: apply(k, GridFunction.zeros(grid)),
+                    lambda: apply_raw(k, grid, np.zeros(grid.shape))):
+            with pytest.raises(ValueError, match=r"not finite at lattice "
+                                                 r"frequency \(1\.0, 0\.0\)"):
+                run()
+
     def test_rejects_complex_symbol(self):
         fn = lambda p: 1.0j * np.ones(p.shape[0])
         with pytest.raises(ValueError, match="real"):

@@ -1,16 +1,17 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
-    TransportParams, close_phase_set, custom, davey_stewartson, \
+    TransportParams, close_phase_set, custom, davey_stewartson, dipolar, \
     evolve_profiles, identity, is_resonant, profile_norms, shift_in_fourier, \
     transport_rhs, zero, zero_mode_rate
 from wnlgo.kernels import apply_raw
-from wnlgo.transport import _coefficients, _coupling_plan, _interaction, \
-    _resolved_plan, _rhs_stack
+from wnlgo.transport import _interaction, _pair_coefficients, _plan, \
+    _rhs_stack
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -198,42 +199,69 @@ def _nearly_even_symbol(p):
     return (p[..., 0] ** 2 + 1e-12 * (p[..., 1] > 0) * p[..., 1] ** 2) / r2
 
 
-@pytest.mark.parametrize("signature, nu, box_radius, kernel", [
-    (ELLIPTIC, 1, 4, davey_stewartson()),
-    (HYPERBOLIC, 2, 2, davey_stewartson()),
-    (ELLIPTIC, 1, 4, custom(2, _nearly_even_symbol))],
-    ids=["ds", "nu2-ds", "nearly-even-custom"])
-def test_skipping_zero_couplings_is_bit_identical(signature, nu, box_radius,
-                                                  kernel):
-    # the rhs on the resolved plan against the full plan with every
+def _unpruned(ps, lam, mu, kernel):
+    """The plan of (lam, mu + 0.5), which has no zero coefficient on the
+    kernels used here, with each class's (lam, mu) coefficient put back,
+    zeros included."""
+    plan = _plan(ps, lam, mu + 0.5, kernel)
+    assert plan.zero_classes == 0
+    first = {}
+    for j, row in enumerate(plan.couplings):
+        for l, sid in row:
+            first.setdefault(sid, (j, l))
+    sids = [sid for sid, _ in plan.coefficients]
+    coeffs = _pair_coefficients(ps, lam, mu, kernel, [first[s] for s in sids])
+    return replace(plan, coefficients=tuple(zip(sids, coeffs)))
+
+
+RECT_3D = ((1, 0, 0), (1, 1, 0), (0, 1, 0))
+OBLIQUE = dipolar((0.48, 0.6, 0.64))
+
+
+@pytest.mark.parametrize("phi0, signature, nu, box_radius, kernel, lam, mu", [
+    (RECT, ELLIPTIC, 1, 4, davey_stewartson(), 0.8, 0.0),
+    (RECT, HYPERBOLIC, 2, 2, davey_stewartson(), 0.8, 0.0),
+    (RECT, ELLIPTIC, 1, 4, custom(2, _nearly_even_symbol), 0.8, 0.0),
+    (RECT, HYPERBOLIC, 1, 4, identity(2), 0.5, -0.5),
+    (RECT_3D, Signature.from_string("-++"), 2, 1, OBLIQUE, 1.0,
+     -evaluate_kernel(OBLIQUE, (1.0, 0.0, 0.0)))],
+    ids=["ds", "nu2-ds", "nearly-even-custom", "identity-common-only",
+         "nu2-oblique-dipolar"])
+def test_skipping_zero_couplings_is_bit_identical(phi0, signature, nu,
+                                                  box_radius, kernel, lam, mu):
+    # the rhs on the model's plan against the unpruned plan with every
     # coefficient; for the custom symbol the class keyed (0, -1) has
-    # coefficient 0 but is the conj source of the (0, 1) class, so its sum
-    # stays in the plan while its couplings go
-    ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
-    lam, mu = 0.8, 0.0
+    # coefficient 0, so the (0, 1) class, its conjugate in the unpruned
+    # plan, is formed from its own pairs
+    ps = close_phase_set(phi0, signature, nu, box_radius=box_radius)
     params = TransportParams(lam, mu, nu, kernel, weight=1.3)
-    grid = SpectralGrid(2, np.pi, 8)
+    grid = SpectralGrid(len(phi0[0]), np.pi, 8)
     rng = np.random.default_rng(5)
     stack = rng.standard_normal((len(ps),) + grid.shape) \
         + 1j * rng.standard_normal((len(ps),) + grid.shape)
 
     def apply_e(s):
         return apply_raw(kernel, grid, s)
-    full_plan = _coupling_plan(ps)
-    full = _rhs_stack(stack, full_plan, _coefficients(ps, lam, mu, kernel),
-                      params, apply_e)
-    plan, coeffs = _resolved_plan(ps, lam, mu, kernel)
+    full_plan = _unpruned(ps, lam, mu, kernel)
+    full = _rhs_stack(stack, full_plan, params, apply_e)
+    plan = _plan(ps, lam, mu, kernel)
+    assert 0 < plan.zero_classes
     assert sum(map(len, plan.couplings)) < sum(map(len, full_plan.couplings))
-    assert np.array_equal(_rhs_stack(stack, plan, coeffs, params, apply_e), full)
+    assert np.array_equal(_rhs_stack(stack, plan, params, apply_e), full)
+    if kernel.kind == "identity":  # every coupling has coefficient 0
+        assert plan.coefficients == () and not any(plan.couplings)
+        assert plan.keys[plan.common] == (0, nu)
 
 
 class TestPlanWork:
-    """The coupling plan's work as exact counts, not timings."""
+    """The coupling plan's work as exact counts, not timings, on models with
+    no zero coefficient unless a test says otherwise."""
 
     @staticmethod
     def plan(nu, box_radius):
-        return _coupling_plan(close_phase_set(RECT, HYPERBOLIC, nu,
-                                              box_radius=box_radius))
+        return _plan(close_phase_set(RECT, HYPERBOLIC, nu,
+                                     box_radius=box_radius),
+                     1.0, 0.5, davey_stewartson())
 
     @staticmethod
     def products(plan):
@@ -243,12 +271,14 @@ class TestPlanWork:
         plan = self.plan(1, 16)
         count = len(plan.couplings)
         assert count == 65
+        assert plan.zero_classes == 0
         assert self.products(plan) == (count ** 2 + count) // 2 == 2145
         assert sum(kind == "conj" for kind, _ in plan.sums) == 607
 
     def test_nu2_products(self):
         plan = self.plan(2, 2)
         assert len(plan.couplings) == 9
+        assert plan.zero_classes == 0
         assert self.products(plan) == 425
 
     @pytest.mark.parametrize("nu, box_radius", [(1, 16), (2, 2)])
@@ -272,18 +302,26 @@ class TestPlanWork:
             assert all(plan.keys[sid] == (index.key(j, l), nu) for l, sid in row)
 
     def test_one_coefficient_per_coupled_class(self):
+        # -0.4 + 0.8 Khat is 0 on the diagonals, where the DS symbol is 1/2
         ps = close_phase_set(RECT, HYPERBOLIC, 1, box_radius=16)
         lam, mu, kernel = 0.8, -0.4, davey_stewartson()
-        plan = _coupling_plan(ps)
-        coeffs = _coefficients(ps, lam, mu, kernel)
-        by_sum = dict(coeffs)
-        assert len(by_sum) == len(coeffs)
+        plan = _plan(ps, lam, mu, kernel)
+        by_sum = dict(plan.coefficients)
+        assert len(by_sum) == len(plan.coefficients)
         assert set(by_sum) == {sid for row in plan.couplings for _, sid in row}
         assert plan.common not in by_sum
         for j, row in enumerate(plan.couplings):
             for l, sid in row:
                 delta = np.subtract(ps.vectors[j], ps.vectors[l]).astype(float)
                 assert by_sum[sid] == mu + lam * evaluate_kernel(kernel, delta)
+        full = self.plan(1, 16)
+        zero = {full.keys[sid] for j, row in enumerate(full.couplings)
+                for l, sid in row
+                if mu + lam * evaluate_kernel(kernel, np.subtract(
+                    ps.vectors[j], ps.vectors[l]).astype(float)) == 0.0}
+        assert plan.zero_classes == len(zero) > 0
+        assert {plan.keys[sid] for sid in by_sum} \
+            == {full.keys[sid] for sid, _ in full.coefficients} - zero
 
     @staticmethod
     def sum_ops(plan):
@@ -301,18 +339,18 @@ class TestPlanWork:
                                                     sum_ops):
         # the DS symbol vanishes for kappa_j - kappa_l on the xi_2 axis, so
         # with mu = 0 those classes' couplings and the sums only they reach
-        # drop out of the resolved plan
+        # are not in the plan
         ps = close_phase_set(RECT, signature, 1, box_radius=box_radius)
         lam, mu, kernel = 1.0, 0.0, davey_stewartson()
-        full = _coupling_plan(ps)
-        plan, coeffs = _resolved_plan(ps, lam, mu, kernel)
+        full = _unpruned(ps, lam, mu, kernel)
+        plan = _plan(ps, lam, mu, kernel)
         assert [sum(len(row) for row in p.couplings) for p in (full, plan)] \
             == list(couplings)
         assert [self.sum_ops(p) for p in (full, plan)] == list(sum_ops)
-        by_key = {full.keys[sid]: c
-                  for sid, c in _coefficients(ps, lam, mu, kernel)}
-        assert dict((plan.keys[sid], c) for sid, c in coeffs) \
+        by_key = {full.keys[sid]: c for sid, c in full.coefficients}
+        assert dict((plan.keys[sid], c) for sid, c in plan.coefficients) \
             == {key: c for key, c in by_key.items() if c != 0.0}
+        assert plan.zero_classes == list(by_key.values()).count(0.0)
         for j, (full_row, row) in enumerate(zip(full.couplings,
                                                 plan.couplings)):
             kept = {(l, full.keys[sid]) for l, sid in full_row
@@ -330,9 +368,8 @@ class TestPlanWork:
     @pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (1.0, 0.5)])
     def test_nonzero_coefficients_keep_the_plan(self, lam, mu):
         ps = close_phase_set(RECT, HYPERBOLIC, 2, box_radius=2)
-        plan, coeffs = _resolved_plan(ps, lam, mu, davey_stewartson())
-        assert plan == _coupling_plan(ps)
-        assert coeffs == _coefficients(ps, lam, mu, davey_stewartson())
+        assert _plan(ps, lam, mu, davey_stewartson()) \
+            == _unpruned(ps, lam, mu, davey_stewartson())
 
 
 @pytest.mark.parametrize("signature, params", [
