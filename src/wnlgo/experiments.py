@@ -35,6 +35,7 @@ import json
 import math
 import os
 import subprocess
+import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -65,9 +66,10 @@ _PROFILE_EXPERIMENTS = ("converge", "zero-mode", "inflate")  # evolve profiles
 
 
 def _real(value, name: str) -> float:
-    """A finite JSON number, as a float; anything else is a ConfigError."""
+    """A finite JSON number, as a float; anything else, an integer beyond
+    the float range included, is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+            or not abs(value) <= sys.float_info.max:  # exact for any int
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -107,6 +107,10 @@ class _Plan:
     a_{l1} conj(a_{l2}) over its member pairs, a "terms" class (level >= 2)
     sums (class one level down) * (pair class) over (sum id, sum id) terms,
     and a "conj" entry is the complex conjugate of the earlier sum id terms.
+    A "terms" entry is (twice, once), and its sum is twice the sum over
+    twice plus the sum over once.  At level 2 both factors are pair classes
+    and (a, b) is a term exactly when (b, a) is, so twice lists the terms
+    with a < b and once the terms (a, a); above level 2 twice is empty.
     keys[i] is the (code, level) of sum i.  The class keyed by the negated
     code at the same level is the conjugate of the class keyed by the code:
     at level 1 negating a key swaps each member pair, and a level-m term
@@ -150,8 +154,12 @@ def _plan(phase_set: PhaseSet, lam: float, mu: float,
             elif level == 1:
                 entry = ("pairs", tuple(index.pairs(code)))
             else:
-                entry = ("terms", tuple((sum_id(rest, level - 1), sum_id(k, 1))
-                                        for rest, k in index.terms(code, level)))
+                terms = [(sum_id(rest, level - 1), sum_id(k, 1))
+                         for rest, k in index.terms(code, level)]
+                symmetric = level == 2  # (a, b) and (b, a) are both terms
+                entry = ("terms", (
+                    tuple(t for t in terms if symmetric and t[0] < t[1]),
+                    tuple(t for t in terms if not symmetric or t[0] == t[1])))
             ids[code, level] = len(sums)
             sums.append(entry)
         return ids[code, level]
@@ -180,8 +188,9 @@ def plan_facts(phase_set: PhaseSet, params: TransportParams) -> dict:
     plan = _plan(phase_set, params.lam, params.mu, params.kernel)
     return dict(coupled_classes=len(plan.coefficients) + plan.zero_classes,
                 zero_coefficient_classes=plan.zero_classes,
-                pair_products=sum(len(t) for kind, t in plan.sums
-                                  if kind != "conj"))
+                pair_products=sum(
+                    len(t) if kind == "pairs" else sum(map(len, t))
+                    for kind, t in plan.sums if kind != "conj"))
 
 
 def _product(stack: np.ndarray, indices) -> np.ndarray:
@@ -190,6 +199,17 @@ def _product(stack: np.ndarray, indices) -> np.ndarray:
     for pos, idx in enumerate(indices[1:], start=1):
         out *= np.conj(stack[idx]) if pos % 2 else stack[idx]
     return out
+
+
+def _sum_products(left, right, terms, acc=None):
+    """acc (if not None) plus left[a] * right[b] summed over the (a, b) of
+    terms, in place on acc."""
+    if acc is None:
+        (a, b), terms = terms[0], terms[1:]
+        acc = left[a] * right[b]
+    for a, b in terms:
+        acc += left[a] * right[b]
+    return acc
 
 
 def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
@@ -206,12 +226,13 @@ def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
     sums = []
     for kind, terms in plan.sums:
         if kind == "conj":
-            sums.append(np.conj(sums[terms]))
-            continue
-        left, right = (stack, conj) if kind == "pairs" else (sums, sums)
-        acc = left[terms[0][0]] * right[terms[0][1]]
-        for a, b in terms[1:]:
-            acc += left[a] * right[b]
+            acc = np.conj(sums[terms])
+        elif kind == "pairs":
+            acc = _sum_products(stack, conj, terms)
+        else:
+            twice, once = terms
+            acc = _sum_products(sums, sums, twice) * 2.0 if twice else None
+            acc = _sum_products(sums, sums, once, acc)
         sums.append(acc)
     for sid, c in plan.coefficients:
         sums[sid] *= c

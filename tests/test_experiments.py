@@ -739,14 +739,20 @@ class TestCli:
         ("model", "j_exponent", 0.5), (None, "eps_list", [2.0]),
         ("phases", "max_generations", 0), ("phases", "max_generations", -1),
         ("phases", "phi0", 3), ("phases", "phi0", [[True, 0], [1, 1], [0, 1]]),
-        ("grid", "points_per_axis", 2 ** 20), (None, "profile_points", 2 ** 22)],
+        ("grid", "points_per_axis", 2 ** 20), (None, "profile_points", 2 ** 22),
+        ("grid", "points_per_axis", 10 ** 400), (None, "T", -10 ** 400),
+        ("data", "amplitudes", [[10 ** 400, 0], 1, 1]),
+        ("phases", "phi0", [[10 ** 400, 0], [1, 1], [0, 1]])],
         ids=["nu-1.5", "T-NaN", "signature-+x", "phi0-1.5", "box_radius-0",
              "kernel-5", "amplitudes-0.7", "points-48", "snapshots-0",
              "rate_dt-0", "rate_dt-negative", "output_dir-5", "width-0",
              "width-negative", "j_exponent-0.5", "eps-2", "max_generations-0",
              "max_generations-negative", "phi0-3", "phi0-true",
-             "points-2^20", "profile_points-2^22"])
+             "points-2^20", "profile_points-2^22", "points-1e400",
+             "T-minus-1e400", "amplitudes-1e400", "phi0-1e400"])
     def test_bad_values_exit_two(self, tmp_path, capsys, section, key, value):
+        # an integer beyond the float range is a config error too, not an
+        # OverflowError from the float conversion
         with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
             cfg = json.load(fh)
         (cfg[section] if section else cfg)[key] = value
@@ -756,6 +762,7 @@ class TestCli:
         assert code == 2
         assert err.startswith("config error:")
         assert "Traceback" not in err
+        assert key in err
 
     @pytest.mark.parametrize("overrides", [
         {"dim": 0}, dict(SCALED, beta=0), dict(SCALED, scaled_points=48),

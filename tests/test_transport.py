@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     transport_rhs, zero, zero_mode_rate
 from wnlgo.kernels import apply_raw
 from wnlgo.transport import _interaction, _pair_coefficients, _plan, \
-    _rhs_stack
+    _rhs_stack, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -164,24 +165,39 @@ def _axis_even_symbol(p):
     return p[..., 0] ** 2 * p[..., 1] ** 2 / (r2 * r2)
 
 
+def _level_terms(plan, level):
+    """The "terms" entries of plan at level, as (kind, (twice, once))."""
+    return [entry for entry, (_, lev) in zip(plan.sums, plan.keys)
+            if entry[0] == "terms" and lev == level]
+
+
 @pytest.mark.parametrize("signature,nu,box_radius,n,kernel,mu", [
     (ELLIPTIC, 1, 4, 16, davey_stewartson(), -0.4),
     (HYPERBOLIC, 2, 2, 8, davey_stewartson(), -0.4),
     (HYPERBOLIC, 1, 4, 8, davey_stewartson(), -0.4),
     (HYPERBOLIC, 1, 4, 8, custom(2, _axis_even_symbol), -0.4),
     (ELLIPTIC, 1, 4, 16, davey_stewartson(), 0.0),
-    (HYPERBOLIC, 2, 2, 8, davey_stewartson(), 0.0)],
+    (HYPERBOLIC, 2, 2, 8, davey_stewartson(), 0.0),
+    (ELLIPTIC, 2, 4, 16, davey_stewartson(), -0.4),
+    (ELLIPTIC, 3, 4, 8, davey_stewartson(), -0.4)],
     ids=["nu1", "nu2", "nu1-hyperbolic", "nu1-hyperbolic-custom", "nu1-mu0",
-         "nu2-mu0"])
+         "nu2-mu0", "nu2-elliptic", "nu3-elliptic"])
 def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n, kernel,
                                         mu):
     # random data on every mode, generated ones included; the hyperbolic
     # nu = 1 box holds 17 modes, with conjugate and multi-member classes;
     # with mu = 0 the DS coefficient of some classes is exactly 0, and the
-    # rhs skips their couplings
+    # rhs skips their couplings; the elliptic nu = 2 plan has a level-2
+    # class with a diagonal term (a, a), and the nu = 3 plan has level-3
+    # classes, whose terms are not symmetric
     grid = SpectralGrid(2, np.pi, n)
     params = TransportParams(0.8, mu, nu, kernel, weight=1.3)
     ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
+    if signature == ELLIPTIC and nu >= 2:
+        plan = _plan(ps, params.lam, mu, kernel)
+        assert any(once for kind, (twice, once) in _level_terms(plan, 2))
+        assert all(not twice for _, (twice, _) in _level_terms(plan, 3))
+        assert any(_level_terms(plan, 3)) == (nu == 3)
     rng = np.random.default_rng(7)
     amps = tuple(GridFunction(grid, rng.standard_normal(grid.shape)
                               + 1j * rng.standard_normal(grid.shape))
@@ -264,8 +280,17 @@ class TestPlanWork:
                      1.0, 0.5, davey_stewartson())
 
     @staticmethod
-    def products(plan):
-        return sum(len(terms) for kind, terms in plan.sums if kind != "conj")
+    def split(plan):
+        """Products per rhs: (pair products, level >= 2 products of twice
+        terms, of once terms)."""
+        twice, once = (sum(len(terms[i]) for kind, terms in plan.sums
+                           if kind == "terms") for i in (0, 1))
+        return sum(len(terms) for kind, terms in plan.sums
+                   if kind == "pairs"), twice, once
+
+    @classmethod
+    def products(cls, plan):
+        return sum(cls.split(plan))
 
     def test_nu1_forms_half_the_pair_products(self):
         plan = self.plan(1, 16)
@@ -276,10 +301,49 @@ class TestPlanWork:
         assert sum(kind == "conj" for kind, _ in plan.sums) == 607
 
     def test_nu2_products(self):
+        # each unordered level-2 pair (a, b), a != b, is formed once, not as
+        # both (a, b) and (b, a): 45 + 2 * 188 + 4 = 425 ordered products
         plan = self.plan(2, 2)
         assert len(plan.couplings) == 9
         assert plan.zero_classes == 0
-        assert self.products(plan) == 425
+        assert self.split(plan) == (45, 188, 4)
+        assert self.products(plan) == 237
+        ps = close_phase_set(RECT, HYPERBOLIC, 2, box_radius=2)
+        params = TransportParams(1.0, 0.5, 2, davey_stewartson())
+        assert plan_facts(ps, params)["pair_products"] == 237
+
+    @pytest.mark.parametrize("phi0, signature, nu, box_radius, kernel", [
+        (RECT, HYPERBOLIC, 2, 2, davey_stewartson()),
+        (RECT, HYPERBOLIC, 2, 4, davey_stewartson()),
+        (RECT, ELLIPTIC, 2, 4, davey_stewartson()),
+        (RECT, ELLIPTIC, 3, 4, davey_stewartson()),
+        (RECT_3D, Signature.from_string("-++"), 2, 1, OBLIQUE)],
+        ids=["nu2", "nu2-box4", "nu2-elliptic", "nu3-elliptic",
+             "nu2-3d-oblique-dipolar"])
+    def test_level2_terms_are_unordered_pairs(self, phi0, signature, nu,
+                                              box_radius, kernel):
+        # each off-diagonal pair stands for (a, b) and (b, a), and with the
+        # diagonal pairs they are exactly the index's ordered splits
+        ps = close_phase_set(phi0, signature, nu, box_radius=box_radius)
+        plan = _plan(ps, 1.0, 0.5, kernel)
+        index, ids = ps.prefix_index, {key: i for i, key in
+                                       enumerate(plan.keys)}
+        level2 = 0
+        for (kind, terms), (code, level) in zip(plan.sums, plan.keys):
+            if kind != "terms":
+                continue
+            twice, once = terms
+            split = Counter((ids[rest, level - 1], ids[k, 1])
+                            for rest, k in index.terms(code, level))
+            if level > 2:
+                assert twice == () and Counter(once) == split
+                continue
+            level2 += 1
+            assert all(a < b for a, b in twice)
+            assert all(a == b for a, b in once)
+            assert Counter(twice + tuple((b, a) for a, b in twice) + once) \
+                == split
+        assert level2 > 0
 
     @pytest.mark.parametrize("nu, box_radius", [(1, 16), (2, 2)])
     def test_conjugates_point_to_earlier_negated_codes(self, nu, box_radius):
