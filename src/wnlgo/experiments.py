@@ -311,8 +311,8 @@ class ExperimentConfig:
 
 
 # Points in any one grid a run allocates, and in the class sums one transport
-# rhs holds at once: four times the largest grid of the shipped configs, the
-# tests and the benchmark (criterion 10's 4096^2 box), a 1 GiB complex field.
+# rhs forms: four times the largest grid of the shipped configs, the tests
+# and the benchmark (criterion 10's 4096^2 box), a 1 GiB complex field.
 # Larger requests are config errors, not allocations.
 _POINT_BUDGET = 2 ** 26
 
@@ -326,8 +326,9 @@ def _require_within_budget(grid: SpectralGrid, key: str) -> None:
 
 def _require_class_sums_within_budget(cfg: ExperimentConfig,
                                       profile_grid: SpectralGrid) -> None:
-    """One transport rhs holds every class sum of the coupling plan on the
-    profile grid; the plan's sums are among the prefix index's level keys."""
+    """One transport rhs forms every class sum of the coupling plan on the
+    profile grid, and holds the lower-level ones; the plan's sums are among
+    the prefix index's level keys, so their count bounds what it holds."""
     sums = sum(len(codes) for codes in cfg.phase_set().prefix_index.levels)
     if sums * profile_grid.size > _POINT_BUDGET:
         raise ConfigError(

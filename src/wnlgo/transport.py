@@ -101,7 +101,8 @@ class ProfileSet:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The sums one rhs evaluation forms for a phase set and model, in order.
+    """The sums one rhs evaluation forms for a phase set and model, and the
+    order it uses them in.
 
     Each entry of sums is (kind, terms): a "pairs" class sums
     a_{l1} conj(a_{l2}) over its member pairs, a "terms" class (level >= 2)
@@ -114,20 +115,28 @@ class _Plan:
     keys[i] is the (code, level) of sum i.  The class keyed by the negated
     code at the same level is the conjugate of the class keyed by the code:
     at level 1 negating a key swaps each member pair, and a level-m term
-    (rest, k) becomes (-rest, -k).  common is the (0, 0) class at level nu,
-    which feeds the multiplier E; couplings[j] pairs mode l with the class
-    keyed (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)) where the class's
-    coefficient mu + lam*Khat(kappa_j - kappa_l), kept in coefficients as
-    (sum id, c), is not exactly 0 (a term with it would add 0 * S * a_l =
-    +-0).  zero_classes counts the classes left out; sums only they would
-    reach are never formed.
+    (rest, k) becomes (-rest, -k).
+
+    lower lists the sums below level nu in build order, and common is the
+    (0, 0) class at level nu, which feeds the multiplier E.  Mode j couples
+    to mode l through the class keyed (kappa_j - kappa_l, Q(kappa_j) -
+    Q(kappa_l)): coefficients holds (sum id, mu + lam*Khat(kappa_j -
+    kappa_l)) for each class whose coefficient is not exactly 0 (a term
+    with it would add 0 * S * a_l = +-0), and couplings[i] the (j, l) of
+    class i.  The classes go by |code|, each conjugate right after its
+    source, and partners[i] is true when class i is such a source; pruning
+    cannot change that order, so it cannot change the rhs's rounding.
+    zero_classes counts the classes left out; sums only they would reach
+    are never formed.
     """
 
     sums: tuple
     keys: tuple
+    lower: tuple
     common: int
-    couplings: tuple
     coefficients: tuple
+    couplings: tuple
+    partners: tuple
     zero_classes: int
 
 
@@ -138,13 +147,14 @@ def _plan(phase_set: PhaseSet, lam: float, mu: float,
     codes = (index.codes[:, None] - index.codes).tolist()  # index.key(j, l)
     # kappa_j - kappa_l is part of the key: a class's first coupling gives
     # the coefficient of all of them
-    first = {}
+    couplings = {}
     for j, row in enumerate(codes):
         for l, code in enumerate(row):
             if l != j:
-                first.setdefault(code, (j, l))
-    coeff = dict(zip(first, _pair_coefficients(phase_set, lam, mu, kernel,
-                                               list(first.values()))))
+                couplings.setdefault(code, []).append((j, l))
+    coeff = dict(zip(couplings, _pair_coefficients(
+        phase_set, lam, mu, kernel,
+        [pairs[0] for pairs in couplings.values()])))
     sums, ids = [], {}
 
     def sum_id(code: int, level: int) -> int:
@@ -166,13 +176,18 @@ def _plan(phase_set: PhaseSet, lam: float, mu: float,
 
     nu = phase_set.nu
     common = sum_id(0, nu)
-    couplings = tuple(
-        tuple((l, sum_id(code, nu)) for l, code in enumerate(row)
-              if l != j and coeff[code] != 0.0)
-        for j, row in enumerate(codes))
-    kept = tuple((ids[code, nu], c) for code, c in coeff.items() if c != 0.0)
-    return _Plan(tuple(sums), tuple(ids), common, couplings, kept,
-                 len(coeff) - len(kept))  # ids in sum order
+    kept = {code: sum_id(code, nu) for code, c in coeff.items() if c != 0.0}
+    order = sorted(kept, key=lambda code: (abs(code),
+                                           sums[kept[code]][0] == "conj"))
+    keys = tuple(ids)  # in sum order
+    return _Plan(
+        tuple(sums), keys,
+        tuple(i for i, (_, level) in enumerate(keys) if level < nu), common,
+        tuple((kept[code], coeff[code]) for code in order),
+        tuple(tuple(couplings[code]) for code in order),
+        tuple(sums[kept[code]][0] != "conj" and -code in kept
+              for code in order),
+        len(coeff) - len(kept))
 
 
 def _pair_coefficients(phase_set: PhaseSet, lam: float, mu: float,
@@ -212,31 +227,36 @@ def _sum_products(left, right, terms, acc=None):
     return acc
 
 
+def _form(entry, entries, conj, sums):
+    """The sum of a plan entry, in a fresh array when entries are fields."""
+    kind, terms = entry
+    if kind == "conj":
+        return sums[terms].conjugate()
+    if kind == "pairs":
+        return _sum_products(entries, conj, terms)
+    twice, once = terms
+    acc = _sum_products(sums, sums, twice) * 2.0 if twice else None
+    return _sum_products(sums, sums, once, acc)
+
+
 def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
                apply_e) -> np.ndarray:
     """The interaction term on a stack of amplitudes, one entry per mode.
 
-    An entry is a grid field, or one complex value per mode for spatially
-    constant profiles; apply_e applies E to the real (0, 0) class sum.
-    Every sum is built, conjugates from their unscaled sources, before the
-    coupled ones are scaled by their coefficients, so nothing relies on
-    Khat being exactly even.
+    An entry is a grid field, or, for spatially constant profiles, one
+    Python complex number per mode (cheaper than numpy scalars); apply_e
+    applies E to the real (0, 0) class sum.  Each coupled class sum is used
+    for all its couplings while it is in cache, and then dropped.  A
+    conjugate class is taken from its source before the source is scaled,
+    so nothing relies on Khat being exactly even.
     """
-    conj = np.conj(stack)
-    sums = []
-    for kind, terms in plan.sums:
-        if kind == "conj":
-            acc = np.conj(sums[terms])
-        elif kind == "pairs":
-            acc = _sum_products(stack, conj, terms)
-        else:
-            twice, once = terms
-            acc = _sum_products(sums, sums, twice) * 2.0 if twice else None
-            acc = _sum_products(sums, sums, once, acc)
-        sums.append(acc)
-    for sid, c in plan.coefficients:
-        sums[sid] *= c
-    s_field = sums[plan.common]
+    entries, conj = stack, np.conj(stack)
+    if stack.ndim == 1:
+        entries, conj = entries.tolist(), conj.tolist()
+    sums = {}
+    for sid in plan.lower:
+        sums[sid] = _form(plan.sums[sid], entries, conj, sums)
+    s_field = _form(plan.sums[plan.common], entries, conj, sums)
     if params.lam != 0.0:
         # the (0, 0) class is closed under conjugation, so its sum is real;
         # lam as a complex scalar makes common complex, so that its product
@@ -246,13 +266,19 @@ def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
             common += params.mu * s_field
     else:
         common = params.mu * s_field
-    out = np.empty_like(stack)
-    for j, row in enumerate(plan.couplings):
-        acc = common * stack[j]
-        for l, sid in row:
-            acc += sums[sid] * stack[l]
-        out[j] = acc
-    return (-1j * params.weight) * out
+    out = [common * a for a in entries]
+    for (sid, c), pairs, partner in zip(plan.coefficients, plan.couplings,
+                                        plan.partners):
+        entry = plan.sums[sid]
+        s = taken if entry[0] == "conj" else _form(entry, entries, conj, sums)
+        if partner:
+            taken = s.conjugate()
+        s *= c
+        for j, l in pairs:
+            out[j] += s * entries[l]
+    del conj, sums  # not held while the result is copied
+    out = np.array(out)
+    return np.multiply(-1j * params.weight, out, out=out)
 
 
 def _interaction(phase_set: PhaseSet, params: TransportParams,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -221,13 +222,17 @@ def _unpruned(ps, lam, mu, kernel):
     zeros included."""
     plan = _plan(ps, lam, mu + 0.5, kernel)
     assert plan.zero_classes == 0
-    first = {}
-    for j, row in enumerate(plan.couplings):
-        for l, sid in row:
-            first.setdefault(sid, (j, l))
     sids = [sid for sid, _ in plan.coefficients]
-    coeffs = _pair_coefficients(ps, lam, mu, kernel, [first[s] for s in sids])
+    coeffs = _pair_coefficients(ps, lam, mu, kernel,
+                                [pairs[0] for pairs in plan.couplings])
     return replace(plan, coefficients=tuple(zip(sids, coeffs)))
+
+
+def _applied(plan):
+    """(j, l, sum id) for every coupling the plan applies."""
+    return [(j, l, sid) for (sid, _), pairs in zip(plan.coefficients,
+                                                    plan.couplings)
+            for j, l in pairs]
 
 
 RECT_3D = ((1, 0, 0), (1, 1, 0), (0, 1, 0))
@@ -269,6 +274,80 @@ def test_skipping_zero_couplings_is_bit_identical(phi0, signature, nu,
         assert plan.keys[plan.common] == (0, nu)
 
 
+@pytest.mark.parametrize("signature, nu, box_radius, kernel, lam, mu", [
+    (HYPERBOLIC, 1, 16, davey_stewartson(), 1.0, 0.0),
+    (HYPERBOLIC, 1, 16, davey_stewartson(), 1.0, 0.5),
+    (ELLIPTIC, 1, 4, custom(2, _nearly_even_symbol), 0.8, 0.0),
+    (HYPERBOLIC, 2, 2, davey_stewartson(), 0.8, 0.0),
+    (ELLIPTIC, 2, 4, davey_stewartson(), 1.0, 0.5),
+    (ELLIPTIC, 3, 4, davey_stewartson(), 0.8, -0.4)],
+    ids=["nu1-ds-mu0", "nu1", "nearly-even-custom", "nu2-ds-mu0",
+         "nu2-elliptic", "nu3-elliptic"])
+def test_schedule_applies_each_coupling_once(signature, nu, box_radius,
+                                             kernel, lam, mu):
+    # walks the plan as the rhs does: the lower sums, the (0, 0) class,
+    # then each coupled class formed once and used before the next
+    ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
+    plan = _plan(ps, lam, mu, kernel)
+    levels = [level for _, level in plan.keys]
+
+    def needs(sid):
+        kind, terms = plan.sums[sid]
+        if kind == "conj":
+            return {terms}
+        return set() if kind == "pairs" else set(sum(terms[0] + terms[1], ()))
+
+    assert plan.lower == tuple(i for i, lev in enumerate(levels) if lev < nu)
+    for i, sid in enumerate(plan.lower):
+        assert needs(sid) <= set(plan.lower[:i])
+    assert plan.keys[plan.common] == (0, nu)
+    assert needs(plan.common) <= set(plan.lower)
+    top = [sid for sid, _ in plan.coefficients]
+    assert sorted(top + [plan.common]) \
+        == [i for i, lev in enumerate(levels) if lev == nu]
+    taken = None  # a source whose conjugate was taken before scaling
+    for sid, partner in zip(top, plan.partners, strict=True):
+        kind, terms = plan.sums[sid]
+        if kind == "conj":
+            assert terms == taken
+        else:
+            assert taken is None and needs(sid) <= set(plan.lower)
+        taken = sid if partner else None
+    assert taken is None
+    pairs = [(j, l) for j in range(len(ps)) for l in range(len(ps)) if j != l]
+    coeffs = _pair_coefficients(ps, lam, mu, kernel, pairs)
+    index = ps.prefix_index
+    assert Counter((j, l, plan.keys[sid]) for j, l, sid in _applied(plan)) \
+        == Counter((j, l, (index.key(j, l), nu))
+                   for (j, l), c in zip(pairs, coeffs) if c != 0.0)
+    # the classes keep their order when zero ones are pruned, so the rhs
+    # adds the same terms in the same order as on the unpruned plan
+    full = _unpruned(ps, lam, mu, kernel)
+    assert [plan.keys[sid] for sid in top] \
+        == [full.keys[sid] for sid, c in full.coefficients if c != 0.0]
+
+
+def test_rhs_memory_is_bounded_by_the_stack():
+    # the 65-mode closure has 1182 coupled class sums; the rhs holds one
+    # (and its conjugate) at a time, not all of them
+    grid = SpectralGrid(2, np.pi, 16)
+    ps = close_phase_set(RECT, HYPERBOLIC, 1, box_radius=16)
+    assert len(ps) == 65
+    params = TransportParams(1.0, 0.0, 1, davey_stewartson())
+    rng = np.random.default_rng(2)
+    stack = rng.standard_normal((len(ps),) + grid.shape) \
+        + 1j * rng.standard_normal((len(ps),) + grid.shape)
+    rhs = _interaction(ps, params, grid)
+    rhs(stack)  # the plan and the kernel's multiplier are cached
+    tracemalloc.start()
+    try:
+        rhs(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * stack.nbytes
+
+
 class TestPlanWork:
     """The coupling plan's work as exact counts, not timings, on models with
     no zero coefficient unless a test says otherwise."""
@@ -292,9 +371,13 @@ class TestPlanWork:
     def products(cls, plan):
         return sum(cls.split(plan))
 
+    @staticmethod
+    def modes(plan):
+        return len({j for j, _, _ in _applied(plan)})
+
     def test_nu1_forms_half_the_pair_products(self):
         plan = self.plan(1, 16)
-        count = len(plan.couplings)
+        count = self.modes(plan)
         assert count == 65
         assert plan.zero_classes == 0
         assert self.products(plan) == (count ** 2 + count) // 2 == 2145
@@ -304,7 +387,7 @@ class TestPlanWork:
         # each unordered level-2 pair (a, b), a != b, is formed once, not as
         # both (a, b) and (b, a): 45 + 2 * 188 + 4 = 425 ordered products
         plan = self.plan(2, 2)
-        assert len(plan.couplings) == 9
+        assert self.modes(plan) == 9
         assert plan.zero_classes == 0
         assert self.split(plan) == (45, 188, 4)
         assert self.products(plan) == 237
@@ -362,8 +445,8 @@ class TestPlanWork:
                 assert all(index.key(a, b) == code for a, b in terms)
             built.add((code, level))
         assert len(built) == len(plan.sums)
-        for j, row in enumerate(plan.couplings):
-            assert all(plan.keys[sid] == (index.key(j, l), nu) for l, sid in row)
+        for j, l, sid in _applied(plan):
+            assert plan.keys[sid] == (index.key(j, l), nu)
 
     def test_one_coefficient_per_coupled_class(self):
         # -0.4 + 0.8 Khat is 0 on the diagonals, where the DS symbol is 1/2
@@ -372,15 +455,13 @@ class TestPlanWork:
         plan = _plan(ps, lam, mu, kernel)
         by_sum = dict(plan.coefficients)
         assert len(by_sum) == len(plan.coefficients)
-        assert set(by_sum) == {sid for row in plan.couplings for _, sid in row}
+        assert set(by_sum) == {sid for _, _, sid in _applied(plan)}
         assert plan.common not in by_sum
-        for j, row in enumerate(plan.couplings):
-            for l, sid in row:
-                delta = np.subtract(ps.vectors[j], ps.vectors[l]).astype(float)
-                assert by_sum[sid] == mu + lam * evaluate_kernel(kernel, delta)
+        for j, l, sid in _applied(plan):
+            delta = np.subtract(ps.vectors[j], ps.vectors[l]).astype(float)
+            assert by_sum[sid] == mu + lam * evaluate_kernel(kernel, delta)
         full = self.plan(1, 16)
-        zero = {full.keys[sid] for j, row in enumerate(full.couplings)
-                for l, sid in row
+        zero = {full.keys[sid] for j, l, sid in _applied(full)
                 if mu + lam * evaluate_kernel(kernel, np.subtract(
                     ps.vectors[j], ps.vectors[l]).astype(float)) == 0.0}
         assert plan.zero_classes == len(zero) > 0
@@ -415,11 +496,9 @@ class TestPlanWork:
         assert dict((plan.keys[sid], c) for sid, c in plan.coefficients) \
             == {key: c for key, c in by_key.items() if c != 0.0}
         assert plan.zero_classes == list(by_key.values()).count(0.0)
-        for j, (full_row, row) in enumerate(zip(full.couplings,
-                                                plan.couplings)):
-            kept = {(l, full.keys[sid]) for l, sid in full_row
-                    if by_key[full.keys[sid]] != 0.0}
-            assert {(l, plan.keys[sid]) for l, sid in row} == kept
+        assert {(j, l, plan.keys[sid]) for j, l, sid in _applied(plan)} \
+            == {(j, l, full.keys[sid]) for j, l, sid in _applied(full)
+                if by_key[full.keys[sid]] != 0.0}
         full_sums = dict(zip(full.keys, full.sums))
         for i, (kind, terms) in enumerate(plan.sums):
             code, level = plan.keys[i]
