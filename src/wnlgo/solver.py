@@ -18,14 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import kernels as _kernels
 from .errors import AdmissibilityError, ResolutionError
 from .grid import GridFunction, SpectralGrid, resample
 from .norms import wiener_norm
 from .resonance import PhaseSet, Signature, as_wave_vector
-from .transport import ProfileSet, _steps
+from .transport import ProfileSet, _steps, _strang
 
 
 @dataclass(frozen=True)
@@ -133,12 +132,6 @@ def oscillatory_initial_data(grid: SpectralGrid, modes, alphas,
     return SemiclassicalField(GridFunction(grid, total), 0.0, params)
 
 
-def _free_symbol(grid: SpectralGrid, signature: Signature) -> np.ndarray:
-    """Q(xi) = sum_m eta_m xi_m^2 on the frequency mesh."""
-    xi2 = grid.frequency_axis() ** 2
-    return grid.separable([eta * xi2 for eta in signature.etas])
-
-
 def _free_phase(grid: SpectralGrid, signature: Signature,
                 scale: float) -> np.ndarray:
     """exp(-i scale Q(xi)), a product of 1-D exponentials."""
@@ -167,18 +160,16 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     p = field.params
     grid = field.grid
     half = _free_phase(grid, p.signature, 0.25 * p.eps * dt)
-    full = half * half
     angle = -0.5 * dt * p.eps ** (p.j_exponent - 1.0)  # theta / 2 per unit V
     nonlocal_term = p.lam != 0.0 and p.kernel.kind != "zero"
 
-    u = scipy.fft.fftn(field.values.values, workers=1)
-    u *= half
-    u = scipy.fft.ifftn(u, overwrite_x=True, workers=1)
     density = np.empty(grid.shape)
     square = np.empty(grid.shape)
     z = np.ones(grid.shape, dtype=np.complex128)  # 1 + i tan(theta / 2)
     zbar = np.empty_like(z)
-    for step in range(n_steps):
+
+    def rotate(u):
+        nonlocal density  # *= and **= assign the name
         np.square(u.real, out=density)
         density += np.square(u.imag, out=square)
         if p.nu > 1:
@@ -195,9 +186,9 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
         np.tan(theta, out=z.imag)
         u *= z
         u /= np.conjugate(z, out=zbar)
-        u = scipy.fft.fftn(u, overwrite_x=True, workers=1)
-        u *= full if step < n_steps - 1 else half
-        u = scipy.fft.ifftn(u, overwrite_x=True, workers=1)
+        return u
+
+    u = _strang(field.values.values, half, n_steps, None, rotate)
     return SemiclassicalField(GridFunction(grid, u), field.time + span, field.params)
 
 

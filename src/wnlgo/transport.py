@@ -327,11 +327,6 @@ def _advection_phases(state: ProfileSet, dt: float) -> np.ndarray:
     return out
 
 
-def _advect(stack: np.ndarray, phases: np.ndarray, axes) -> np.ndarray:
-    return scipy.fft.ifftn(
-        phases * scipy.fft.fftn(stack, axes=axes, workers=1), axes=axes, workers=1)
-
-
 def _steps(span: float, dt: float) -> tuple:
     """(n, span / n) with n = max(1, round(span / dt)): the steps covering span."""
     if dt <= 0:
@@ -342,24 +337,44 @@ def _steps(span: float, dt: float) -> tuple:
     return n_steps, span / n_steps
 
 
-def _rk4(rhs, stack: np.ndarray, dt: float, n_steps: int, between=None):
-    """n_steps classical RK4 steps of d stack / dt = rhs(stack), each in
-    place; between(stack, step), if given, follows each step and returns the
-    stack to go on with.
+def _strang(values: np.ndarray, half, n_steps: int, axes, substep) -> np.ndarray:
+    """n_steps Strang steps: the half linear flow, then per step values =
+    substep(values) and the full flow (half on the last step).  The flow
+    multiplies the transform over axes by half or full = half * half; with
+    half None there is none.  substep may work in place; the caller's values
+    are never written."""
+    full = None if half is None else half * half
 
-    Each stage lives until the next step replaces it, across between: freed
-    together at the end of a step, the four stages made the allocator hand
-    their pages back to the system and fault them in again every step.
-    """
+    def flow(values, phase, overwrite=True):
+        if phase is None:
+            return values if overwrite else values.copy()
+        values = scipy.fft.fftn(values, axes=axes, overwrite_x=overwrite, workers=1)
+        values *= phase
+        return scipy.fft.ifftn(values, axes=axes, overwrite_x=True, workers=1)
+
+    values = flow(values, half, overwrite=False)
     for step in range(n_steps):
+        values = flow(substep(values), full if step < n_steps - 1 else half)
+    return values
+
+
+def _rk4(rhs, dt: float):
+    """One classical RK4 step of d stack / dt = rhs(stack), as a function
+    that updates the stack in place and returns it.  Each stage lives until
+    the next call replaces it: freed together at the end of a step, the four
+    stages made the allocator hand their pages back to the system and fault
+    them in again every step."""
+    k1 = k2 = k3 = k4 = None
+
+    def step(stack):
+        nonlocal k1, k2, k3, k4
         k1 = rhs(stack)
         k2 = rhs(stack + (0.5 * dt) * k1)
         k3 = rhs(stack + (0.5 * dt) * k2)
         k4 = rhs(stack + dt * k3)
         stack += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if between is not None:
-            stack = between(stack, step)
-    return stack
+        return stack
+    return step
 
 
 def evolve_profiles(state: ProfileSet, t_end: float, dt: float) -> ProfileSet:
@@ -375,14 +390,8 @@ def evolve_profiles(state: ProfileSet, t_end: float, dt: float) -> ProfileSet:
 
     grid = state.grid
     rhs = _interaction(state.phase_set, state.params, grid)
-    axes = tuple(range(1, grid.dim + 1))
-    half = _advection_phases(state, 0.5 * dt)
-    full = half * half
-
-    def advect(stack, step):
-        return _advect(stack, full if step < n_steps - 1 else half, axes)
-
-    stack = _rk4(rhs, _advect(state.stack(), half, axes), dt, n_steps, advect)
+    stack = _strang(state.stack(), _advection_phases(state, 0.5 * dt), n_steps,
+                    tuple(range(1, grid.dim + 1)), _rk4(rhs, dt))
     amps = tuple(GridFunction(grid, a) for a in stack)
     return replace(state, amplitudes=amps, time=state.time + span)
 
@@ -405,7 +414,7 @@ def constant_profile_history(phase_set: PhaseSet, params: TransportParams,
         span = t - now
         n_steps, step = _steps(span, dt)
         if span != 0:
-            stack = _rk4(rhs, stack, step, n_steps)
+            stack = _strang(stack, None, n_steps, (), _rk4(rhs, step))
         now += span  # the clock of ProfileSet.time
         yield stack.copy()
 

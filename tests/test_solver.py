@@ -5,11 +5,11 @@ import scipy.fft
 from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     ResolutionError, SemiclassicalField, Signature, SpectralGrid, \
     TransportParams, approximation_error, assemble_approximation, \
-    close_phase_set, davey_stewartson, evolve_semiclassical, identity, \
-    oscillatory_initial_data, require_admissible, require_resolved, \
+    close_phase_set, davey_stewartson, evolve_profiles, evolve_semiclassical, \
+    identity, oscillatory_initial_data, require_admissible, require_resolved, \
     shift_in_fourier, zero
 from wnlgo.kernels import apply
-from wnlgo.solver import _carrier_phase, _free_phase, _free_symbol
+from wnlgo.solver import _carrier_phase, _free_phase
 from wnlgo.transport import _advection_phases
 
 ELLIPTIC = Signature.elliptic(2)
@@ -276,7 +276,8 @@ def reference_evolve(field, t_end, dt):
     dt = span / n_steps
     p = field.params
     grid = field.grid
-    q = _free_symbol(grid, p.signature)
+    q = sum(eta * xi ** 2 for eta, xi in zip(p.signature.etas,
+                                             grid.frequency_mesh()))
     half = np.exp(-0.5j * p.eps * (0.5 * dt) * q)
     full = half * half
     scale = p.eps ** (p.j_exponent - 1.0)
@@ -403,19 +404,25 @@ class TestPhasesFromOneDimensionalExponentials:
 
 
 class TestTransformCount:
-    """The hot loop's work as a deterministic count of scipy.fft calls."""
+    """The hot loops' work as a deterministic count of scipy.fft calls."""
 
-    def count(self, monkeypatch, field, t_end, dt):
-        calls = dict.fromkeys(("fftn", "ifftn", "rfftn", "irfftn"), 0)
-        for name in calls:
+    def shapes(self, monkeypatch, run):
+        """The input shape of each scipy.fft transform that run() makes."""
+        shapes = {name: [] for name in ("fftn", "ifftn", "rfftn", "irfftn")}
+        for name in shapes:
             original = getattr(scipy.fft, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(x, *args, _name=name, _original=original, **kwargs):
+                shapes[_name].append(np.shape(x))
+                return _original(x, *args, **kwargs)
             monkeypatch.setattr(scipy.fft, name, counted)
-        evolve_semiclassical(field, t_end, dt)
-        return calls
+        run()
+        return shapes
+
+    def count(self, monkeypatch, field, t_end, dt):
+        shapes = self.shapes(
+            monkeypatch, lambda: evolve_semiclassical(field, t_end, dt))
+        return {name: len(calls) for name, calls in shapes.items()}
 
     def test_ds_run(self, monkeypatch):
         u0 = three_wave_field(params_for(0.25, lam=1.0, mu=0.5,
@@ -431,6 +438,23 @@ class TestTransformCount:
         n = 5
         assert self.count(monkeypatch, u0, n * 0.01, 0.01) == {
             "fftn": n + 1, "ifftn": n + 1, "rfftn": 0, "irfftn": 0}
+
+    def test_profile_run_transforms_the_stack_once_per_step(self, monkeypatch):
+        # the interaction's E runs on real transforms of the grid; the
+        # advection is one complex transform pair of the whole stack
+        grid = SpectralGrid(2, np.pi, 32)
+        ps = close_phase_set([(1, 0), (1, 1), (0, 1)], HYPERBOLIC, 1,
+                             box_radius=2)
+        state = ProfileSet.from_seed(
+            ps, grid, [gaussian(grid, a) for a in (0.4, 0.32, 0.36)],
+            TransportParams(1.0, 0.5, 1, davey_stewartson()))
+        n = 5
+        shapes = self.shapes(monkeypatch,
+                             lambda: evolve_profiles(state, n * 0.01, 0.01))
+        stack = (len(ps),) + grid.shape
+        assert shapes["fftn"] == [stack] * (n + 1)
+        assert shapes["ifftn"] == [stack] * (n + 1)
+        assert shapes["rfftn"] == [grid.shape] * (4 * n)
 
     def test_ds_run_takes_one_tangent_per_step(self, monkeypatch):
         # numpy's float64 cos and sin are much slower than its tan here, and

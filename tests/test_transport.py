@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     TransportParams, close_phase_set, custom, davey_stewartson, dipolar, \
@@ -13,7 +14,7 @@ from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     transport_rhs, zero, zero_mode_rate
 from wnlgo.kernels import apply_raw
 from wnlgo.transport import _interaction, _pair_coefficients, _plan, \
-    _rhs_stack, plan_facts
+    _rhs_stack, _strang, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -129,6 +130,85 @@ def test_global_phase_covariance():
     a = evolve_profiles(state, 0.25, dt=0.0125).stack()
     b = evolve_profiles(rotated, 0.25, dt=0.0125).stack()
     assert np.max(np.abs(b - np.exp(1j * theta) * a)) < 1e-12
+
+
+def reference_profiles(state, t_end, dt):
+    """The Strang loop of evolve_profiles before one driver served both
+    evolvers, as its oracle: advection ifftn(phases * fftn(stack)) out of
+    place, with the phases from the n-d exponent, around four RK4 stages per
+    step."""
+    n_steps = max(1, round((t_end - state.time) / dt))
+    dt = (t_end - state.time) / n_steps
+    grid = state.grid
+    axes = tuple(range(1, grid.dim + 1))
+    xi = grid.frequency_mesh()
+    half = np.array([
+        np.exp(-0.5j * dt * sum(eta * k * x for eta, k, x in
+                                zip(state.phase_set.signature.etas, kappa, xi)))
+        for kappa in state.phase_set.vectors])
+    full = half * half
+    rhs = _interaction(state.phase_set, state.params, grid)
+
+    def advect(stack, phases):
+        return scipy.fft.ifftn(phases * scipy.fft.fftn(stack, axes=axes),
+                               axes=axes)
+
+    stack = advect(state.stack(), half)
+    for step in range(n_steps):
+        k1 = rhs(stack)
+        k2 = rhs(stack + (0.5 * dt) * k1)
+        k3 = rhs(stack + (0.5 * dt) * k2)
+        k4 = rhs(stack + dt * k3)
+        stack = stack + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stack = advect(stack, full if step < n_steps - 1 else half)
+    return stack
+
+
+@pytest.mark.parametrize("phased", [True, False])
+def test_strang_never_writes_its_input(phased):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((3, 8, 8)) \
+        + 1j * rng.standard_normal((3, 8, 8))
+    half = np.exp(1j * rng.standard_normal(values.shape)) if phased else None
+    before = values.copy()
+
+    def double(v):
+        v *= 2.0
+        return v
+    out = _strang(values, half, 3, (1, 2), double)
+    assert np.array_equal(values, before)
+    # |half| = 1, so the flow keeps the l2 norm, and three doublings remain
+    assert np.isclose(np.linalg.norm(out), 8.0 * np.linalg.norm(values))
+    if not phased:
+        assert np.array_equal(out, 8.0 * values)
+
+
+def profile_state(nu, box_radius, n):
+    """The profiles benchmark's data: DS with the -+ signature."""
+    grid = SpectralGrid(2, np.pi, n)
+    ps = close_phase_set(RECT, HYPERBOLIC, nu, box_radius=box_radius)
+    seeds = [gaussian(grid, a, width=0.42) for a in (0.4, 0.32, 0.36)]
+    return ProfileSet.from_seed(ps, grid, seeds,
+                                TransportParams(1.0, 0.0, nu, davey_stewartson()))
+
+
+EVOLVE_CASES = {
+    # name: (nu, box_radius, n, t_end, dt, modes)
+    "nu2-32": (2, 2, 32, 0.05, 0.01, 9),
+    "wide-65-modes-32": (1, 16, 32, 0.02, 0.01, 65),
+    "nine-modes-256": (1, 2, 256, 0.02, 0.005, 9),
+    "one-step": (1, 4, 32, 0.01, 0.01, 17),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVOLVE_CASES))
+def test_evolve_matches_reference_loop(name):
+    nu, box_radius, n, t_end, dt, modes = EVOLVE_CASES[name]
+    state = profile_state(nu, box_radius, n)
+    assert len(state.phase_set) == modes
+    got = evolve_profiles(state, t_end, dt).stack()
+    ref = reference_profiles(state, t_end, dt)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def brute_force_rhs(state):
@@ -346,6 +426,22 @@ def test_rhs_memory_is_bounded_by_the_stack():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * stack.nbytes
+
+
+@pytest.mark.parametrize("nu, box_radius, bound", [(1, 16, 10.6), (2, 2, 15.5)])
+def test_evolve_memory_is_bounded_by_the_stack(nu, box_radius, bound):
+    # the four RK4 stages, their arguments and the two phases; the bounds
+    # are the peaks of the loop with its own advection (10.09 and 14.96
+    # stacks) plus half a stack, so one more stack copy fails
+    state = profile_state(nu, box_radius, 32)
+    evolve_profiles(state, 0.02, 0.01)  # the plan and the multiplier are cached
+    tracemalloc.start()
+    try:
+        evolve_profiles(state, 0.02, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * state.stack().nbytes
 
 
 class TestPlanWork:
