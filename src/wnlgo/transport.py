@@ -239,33 +239,35 @@ def _form(entry, entries, conj, sums):
     return _sum_products(sums, sums, once, acc)
 
 
+def _common(s, params: TransportParams, apply_e):
+    """lam E(s) + mu s, the factor of every a_j, from the (0, 0) class sum s,
+    which is real: the class is closed under conjugation.  lam as a complex
+    scalar makes the factor complex, so its products with the modes need no
+    cast."""
+    if params.lam == 0.0:
+        return params.mu * s
+    common = complex(params.lam) * apply_e(s.real)
+    if params.mu != 0.0:
+        common += params.mu * s
+    return common
+
+
 def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
                apply_e) -> np.ndarray:
-    """The interaction term on a stack of amplitudes, one entry per mode.
+    """The interaction term on a stack of grid fields, one per mode; apply_e
+    applies E to the real (0, 0) class sum.
 
-    An entry is a grid field, or, for spatially constant profiles, one
-    Python complex number per mode (cheaper than numpy scalars); apply_e
-    applies E to the real (0, 0) class sum.  Each coupled class sum is used
-    for all its couplings while it is in cache, and then dropped.  A
-    conjugate class is taken from its source before the source is scaled,
-    so nothing relies on Khat being exactly even.
+    Each coupled class sum is used for all its couplings while it is in
+    cache, and then dropped.  A conjugate class is taken from its source
+    before the source is scaled, so nothing relies on Khat being exactly
+    even.
     """
     entries, conj = stack, np.conj(stack)
-    if stack.ndim == 1:
-        entries, conj = entries.tolist(), conj.tolist()
     sums = {}
     for sid in plan.lower:
         sums[sid] = _form(plan.sums[sid], entries, conj, sums)
-    s_field = _form(plan.sums[plan.common], entries, conj, sums)
-    if params.lam != 0.0:
-        # the (0, 0) class is closed under conjugation, so its sum is real;
-        # lam as a complex scalar makes common complex, so that its product
-        # with each mode below needs no cast
-        common = complex(params.lam) * apply_e(s_field.real)
-        if params.mu != 0.0:
-            common += params.mu * s_field
-    else:
-        common = params.mu * s_field
+    common = _common(_form(plan.sums[plan.common], entries, conj, sums),
+                     params, apply_e)
     out = [common * a for a in entries]
     for (sid, c), pairs, partner in zip(plan.coefficients, plan.couplings,
                                         plan.partners):
@@ -282,26 +284,67 @@ def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
 
 
 def _interaction(phase_set: PhaseSet, params: TransportParams,
-                 grid: SpectralGrid | None = None):
-    """stack -> _rhs_stack(stack, ...), with the model's plan and E
-    resolved once.
-
-    On grid fields E is the kernel's Fourier multiplier.  With grid None the
-    stack holds one constant per mode, and E acts on a constant as its
-    symbol's zero-mode value.
-    """
+                 grid: SpectralGrid):
+    """stack -> _rhs_stack(stack, ...) on grid fields, with the model's plan
+    and E, the kernel's Fourier multiplier, resolved once."""
     plan = _plan(phase_set, params.lam, params.mu, params.kernel)
-    if grid is None:
-        zero_mode = _kernels.zero_mode_value(params.kernel)
 
-        def apply_e(s):
-            return zero_mode * s
-    else:
-        def apply_e(s):
-            return _kernels.apply_raw(params.kernel, grid, s)
+    def apply_e(s):
+        return _kernels.apply_raw(params.kernel, grid, s)
 
     def rhs(stack):
         return _rhs_stack(stack, plan, params, apply_e)
+    return rhs
+
+
+def _constant_interaction(phase_set: PhaseSet, params: TransportParams):
+    """values -> the interaction term on spatially constant profiles, one
+    Python complex per mode in a list, in and out.
+
+    It forms the sums of _rhs_stack's plan in the same order, on scalars,
+    and E acts on a constant as its symbol's zero-mode value.  The level-1
+    pair sums are written out here: a call per class would cost more than
+    the sum.
+    """
+    plan = _plan(phase_set, params.lam, params.mu, params.kernel)
+    zero_mode = _kernels.zero_mode_value(params.kernel)
+    scale = -1j * params.weight
+
+    def apply_e(s):
+        return zero_mode * s
+
+    # a pair class keeps its first pair apart, to start its sum from
+    classes = []
+    for (sid, c), pairs, partner in zip(plan.coefficients, plan.couplings,
+                                        plan.partners):
+        kind, terms = entry = plan.sums[sid]
+        first, rest = (terms[0], terms[1:]) if kind == "pairs" else (None, entry)
+        classes.append((kind, first, rest, c, pairs, partner))
+
+    def rhs(values):
+        conj = [v.conjugate() for v in values]
+        sums = {}
+        for sid in plan.lower:
+            sums[sid] = _form(plan.sums[sid], values, conj, sums)
+        common = _common(_form(plan.sums[plan.common], values, conj, sums),
+                         params, apply_e)
+        out = [common * a for a in values]
+        for kind, first, rest, c, pairs, partner in classes:
+            if kind == "pairs":
+                a, b = first
+                s = values[a] * conj[b]
+                for a, b in rest:
+                    s += values[a] * conj[b]
+            elif kind == "conj":
+                s = taken
+            else:
+                s = _form(rest, values, conj, sums)
+            if partner:
+                taken = s.conjugate()
+            s *= c
+            for j, l in pairs:
+                out[j] += s * values[l]
+        return [scale * v for v in out]
     return rhs
 
 
@@ -340,14 +383,11 @@ def _steps(span: float, dt: float) -> tuple:
 def _strang(values: np.ndarray, half, n_steps: int, axes, substep) -> np.ndarray:
     """n_steps Strang steps: the half linear flow, then per step values =
     substep(values) and the full flow (half on the last step).  The flow
-    multiplies the transform over axes by half or full = half * half; with
-    half None there is none.  substep may work in place; the caller's values
-    are never written."""
-    full = None if half is None else half * half
+    multiplies the transform over axes by half or full = half * half.
+    substep may work in place; the caller's values are never written."""
+    full = half * half
 
     def flow(values, phase, overwrite=True):
-        if phase is None:
-            return values if overwrite else values.copy()
         values = scipy.fft.fftn(values, axes=axes, overwrite_x=overwrite, workers=1)
         values *= phase
         return scipy.fft.ifftn(values, axes=axes, overwrite_x=True, workers=1)
@@ -405,18 +445,30 @@ def constant_profile_history(phase_set: PhaseSet, params: TransportParams,
     C^count: advection moves a constant nowhere and E acts on it as its
     symbol's zero-mode value, so each Strang step of evolve_profiles is
     exactly one RK4 step of the interaction.  The steps are the ones
-    evolve_profiles takes between the same times.
+    evolve_profiles takes between the same times, and each RK4 stage is the
+    one _rk4 forms, on Python complex numbers: every stage operation adds or
+    scales by a real number, so it rounds as numpy does.
     """
-    rhs = _interaction(phase_set, params)
-    stack = np.array(values, dtype=np.complex128)
+    values = [complex(v) for v in values]
+    if len(values) != len(phase_set):
+        raise ValueError(f"{len(values)} values for "
+                         f"{len(phase_set)} phase-set modes")
+    rhs = _constant_interaction(phase_set, params)
     now = 0.0
     for t in times:
-        span = t - now
-        n_steps, step = _steps(span, dt)
+        span = float(t) - now  # numpy scalars would turn every value into one
+        n_steps, h = _steps(span, dt)
         if span != 0:
-            stack = _strang(stack, None, n_steps, (), _rk4(rhs, step))
+            half, sixth = 0.5 * h, h / 6.0
+            for _ in range(n_steps):
+                k1 = rhs(values)
+                k2 = rhs([v + half * k for v, k in zip(values, k1)])
+                k3 = rhs([v + half * k for v, k in zip(values, k2)])
+                k4 = rhs([v + h * k for v, k in zip(values, k3)])
+                values = [v + sixth * (p + 2.0 * q + 2.0 * r + w)
+                          for v, p, q, r, w in zip(values, k1, k2, k3, k4)]
         now += span  # the clock of ProfileSet.time
-        yield stack.copy()
+        yield np.array(values)
 
 
 # -- derived quantities ---------------------------------------------------------
