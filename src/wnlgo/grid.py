@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
@@ -57,6 +58,10 @@ class SpectralGrid:
     points_per_axis: int
 
     def __post_init__(self):
+        for name in ("dim", "points_per_axis"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not self.half_length > 0:
@@ -212,24 +217,35 @@ def shift_in_fourier(f: GridFunction, velocity, t: float) -> GridFunction:
     return GridFunction(f.grid, f.grid.inverse(coeffs))
 
 
+def _superpose(grid: SpectralGrid, terms) -> np.ndarray:
+    """sum_j w_j f_j(x) exp(i pi m_j . x / L) on grid, summed in Fourier.
+
+    Each term (f, m, w) puts the band q in [-N/2, N/2) of the raw DFT of f
+    (on the box, at any n) at (q + m) mod N, times w (N/n)^d (-1)^{sum m}:
+    the sign is the -L origin, and the power of two keeps a constant exact.
+    """
+    N = grid.points_per_axis
+    total = np.zeros(grid.shape, dtype=np.complex128)
+    for f, m, w in terms:
+        if (f.grid.dim, f.grid.half_length) != (grid.dim, grid.half_length):
+            raise ValueError(f"{f.grid} and {grid} do not share a box")
+        n = f.grid.points_per_axis
+        q = np.fft.fftfreq(n, 1.0 / n).astype(int)
+        q = q[(q >= -N // 2) & (q < N // 2)]
+        coeffs = scipy.fft.fftn(f.values, workers=1)[np.ix_(*[q % n] * grid.dim)]
+        coeffs *= w * (N / n) ** grid.dim * (-1.0) ** sum(m)
+        total[np.ix_(*[(q + k) % N for k in m])] += coeffs
+    return scipy.fft.ifftn(total, overwrite_x=True, workers=1)
+
+
 def resample(f: GridFunction, points_per_axis: int) -> GridFunction:
     """Spectral resampling to a new per-axis resolution on the same box.
 
     Upsampling zero-pads the (centered) spectrum and is exact for band-limited
     fields; downsampling truncates frequencies beyond the new Nyquist band.
     """
-    old = f.grid
-    new = SpectralGrid(old.dim, old.half_length, points_per_axis)
-    coeffs = np.fft.fftshift(old.forward(f.values))
-    n_old, n_new = old.points_per_axis, new.points_per_axis
-    if n_new >= n_old:
-        pad = (n_new - n_old) // 2
-        coeffs = np.pad(coeffs, [(pad, pad)] * old.dim)
-    else:
-        crop = (n_old - n_new) // 2
-        sl = tuple(slice(crop, crop + n_new) for _ in range(old.dim))
-        coeffs = coeffs[sl]
-    return GridFunction(new, new.inverse(np.fft.ifftshift(coeffs)))
+    grid = SpectralGrid(f.grid.dim, f.grid.half_length, points_per_axis)
+    return GridFunction(grid, _superpose(grid, [(f, (0,) * grid.dim, 1)]))
 
 
 # -- binary snapshots -------------------------------------------------------

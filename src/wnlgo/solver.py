@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from .errors import AdmissibilityError, ResolutionError
-from .grid import GridFunction, SpectralGrid, resample
+from .grid import GridFunction, SpectralGrid, _superpose
 from .norms import wiener_norm
 from .resonance import PhaseSet, Signature, as_wave_vector
 from .transport import ProfileSet, _steps, _strang
@@ -109,27 +109,28 @@ def require_resolved(grid: SpectralGrid, kappas, eps: float) -> None:
             f"need n >= {math.ceil(need)}")
 
 
-def _carrier_phase(grid: SpectralGrid, kappa, eps: float) -> np.ndarray:
-    """exp(i kappa . x / eps) on the grid, a product of 1-D exponentials."""
-    return grid.separable([np.exp((1j * c / eps) * grid.axis()) for c in kappa],
-                          np.multiply)
+def _multiphase(grid: SpectralGrid, kappas, amplitudes, weights,
+                eps: float) -> GridFunction:
+    """sum_j w_j a_j(x) exp(i kappa_j . x / eps) by grid._superpose; the gates
+    run last, so that an amplitude on another box is reported as such."""
+    dxi = eps * grid.spectral_spacing
+    values = _superpose(grid, [(a, [round(c / dxi) for c in kappa], w)
+                               for kappa, a, w in zip(kappas, amplitudes, weights)])
+    require_admissible(grid, kappas, eps)
+    require_resolved(grid, kappas, eps)
+    return GridFunction(grid, values)
 
 
 def oscillatory_initial_data(grid: SpectralGrid, modes, alphas,
                              params: ModelParams) -> SemiclassicalField:
     """u0 = sum_j alpha_j(x) exp(i kappa_j . x / eps) on the seed modes."""
     kappas = _seed_modes(modes)
-    alphas = list(alphas)
+    alphas = [a if isinstance(a, GridFunction)
+              else GridFunction.constant(grid, complex(a)) for a in alphas]
     if len(alphas) != len(kappas):
         raise ValueError(f"{len(kappas)} seed modes but {len(alphas)} amplitudes")
-    require_admissible(grid, kappas, params.eps)
-    require_resolved(grid, kappas, params.eps)
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for kappa, alpha in zip(kappas, alphas):
-        envelope = alpha.values if isinstance(alpha, GridFunction) else \
-            np.full(grid.shape, complex(alpha))
-        total += envelope * _carrier_phase(grid, kappa, params.eps)
-    return SemiclassicalField(GridFunction(grid, total), 0.0, params)
+    u0 = _multiphase(grid, kappas, alphas, [1] * len(kappas), params.eps)
+    return SemiclassicalField(u0, 0.0, params)
 
 
 def _free_phase(grid: SpectralGrid, signature: Signature,
@@ -166,7 +167,6 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     density = np.empty(grid.shape)
     square = np.empty(grid.shape)
     z = np.ones(grid.shape, dtype=np.complex128)  # 1 + i tan(theta / 2)
-    zbar = np.empty_like(z)
 
     def rotate(u):
         nonlocal density  # *= and **= assign the name
@@ -185,7 +185,7 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
             theta *= p.mu * angle
         np.tan(theta, out=z.imag)
         u *= z
-        u /= np.conjugate(z, out=zbar)
+        u /= np.conjugate(z, out=z)  # the next tan rewrites z.imag
         return u
 
     u = _strang(field.values.values, half, n_steps, None, rotate)
@@ -196,27 +196,15 @@ def assemble_approximation(profiles: ProfileSet, params: ModelParams,
                            grid: SpectralGrid | None = None) -> SemiclassicalField:
     """u_app = sum_j a_j(t, x) exp(i (kappa_j . x - (t/2) Q(kappa_j)) / eps).
 
-    Profiles may live on a coarser grid than the target; they are resampled
-    spectrally (exact for band-limited amplitudes).
+    Profiles of another resolution on the target's box are resampled
+    spectrally (exact for band-limited amplitudes), in the sum that builds u0.
     """
-    ps = profiles.phase_set
-    if grid is None:
-        grid = profiles.grid
-    elif grid.dim != profiles.grid.dim or grid.half_length != profiles.grid.half_length:
-        raise ValueError("target grid must share the box of the profile grid")
-    require_admissible(grid, ps.vectors, params.eps)
-    require_resolved(grid, ps.vectors, params.eps)
-    t = profiles.time
-    sig = ps.signature
-    total = np.zeros(grid.shape, dtype=np.complex128)
-    for j, kappa in enumerate(ps.vectors):
-        amp = profiles.amplitudes[j]
-        if amp.grid.points_per_axis != grid.points_per_axis:
-            amp = resample(amp, grid.points_per_axis)
-        carrier = _carrier_phase(grid, kappa, params.eps)
-        rotation = np.exp(-0.5j * t * sig.quad(kappa) / params.eps)
-        total += amp.values * carrier * rotation
-    return SemiclassicalField(GridFunction(grid, total), t, params)
+    ps, t = profiles.phase_set, profiles.time
+    rotations = [np.exp(-0.5j * t * ps.signature.quad(kappa) / params.eps)
+                 for kappa in ps.vectors]
+    u_app = _multiphase(grid or profiles.grid, ps.vectors, profiles.amplitudes,
+                        rotations, params.eps)
+    return SemiclassicalField(u_app, t, params)
 
 
 def approximation_error(u: SemiclassicalField,

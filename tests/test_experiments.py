@@ -515,15 +515,18 @@ class TestTauScanWork:
         ids=["local", "ds"])
     def test_uniform_scan_has_no_grid_work(self, monkeypatch, make_config,
                                            real):
-        # per eps: one split-step solve to tau (N + 1 fftn / ifftn, N
-        # rfftn / irfftn with the DS kernel), two Sobolev norms and the
-        # zero-mode amplitude (one fftn each); nothing else
+        # per eps: u0 (one fftn per seed mode, one ifftn for the sum), one
+        # split-step solve to tau (N + 1 fftn / ifftn, N rfftn / irfftn
+        # with the DS kernel), two Sobolev norms and the zero-mode
+        # amplitude (one fftn each); nothing else
         cfg = parse_config(make_config())
         calls, result = self.count(monkeypatch, cfg)
         n = round(result.metadata["tau"] / cfg.dt)
         solves = len(cfg.eps_list)
-        assert calls == {"evolve_profiles": 0, "fftn": solves * (n + 4),
-                         "ifftn": solves * (n + 1), "rfftn": solves * n * real,
+        seeds = len(cfg.amplitudes)
+        assert calls == {"evolve_profiles": 0,
+                         "fftn": solves * (seeds + n + 4),
+                         "ifftn": solves * (n + 2), "rfftn": solves * n * real,
                          "irfftn": solves * n * real}
 
     def test_gaussian_scan_runs_on_the_grid(self, monkeypatch):
@@ -533,9 +536,12 @@ class TestTauScanWork:
         calls, result = self.count(monkeypatch, cfg)
         n = round(result.metadata["tau"] / cfg.dt)
         solves = len(cfg.eps_list)
-        # 201 samples of [0, 1], one step of profile_dt each: two advections
-        assert calls == {"evolve_profiles": 201, "fftn": solves * (n + 4) + 400,
-                         "ifftn": solves * (n + 1) + 400, "rfftn": 0,
+        seeds = len(cfg.amplitudes)
+        # per eps as above; 201 samples of [0, 1], one step of profile_dt
+        # each: two advections
+        assert calls == {"evolve_profiles": 201,
+                         "fftn": solves * (seeds + n + 4) + 400,
+                         "ifftn": solves * (n + 2) + 400, "rfftn": 0,
                          "irfftn": 0}
 
     def test_zero_mode_runs_on_the_grid(self, monkeypatch):

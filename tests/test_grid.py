@@ -20,6 +20,12 @@ def test_grid_validation():
         SpectralGrid(1, 2.0, 2)  # too small
     with pytest.raises(ValueError):
         SpectralGrid(0, 2.0, 8)
+    # a float or bool size is refused here, not later in an allocation
+    for dim, n in ((2, 32.0), (2.0, 32), (2, np.float64(32)), (True, 32),
+                   (2, True), ("2", 32)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SpectralGrid(dim, 2.0, n)
+    assert SpectralGrid(np.int64(2), 2.0, np.int64(32)).shape == (32, 32)
 
 
 def test_axis_and_spacings():

@@ -7,9 +7,9 @@ from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     TransportParams, approximation_error, assemble_approximation, \
     close_phase_set, davey_stewartson, evolve_profiles, evolve_semiclassical, \
     identity, oscillatory_initial_data, require_admissible, require_resolved, \
-    shift_in_fourier, zero
+    resample, shift_in_fourier, zero
 from wnlgo.kernels import apply
-from wnlgo.solver import _carrier_phase, _free_phase
+from wnlgo.solver import _free_phase
 from wnlgo.transport import _advection_phases
 
 ELLIPTIC = Signature.elliptic(2)
@@ -267,6 +267,133 @@ def test_initial_data_validates_counts():
         oscillatory_initial_data(grid, [(1, 0), (0, 1)], [1.0], p)
 
 
+def test_initial_data_resamples_amplitudes_on_the_box():
+    # an amplitude of another resolution is resampled spectrally, as the
+    # assembly resamples profiles; one on another box is refused by name
+    grid = SpectralGrid(2, np.pi, 32)
+    p = params_for(0.5)
+    coarse = SpectralGrid(2, np.pi, 16)
+    mx, my = coarse.mesh()
+    alpha = GridFunction(coarse, 0.9 + 0.2 * np.cos(mx) + 0.1j * np.sin(my))
+    got = oscillatory_initial_data(grid, [(1, 0)], [alpha], p)
+    mx, my = grid.mesh()
+    direct = GridFunction(grid, 0.9 + 0.2 * np.cos(mx) + 0.1j * np.sin(my))
+    expect = oscillatory_initial_data(grid, [(1, 0)], [direct], p)
+    assert np.max(np.abs(got.values.values - expect.values.values)) < 1e-14
+    other = GridFunction.constant(SpectralGrid(2, 2 * np.pi, 32), 0.9)
+    with pytest.raises(ValueError, match="do not share a box") as exc:
+        oscillatory_initial_data(grid, [(1, 0)], [other], p)
+    assert str(other.grid) in str(exc.value) and str(grid) in str(exc.value)
+
+
+def reference_resample(f, n):
+    """grid.resample as it was before the shared synthesis: forward, centre,
+    pad or crop, and inverse on the new grid."""
+    old = f.grid
+    new = SpectralGrid(old.dim, old.half_length, n)
+    coeffs = np.fft.fftshift(old.forward(f.values))
+    if n >= old.points_per_axis:
+        pad = (n - old.points_per_axis) // 2
+        coeffs = np.pad(coeffs, [(pad, pad)] * old.dim)
+    else:
+        crop = (old.points_per_axis - n) // 2
+        coeffs = coeffs[(slice(crop, crop + n),) * old.dim]
+    return new.inverse(np.fft.ifftshift(coeffs))
+
+
+def reference_multiphase(grid, kappas, amplitudes, weights, eps):
+    """sum_j w_j a_j(x) exp(i kappa_j . x / eps) as the physical-space loop
+    it replaced: each amplitude resampled, times a carrier from 1-D
+    exponentials, times its weight."""
+    total = np.zeros(grid.shape, dtype=np.complex128)
+    for kappa, a, w in zip(kappas, amplitudes, weights):
+        carrier = grid.separable(
+            [np.exp((1j * c / eps) * grid.axis()) for c in kappa], np.multiply)
+        total += reference_resample(a, grid.points_per_axis) * carrier * w
+    return total
+
+
+SYNTHESIS_CASES = {
+    # name: (d, target n, profile n, kappas, eps); random profiles carry
+    # content at their own Nyquist frequency, and on profile grids as fine
+    # as the target the shifted band wraps past N/2
+    "1d-coarser": (1, 64, 32, [(2,), (-1,)], 0.5),
+    "1d-finer": (1, 64, 128, [(2,), (-1,)], 0.5),
+    "2d-coarser": (2, 32, 16, [(1, 0), (0, 1), (1, 1)], 0.5),
+    "2d-same": (2, 32, 32, [(1, 1), (-1, 0)], 0.5),
+    "2d-finer": (2, 32, 64, [(1, 1), (0, -1)], 0.5),
+    "3d-coarser": (3, 16, 8, [(1, 0, 0), (0, 1, 1)], 1.0),
+    "3d-finer": (3, 16, 32, [(1, 0, 0), (0, -1, 1)], 1.0),
+}
+
+
+def random_profiles(d, n, count, seed=3):
+    grid = SpectralGrid(d, np.pi, n)
+    rng = np.random.default_rng(seed)
+    return [GridFunction(grid, rng.standard_normal(grid.shape)
+                         + 1j * rng.standard_normal(grid.shape))
+            for _ in range(count)]
+
+
+class TestSynthesis:
+    """resample, u0 and u_app against the product loop they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(SYNTHESIS_CASES))
+    def test_resample_matches_reference(self, name):
+        d, target, n, _, _ = SYNTHESIS_CASES[name]
+        f, = random_profiles(d, n, 1)
+        got = resample(f, target).values
+        expect = reference_resample(f, target)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("name", sorted(SYNTHESIS_CASES))
+    def test_initial_data_matches_reference(self, name):
+        d, target, n, kappas, eps = SYNTHESIS_CASES[name]
+        grid = SpectralGrid(d, np.pi, target)
+        p = ModelParams(eps, 1.0, 0.0, 1.0, 1, Signature.elliptic(d), zero(d))
+        alphas = random_profiles(d, n, len(kappas))
+        got = oscillatory_initial_data(grid, kappas, alphas, p).values.values
+        expect = reference_multiphase(grid, kappas, alphas, [1] * len(kappas),
+                                      eps)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("name", sorted(SYNTHESIS_CASES))
+    def test_assembly_matches_reference(self, name):
+        d, target, n, kappas, eps = SYNTHESIS_CASES[name]
+        grid = SpectralGrid(d, np.pi, target)
+        signature = Signature.from_string("-" + "+" * (d - 1))
+        ps = close_phase_set(kappas, signature, 1,
+                             box_radius=max(abs(c) for k in kappas for c in k))
+        profile_grid = SpectralGrid(d, np.pi, n)
+        profiles = ProfileSet(ps, profile_grid,
+                              tuple(random_profiles(d, n, len(ps))), 0.3,
+                              TransportParams(1.0, 0.0, 1, zero(d)))
+        p = ModelParams(eps, 1.0, 0.0, 1.0, 1, signature, zero(d))
+        got = assemble_approximation(profiles, p, grid).values.values
+        rotations = [np.exp(-0.15j * signature.quad(k) / eps) for k in ps.vectors]
+        expect = reference_multiphase(grid, ps.vectors, profiles.amplitudes,
+                                      rotations, eps)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("profile_n", [8, 32, 64, 128])
+    def test_uniform_assembly_is_initial_data_at_time_zero(self, profile_n):
+        # a constant has one Fourier coefficient, scaled by a power of two,
+        # so u_app(0) and u0 are the same sum bit for bit on every grid
+        grid = SpectralGrid(2, np.pi, 32)
+        p = params_for(0.5, lam=1.0, kernel=davey_stewartson())
+        ps = close_phase_set(((1, 0), (1, 1), (0, 1)), ELLIPTIC, 1,
+                             box_radius=4)
+        amps = (0.4, 0.32 - 0.1j, 0.36)
+        profile_grid = SpectralGrid(2, np.pi, profile_n)
+        profiles = ProfileSet.from_seed(
+            ps, profile_grid, [GridFunction.constant(profile_grid, a)
+                               for a in amps],
+            TransportParams(1.0, 0.0, 1, davey_stewartson()))
+        u_app = assemble_approximation(profiles, p, grid)
+        u0 = oscillatory_initial_data(grid, ps, amps, p)
+        assert np.array_equal(u_app.values.values, u0.values.values)
+
+
 def reference_evolve(field, t_end, dt):
     """The complex-FFT step loop evolve_semiclassical replaced, as its oracle:
     complex fftn for the free flow, np.exp for the rotation, the general
@@ -361,17 +488,6 @@ PHASE_GRIDS = [SpectralGrid(2, np.pi, 64), SpectralGrid(3, np.pi, 16)]
 
 class TestPhasesFromOneDimensionalExponentials:
     """Each separable phase against exp of the n-d exponent."""
-
-    @pytest.mark.parametrize("grid", PHASE_GRIDS, ids=["64^2", "16^3"])
-    @pytest.mark.parametrize("kappa, eps", [((1, 1, 1), 0.25), ((2, -1, 1), 0.5),
-                                            ((0, 3, -2), 1.0)])
-    def test_carrier(self, grid, kappa, eps):
-        kappa = kappa[:grid.dim]
-        mesh = [x.astype(np.longdouble) for x in grid.mesh()]
-        expect, allow = exact_phase(np.longdouble(k) / np.longdouble(eps) * x
-                                    for k, x in zip(kappa, mesh))
-        got = _carrier_phase(grid, kappa, eps)
-        assert np.max(np.abs(got - expect)) <= 1e-15 + allow
 
     @pytest.mark.parametrize("grid", PHASE_GRIDS, ids=["64^2", "16^3"])
     @pytest.mark.parametrize("scale", [1.25e-4, 0.01])
