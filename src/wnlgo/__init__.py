@@ -13,6 +13,8 @@ profiles, an exact split-step reference solver, the semiclassical Sobolev /
 Wiener norm toolbox, and a reproducible experiment harness.
 """
 
+__version__ = "0.1.0"  # first: experiments records it in metadata.json
+
 from .errors import AdmissibilityError, ConfigError, ResolutionError
 from .grid import GridFunction, SpectralGrid, read_snapshot, resample, \
     shift_in_fourier, write_snapshot
@@ -32,8 +34,6 @@ from .transport import ProfileSet, TransportParams, XNorms, evolve_profiles, \
 from .experiments import ExperimentConfig, SweepResult, emit_results, \
     fit_power_law, load_config, parse_config, run_convergence, run_experiment, \
     run_inflation, run_more_weakly, run_sobolev_asymptotics, run_zero_mode
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "ConfigError", "ResolutionError",

@@ -39,12 +39,13 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 import scipy.fft
 
-from . import kernels as _kernels
+from . import __version__, kernels as _kernels
 from .errors import ConfigError, as_config_error
 from .grid import GridFunction, SpectralGrid, pow2_at_least
 from .norms import ScaledProfileSpec, gaussian_sobolev_norm, scaled_grid, \
@@ -521,7 +522,9 @@ def fit_power_law(eps_values, values) -> float:
     return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))
 
 
+@lru_cache(maxsize=None)
 def _git_hash() -> str:
+    """HEAD of the checkout holding the package, looked up once per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -532,14 +535,6 @@ def _git_hash() -> str:
     except OSError:
         pass
     return "unknown"
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("wnlgo")
-    except Exception:
-        return "unknown"
 
 
 def _require_experiment(cfg: ExperimentConfig, name: str,
@@ -582,7 +577,7 @@ def _sweep(cfg: ExperimentConfig, one, assess, threads: int, slopes=(),
             fitted[key] = fit_power_law(cfg.eps_list, values)
 
     metadata = {"config": cfg.raw, "git_hash": _git_hash(),
-                "package_version": _package_version(), **(meta or {})}
+                "package_version": __version__, **(meta or {})}
     ps = cfg.closure
     if ps is not None:
         metadata["phase_set"] = {

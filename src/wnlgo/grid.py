@@ -23,6 +23,7 @@ import numbers
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 import scipy.fft
@@ -217,12 +218,25 @@ def shift_in_fourier(f: GridFunction, velocity, t: float) -> GridFunction:
     return GridFunction(f.grid, f.grid.inverse(coeffs))
 
 
+def _band_runs(n: int, N: int, k: int) -> list:
+    """(source, target) slice pairs along one axis that place the band q in
+    [-b/2, b/2), b = min(n, N), of an n-point DFT at (q + k) mod N.  The band
+    splits at q = 0 in the source (FFT order), and at most once in the
+    target, where q + k crosses a multiple of N."""
+    half = min(n, N) // 2
+    wrap = -half + (half - k) % N  # the first q >= -half with q + k = 0 mod N
+    bounds = sorted({-half, 0, half} | ({wrap} if wrap < half else set()))
+    return [(slice(a % n, a % n + b - a), slice((a + k) % N, (a + k) % N + b - a))
+            for a, b in zip(bounds, bounds[1:])]
+
+
 def _superpose(grid: SpectralGrid, terms) -> np.ndarray:
     """sum_j w_j f_j(x) exp(i pi m_j . x / L) on grid, summed in Fourier.
 
     Each term (f, m, w) puts the band q in [-N/2, N/2) of the raw DFT of f
     (on the box, at any n) at (q + m) mod N, times w (N/n)^d (-1)^{sum m}:
     the sign is the -L origin, and the power of two keeps a constant exact.
+    The band goes over in at most 3^d contiguous blocks (_band_runs).
     """
     N = grid.points_per_axis
     total = np.zeros(grid.shape, dtype=np.complex128)
@@ -230,11 +244,11 @@ def _superpose(grid: SpectralGrid, terms) -> np.ndarray:
         if (f.grid.dim, f.grid.half_length) != (grid.dim, grid.half_length):
             raise ValueError(f"{f.grid} and {grid} do not share a box")
         n = f.grid.points_per_axis
-        q = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        q = q[(q >= -N // 2) & (q < N // 2)]
-        coeffs = scipy.fft.fftn(f.values, workers=1)[np.ix_(*[q % n] * grid.dim)]
+        coeffs = scipy.fft.fftn(f.values, workers=1)
         coeffs *= w * (N / n) ** grid.dim * (-1.0) ** sum(m)
-        total[np.ix_(*[(q + k) % N for k in m])] += coeffs
+        for runs in product(*[_band_runs(n, N, k) for k in m]):
+            source, target = zip(*runs)
+            total[target] += coeffs[source]
     return scipy.fft.ifftn(total, overwrite_x=True, workers=1)
 
 

@@ -297,55 +297,109 @@ def _interaction(phase_set: PhaseSet, params: TransportParams,
     return rhs
 
 
-def _constant_interaction(phase_set: PhaseSet, params: TransportParams):
-    """values -> the interaction term on spatially constant profiles, one
-    Python complex per mode in a list, in and out.
+def _scan_source(plan: _Plan, count: int, lam: float, mu: float) -> str:
+    """The source of bind(k0, ..., lam, mu, e0, scale) -> (rhs, loop), the
+    interaction term and its RK4 steps on spatially constant profiles.
 
-    It forms the sums of _rhs_stack's plan in the same order, on scalars,
-    and E acts on a constant as its symbol's zero-mode value.  The level-1
-    pair sums are written out here: a call per class would cost more than
-    the sum.
+    rhs(v0, ..., v{count-1}) takes one complex value per mode and returns
+    the term as a tuple.  It forms the sums of _rhs_stack's plan, in the
+    same order and with the same operations, one statement each; E acts on
+    a constant as its symbol's zero-mode value e0.  loop(steps, h, values)
+    takes one step of _rk4's stages per item of steps.  Each number of the
+    model is a parameter of bind, bound as the Python object the grid code
+    uses: a literal need not read back as that value (repr(-1j) is '-1j',
+    whose real part reads back as -0.0, not +0.0).
     """
+    lines = []
+
+    def accumulate(target, products, fresh=True):
+        for product in products:
+            lines.append(f"{target} {'=' if fresh else '+='} {product}")
+            fresh = False
+
+    def form(target, entry):  # _form, on the named sums
+        kind, terms = entry
+        if kind == "conj":
+            lines.append(f"{target} = s{terms}.conjugate()")
+        elif kind == "pairs":
+            accumulate(target, [f"v{a} * w{b}" for a, b in terms])
+        else:
+            twice, once = terms
+            accumulate(target, [f"s{a} * s{b}" for a, b in twice])
+            if twice:
+                lines.append(f"{target} *= 2.0")
+            accumulate(target, [f"s{a} * s{b}" for a, b in once], not twice)
+
+    lines += [f"w{b} = v{b}.conjugate()" for b in sorted(
+        {b for kind, terms in plan.sums if kind == "pairs" for _, b in terms})]
+    for sid in plan.lower:
+        form(f"s{sid}", plan.sums[sid])
+    s = f"s{plan.common}"
+    form(s, plan.sums[plan.common])
+    if lam == 0.0:  # _common
+        lines.append(f"common = mu * {s}")
+    else:
+        lines.append(f"common = lam * (e0 * {s}.real)")
+        if mu != 0.0:
+            lines.append(f"common += mu * {s}")
+    lines += [f"o{j} = common * v{j}" for j in range(count)]
+    for i, ((sid, _), pairs, partner) in enumerate(zip(
+            plan.coefficients, plan.couplings, plan.partners)):
+        if plan.sums[sid][0] == "conj":
+            lines.append("x = t")  # the source's sum, taken before scaling
+        else:
+            form("x", plan.sums[sid])
+        if partner:
+            lines.append("t = x.conjugate()")
+        lines.append(f"x *= k{i}")
+        lines += [f"o{j} += x * v{l}" for j, l in pairs]
+
+    def tup(template):
+        return ", ".join(template.format(j=j) for j in range(count)) + ","
+
+    coefficients = "".join(f"k{i}, " for i in range(len(plan.coefficients)))
+    return "\n".join([
+        f"def bind({coefficients}lam, mu, e0, scale):",
+        f"    def rhs({tup('v{j}')}):",
+        *(f"        {line}" for line in lines),
+        f"        return {tup('scale * o{j}')}",
+        "    def loop(steps, h, values):",
+        f"        {tup('v{j}')} = values",
+        "        half = 0.5 * h",
+        "        sixth = h / 6.0",
+        "        for _ in steps:",
+        f"            {tup('p{j}')} = rhs({tup('v{j}')})",
+        f"            {tup('q{j}')} = rhs({tup('v{j} + half * p{j}')})",
+        f"            {tup('r{j}')} = rhs({tup('v{j} + half * q{j}')})",
+        f"            {tup('z{j}')} = rhs({tup('v{j} + h * r{j}')})",
+        *(f"            v{j} = v{j} + sixth * (p{j} + 2.0 * q{j} + 2.0 * r{j}"
+          f" + z{j})" for j in range(count)),
+        f"        return {tup('v{j}')}",
+        "    return rhs, loop",
+        ""])
+
+
+@lru_cache(maxsize=32)
+def _scan_binder(phase_set: PhaseSet, lam: float, mu: float,
+                 kernel: _kernels.KernelSpec):
+    """bind of _scan_source for _plan(phase_set, lam, mu, kernel), compiled
+    once.  The source is built from the plan's indices alone: it holds no
+    string and calls nothing but rhs and conjugate, so no text of a config
+    reaches compile()."""
+    plan = _plan(phase_set, lam, mu, kernel)
+    namespace = {}
+    exec(compile(_scan_source(plan, len(phase_set), lam, mu),
+                 "<constant scan>", "exec"), {"__builtins__": {}}, namespace)
+    return namespace["bind"]
+
+
+def _constant_scan(phase_set: PhaseSet, params: TransportParams):
+    """(rhs, loop) of _scan_source for a model, its numbers bound."""
     plan = _plan(phase_set, params.lam, params.mu, params.kernel)
-    zero_mode = _kernels.zero_mode_value(params.kernel)
-    scale = -1j * params.weight
-
-    def apply_e(s):
-        return zero_mode * s
-
-    # a pair class keeps its first pair apart, to start its sum from
-    classes = []
-    for (sid, c), pairs, partner in zip(plan.coefficients, plan.couplings,
-                                        plan.partners):
-        kind, terms = entry = plan.sums[sid]
-        first, rest = (terms[0], terms[1:]) if kind == "pairs" else (None, entry)
-        classes.append((kind, first, rest, c, pairs, partner))
-
-    def rhs(values):
-        conj = [v.conjugate() for v in values]
-        sums = {}
-        for sid in plan.lower:
-            sums[sid] = _form(plan.sums[sid], values, conj, sums)
-        common = _common(_form(plan.sums[plan.common], values, conj, sums),
-                         params, apply_e)
-        out = [common * a for a in values]
-        for kind, first, rest, c, pairs, partner in classes:
-            if kind == "pairs":
-                a, b = first
-                s = values[a] * conj[b]
-                for a, b in rest:
-                    s += values[a] * conj[b]
-            elif kind == "conj":
-                s = taken
-            else:
-                s = _form(rest, values, conj, sums)
-            if partner:
-                taken = s.conjugate()
-            s *= c
-            for j, l in pairs:
-                out[j] += s * values[l]
-        return [scale * v for v in out]
-    return rhs
+    bind = _scan_binder(phase_set, params.lam, params.mu, params.kernel)
+    return bind(*(c for _, c in plan.coefficients), complex(params.lam),
+                params.mu, _kernels.zero_mode_value(params.kernel),
+                -1j * params.weight)
 
 
 def transport_rhs(state: ProfileSet) -> list:
@@ -446,27 +500,21 @@ def constant_profile_history(phase_set: PhaseSet, params: TransportParams,
     symbol's zero-mode value, so each Strang step of evolve_profiles is
     exactly one RK4 step of the interaction.  The steps are the ones
     evolve_profiles takes between the same times, and each RK4 stage is the
-    one _rk4 forms, on Python complex numbers: every stage operation adds or
-    scales by a real number, so it rounds as numpy does.
+    one _rk4 forms, on Python complex numbers in code compiled for the
+    coupling plan (_scan_source): every stage operation adds or scales by a
+    real number, so it rounds as numpy does.
     """
     values = [complex(v) for v in values]
     if len(values) != len(phase_set):
         raise ValueError(f"{len(values)} values for "
                          f"{len(phase_set)} phase-set modes")
-    rhs = _constant_interaction(phase_set, params)
+    _, loop = _constant_scan(phase_set, params)
     now = 0.0
     for t in times:
         span = float(t) - now  # numpy scalars would turn every value into one
         n_steps, h = _steps(span, dt)
         if span != 0:
-            half, sixth = 0.5 * h, h / 6.0
-            for _ in range(n_steps):
-                k1 = rhs(values)
-                k2 = rhs([v + half * k for v, k in zip(values, k1)])
-                k3 = rhs([v + half * k for v, k in zip(values, k2)])
-                k4 = rhs([v + h * k for v, k in zip(values, k3)])
-                values = [v + sixth * (p + 2.0 * q + 2.0 * r + w)
-                          for v, p, q, r, w in zip(values, k1, k2, k3, k4)]
+            values = loop(range(n_steps), h, values)
         now += span  # the clock of ProfileSet.time
         yield np.array(values)
 

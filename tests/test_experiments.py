@@ -3,13 +3,14 @@ import json
 import os
 import random
 import re
+import subprocess
 
 import numpy as np
 import pytest
 import scipy.fft
 
 from wnlgo import AdmissibilityError, ConfigError, GridFunction, \
-    ProfileSet, ResolutionError, SpectralGrid, evolve_semiclassical, \
+    ProfileSet, __version__, ResolutionError, SpectralGrid, evolve_semiclassical, \
     oscillatory_initial_data, read_snapshot, require_admissible, \
     require_resolved, sobolev_norm
 from wnlgo.cli import main
@@ -337,6 +338,24 @@ class TestEmitResults:
             one = (tmp_path / "a" / fname).read_bytes()
             two = (tmp_path / "b" / fname).read_bytes()
             assert one == two, fname
+
+    def test_git_runs_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        run = subprocess.run
+
+        def counted_run(args, **kwargs):
+            calls.append(args)
+            return run(args, **kwargs)
+        monkeypatch.setattr(subprocess, "run", counted_run)
+        experiments._git_hash.cache_clear()
+        for name in ("a", "b"):
+            emit_results(run_experiment(parse_config(zero_mode_config())),
+                         tmp_path / name)
+        assert calls == [["git", "rev-parse", "HEAD"]]
+        for name in ("a", "b"):
+            meta = json.loads((tmp_path / name / "metadata.json").read_text())
+            assert meta["git_hash"] == experiments._git_hash()
+            assert meta["package_version"] == __version__
 
     def test_metadata_reports_the_phase_set(self, tmp_path):
         # criterion 6's hyperbolic closure: box radius 2 cuts it short

@@ -8,6 +8,7 @@ from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     close_phase_set, davey_stewartson, evolve_profiles, evolve_semiclassical, \
     identity, oscillatory_initial_data, require_admissible, require_resolved, \
     resample, shift_in_fourier, zero
+from wnlgo.grid import _superpose
 from wnlgo.kernels import apply
 from wnlgo.solver import _free_phase
 from wnlgo.transport import _advection_phases
@@ -313,6 +314,21 @@ def reference_multiphase(grid, kappas, amplitudes, weights, eps):
     return total
 
 
+def reference_superpose(grid, terms):
+    """grid._superpose as it placed each band by fancy indexing: a crop
+    np.ix_(q % n) of the raw DFT and a scatter to np.ix_((q + m) % N)."""
+    N = grid.points_per_axis
+    total = np.zeros(grid.shape, dtype=np.complex128)
+    for f, m, w in terms:
+        n = f.grid.points_per_axis
+        q = np.fft.fftfreq(n, 1.0 / n).astype(int)
+        q = q[(q >= -N // 2) & (q < N // 2)]
+        coeffs = scipy.fft.fftn(f.values, workers=1)[np.ix_(*[q % n] * grid.dim)]
+        coeffs *= w * (N / n) ** grid.dim * (-1.0) ** sum(m)
+        total[np.ix_(*[(q + k) % N for k in m])] += coeffs
+    return scipy.fft.ifftn(total, overwrite_x=True, workers=1)
+
+
 SYNTHESIS_CASES = {
     # name: (d, target n, profile n, kappas, eps); random profiles carry
     # content at their own Nyquist frequency, and on profile grids as fine
@@ -345,6 +361,20 @@ class TestSynthesis:
         got = resample(f, target).values
         expect = reference_resample(f, target)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("name", sorted(SYNTHESIS_CASES))
+    def test_superpose_matches_the_indexed_placement(self, name):
+        d, target, n, kappas, eps = SYNTHESIS_CASES[name]
+        grid = SpectralGrid(d, np.pi, target)
+        dxi = eps * grid.spectral_spacing
+        shifts = [[round(c / dxi) for c in kappa] for kappa in kappas]
+        # past the band's edge on the first axis, and more than a period
+        # back on the others
+        shifts.append([target // 2 + 1] + [-target - 3] * (d - 1))
+        terms = [(f, m, (1, 0.3 - 0.7j, 2.5)[j % 3]) for j, (f, m) in
+                 enumerate(zip(random_profiles(d, n, len(shifts)), shifts))]
+        assert np.array_equal(_superpose(grid, terms),
+                              reference_superpose(grid, terms))
 
     @pytest.mark.parametrize("name", sorted(SYNTHESIS_CASES))
     def test_initial_data_matches_reference(self, name):

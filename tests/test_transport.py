@@ -1,3 +1,4 @@
+import ast
 import itertools
 import math
 import tracemalloc
@@ -13,9 +14,9 @@ from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     evolve_profiles, identity, is_resonant, profile_norms, shift_in_fourier, \
     transport_rhs, zero, zero_mode_rate
 from wnlgo.kernels import apply_raw
-from wnlgo.transport import _constant_interaction, _interaction, \
-    _pair_coefficients, _plan, _rhs_stack, _rk4, _strang, \
-    constant_profile_history, plan_facts
+from wnlgo.transport import _common, _constant_scan, _form, _interaction, \
+    _pair_coefficients, _plan, _rhs_stack, _rk4, _scan_source, _steps, \
+    _strang, constant_profile_history, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -609,14 +610,115 @@ class TestPlanWork:
             == _unpruned(ps, lam, mu, davey_stewartson())
 
 
-@pytest.mark.parametrize("signature, params", [
+CONSTANT_RHS_CASES = [
     (ELLIPTIC, TransportParams(0.8, -0.4, 1, davey_stewartson(), weight=1.3)),
     (HYPERBOLIC, TransportParams(0.6, 0.3, 1, identity(2))),
     (HYPERBOLIC, TransportParams(0.9, 0.2, 1, zero(2))),
     (HYPERBOLIC, TransportParams(0.0, 1.0, 2, zero(2), weight=0.7)),
     (ELLIPTIC, TransportParams(0.8, 0.0, 1, davey_stewartson())),
-    (HYPERBOLIC, TransportParams(0.8, 0.0, 2, davey_stewartson(), weight=1.3))],
-    ids=["ds", "identity", "zero-kernel", "nu2-local", "ds-mu0", "nu2-ds-mu0"])
+    (HYPERBOLIC, TransportParams(0.8, 0.0, 2, davey_stewartson(), weight=1.3))]
+CONSTANT_RHS_IDS = ["ds", "identity", "zero-kernel", "nu2-local", "ds-mu0",
+                    "nu2-ds-mu0"]
+CONSTANT_HISTORY_CASES = [
+    (ELLIPTIC, 4, TransportParams(0.0, 1.0, 1, zero(2))),
+    (HYPERBOLIC, 4, TransportParams(0.8, 0.3, 1, identity(2), weight=1.3)),
+    (HYPERBOLIC, 2, TransportParams(1.0, 0.5, 2, davey_stewartson())),
+    (HYPERBOLIC, 4, TransportParams(1.0, 0.0, 1, davey_stewartson()))]
+CONSTANT_HISTORY_IDS = ["inflate-local", "identity", "nu2-ds", "ds-17-modes"]
+# every case of both lists, each with its closure's box radius
+SCAN_CASES = [(signature, 4 if params.nu == 1 else 2, params)
+              for signature, params in CONSTANT_RHS_CASES] \
+    + CONSTANT_HISTORY_CASES
+SCAN_IDS = [f"rhs-{name}" for name in CONSTANT_RHS_IDS] \
+    + [f"history-{name}" for name in CONSTANT_HISTORY_IDS]
+
+
+def reference_constant_interaction(phase_set, params):
+    """values -> the interaction term on spatially constant profiles, one
+    Python complex per mode in a list: the interpreted loop that the
+    compiled scan replaced.  It forms the sums of _rhs_stack's plan in the
+    same order, on scalars, and E acts on a constant as its symbol's
+    zero-mode value."""
+    plan = _plan(phase_set, params.lam, params.mu, params.kernel)
+    zero_mode = 1.0 if params.kernel.kind == "identity" else 0.0
+    scale = -1j * params.weight
+
+    def apply_e(s):
+        return zero_mode * s
+
+    # a pair class keeps its first pair apart, to start its sum from
+    classes = []
+    for (sid, c), pairs, partner in zip(plan.coefficients, plan.couplings,
+                                        plan.partners):
+        kind, terms = entry = plan.sums[sid]
+        first, rest = (terms[0], terms[1:]) if kind == "pairs" else (None, entry)
+        classes.append((kind, first, rest, c, pairs, partner))
+
+    def rhs(values):
+        conj = [v.conjugate() for v in values]
+        sums = {}
+        for sid in plan.lower:
+            sums[sid] = _form(plan.sums[sid], values, conj, sums)
+        common = _common(_form(plan.sums[plan.common], values, conj, sums),
+                         params, apply_e)
+        out = [common * a for a in values]
+        for kind, first, rest, c, pairs, partner in classes:
+            if kind == "pairs":
+                a, b = first
+                s = values[a] * conj[b]
+                for a, b in rest:
+                    s += values[a] * conj[b]
+            elif kind == "conj":
+                s = taken
+            else:
+                s = _form(rest, values, conj, sums)
+            if partner:
+                taken = s.conjugate()
+            s *= c
+            for j, l in pairs:
+                out[j] += s * values[l]
+        return [scale * v for v in out]
+    return rhs
+
+
+def reference_constant_history(phase_set, params, values, times, dt):
+    """constant_profile_history with the reference rhs and RK4 stages on
+    lists, as the interpreted scan ran them."""
+    rhs = reference_constant_interaction(phase_set, params)
+    values = [complex(v) for v in values]
+    now = 0.0
+    for t in times:
+        span = float(t) - now
+        n_steps, h = _steps(span, dt)
+        if span != 0:
+            half, sixth = 0.5 * h, h / 6.0
+            for _ in range(n_steps):
+                k1 = rhs(values)
+                k2 = rhs([v + half * k for v, k in zip(values, k1)])
+                k3 = rhs([v + half * k for v, k in zip(values, k2)])
+                k4 = rhs([v + h * k for v, k in zip(values, k3)])
+                values = [v + sixth * (p + 2.0 * q + 2.0 * r + w)
+                          for v, p, q, r, w in zip(values, k1, k2, k3, k4)]
+        now += span
+        yield np.array(values)
+
+
+def assert_same_bits(got, expect):
+    """Equal complex arrays whose zeros also carry the same signs."""
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert np.array_equal(got, expect)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expect)))
+
+
+def random_values(count, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return scale * (rng.standard_normal(count)
+                    + 1j * rng.standard_normal(count))
+
+
+@pytest.mark.parametrize("signature, params", CONSTANT_RHS_CASES,
+                         ids=CONSTANT_RHS_IDS)
 def test_constant_rhs_matches_the_grid(signature, params):
     # the scalar rhs on one value per mode against the grid rhs on the same
     # values broadcast to every point of a 4^2 grid: E acts on a constant as
@@ -624,9 +726,9 @@ def test_constant_rhs_matches_the_grid(signature, params):
     ps = close_phase_set(RECT, signature, params.nu,
                          box_radius=4 if params.nu == 1 else 2)
     grid = SpectralGrid(2, np.pi, 4)
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal(len(ps)) + 1j * rng.standard_normal(len(ps))
-    got = _constant_interaction(ps, params)(values.tolist())
+    values = random_values(len(ps), 11)
+    rhs, _ = _constant_scan(ps, params)
+    got = rhs(*values.tolist())
     on_grid = _interaction(ps, params, grid)(
         np.broadcast_to(values[:, None, None], (len(ps),) + grid.shape).copy())
     assert len(got) == len(values)
@@ -636,12 +738,55 @@ def test_constant_rhs_matches_the_grid(signature, params):
         <= 1e-14 * np.max(np.abs(got))
 
 
-@pytest.mark.parametrize("signature, box_radius, params", [
-    (ELLIPTIC, 4, TransportParams(0.0, 1.0, 1, zero(2))),
-    (HYPERBOLIC, 4, TransportParams(0.8, 0.3, 1, identity(2), weight=1.3)),
-    (HYPERBOLIC, 2, TransportParams(1.0, 0.5, 2, davey_stewartson())),
-    (HYPERBOLIC, 4, TransportParams(1.0, 0.0, 1, davey_stewartson()))],
-    ids=["inflate-local", "identity", "nu2-ds", "ds-17-modes"])
+@pytest.mark.parametrize("signature, box_radius, params", SCAN_CASES,
+                         ids=SCAN_IDS)
+def test_compiled_rhs_matches_the_interpreted_loop(signature, box_radius,
+                                                   params):
+    ps = close_phase_set(RECT, signature, params.nu, box_radius=box_radius)
+    values = random_values(len(ps), 11).tolist()
+    values[1] = complex(-0.0, 0.0)  # signed zeros go through as they did
+    rhs, _ = _constant_scan(ps, params)
+    assert_same_bits(rhs(*values),
+                     reference_constant_interaction(ps, params)(values))
+
+
+@pytest.mark.parametrize("signature, box_radius, params", SCAN_CASES,
+                         ids=SCAN_IDS)
+def test_compiled_history_matches_the_interpreted_loop(signature, box_radius,
+                                                       params):
+    ps = close_phase_set(RECT, signature, params.nu, box_radius=box_radius)
+    values = random_values(len(ps), 7, 0.6)
+    times = [0.0, 0.13, 0.13, 0.14, 0.5]
+    got = list(constant_profile_history(ps, params, values, times, 0.01))
+    expect = list(reference_constant_history(ps, params, values, times, 0.01))
+    assert not np.array_equal(got[-1], values)
+    assert_same_bits(got, expect)
+
+
+@pytest.mark.parametrize("signature, box_radius, params", SCAN_CASES,
+                         ids=SCAN_IDS)
+def test_scan_source_is_arithmetic_only(signature, box_radius, params):
+    # no text of a config can reach compile(): the generated source calls
+    # nothing but rhs and conjugate, reads no attribute but .real, and its
+    # only literals are the stage factors of _rk4 and _form
+    ps = close_phase_set(RECT, signature, params.nu, box_radius=box_radius)
+    plan = _plan(ps, params.lam, params.mu, params.kernel)
+    tree = ast.parse(_scan_source(plan, len(ps), params.lam, params.mu))
+    for node in ast.walk(tree):
+        assert not isinstance(node, (ast.Import, ast.ImportFrom))
+        if isinstance(node, ast.Constant):
+            assert type(node.value) is float and node.value in (0.5, 2.0, 6.0)
+        elif isinstance(node, ast.Attribute):
+            assert node.attr in ("real", "conjugate")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            assert (isinstance(func, ast.Name) and func.id == "rhs") or (
+                isinstance(func, ast.Attribute) and func.attr == "conjugate"
+                and not node.args and not node.keywords)
+
+
+@pytest.mark.parametrize("signature, box_radius, params",
+                         CONSTANT_HISTORY_CASES, ids=CONSTANT_HISTORY_IDS)
 def test_constant_history_matches_evolve_profiles(signature, box_radius,
                                                   params):
     # the scalar scan against evolve_profiles on constant profiles on a 4^2
@@ -649,9 +794,7 @@ def test_constant_history_matches_evolve_profiles(signature, box_radius,
     # single step
     ps = close_phase_set(RECT, signature, params.nu, box_radius=box_radius)
     grid = SpectralGrid(2, np.pi, 4)
-    rng = np.random.default_rng(7)
-    values = 0.6 * (rng.standard_normal(len(ps))
-                    + 1j * rng.standard_normal(len(ps)))
+    values = random_values(len(ps), 7, 0.6)
     dt = 0.01
     times = [0.0, 0.13, 0.13, 0.14, 0.5]
     state = ProfileSet(ps, grid, tuple(GridFunction.constant(grid, v)
@@ -666,14 +809,13 @@ def test_constant_history_matches_evolve_profiles(signature, box_radius,
 
 
 def test_constant_history_rounds_as_the_numpy_stages():
-    # the scan's stages on lists against _rk4's numpy stages around the same
-    # scalar rhs: each stage operation adds or scales by a real number
+    # the scan's stages on scalars against _rk4's numpy stages around the
+    # same scalar rhs: each stage operation adds or scales by a real number
     ps = close_phase_set(RECT, HYPERBOLIC, 1, box_radius=4)
     params = TransportParams(0.8, 0.3, 1, identity(2), weight=1.3)
-    rng = np.random.default_rng(9)
-    values = rng.standard_normal(len(ps)) + 1j * rng.standard_normal(len(ps))
-    rhs = _constant_interaction(ps, params)
-    step = _rk4(lambda stack: np.array(rhs(stack.tolist())), 0.3 / 30)
+    values = random_values(len(ps), 9)
+    rhs, _ = _constant_scan(ps, params)
+    step = _rk4(lambda stack: np.array(rhs(*stack.tolist())), 0.3 / 30)
     stack = values.copy()
     for _ in range(30):
         stack = step(stack)
