@@ -15,6 +15,7 @@ Exit codes: 0 all assertions pass, 1 an assertion failed, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,6 +32,15 @@ def _parse_vector(text: str) -> tuple:
     return tuple(int(p) for p in text.split(","))
 
 
+def _threads(text: str) -> int:
+    """--threads N, which must be 1: sweeps run on one thread."""
+    with contextlib.suppress(ValueError):
+        if int(text) == 1:
+            return 1
+    raise argparse.ArgumentTypeError(
+        f"must be >= 1 and at most 1 (sweeps run on one thread), got {text}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wnlgo",
@@ -39,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--out", help="output directory (or file for "
                                       "'resonance')")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for sweep entries, N >= 1")
+    parser.add_argument("--threads", type=_threads, default=1, metavar="N",
+                        help="threads for sweep entries; only 1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     res = sub.add_parser("resonance", help="close a phase set, list tuples")
@@ -148,7 +158,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg, out = _config_and_out(args)
     # the runner of the command, which refuses a config for another one
-    result = _RUNNERS[args.command](cfg, threads=args.threads)
+    result = _RUNNERS[args.command](cfg)
     emit_results(result, out)
     for name, ok, detail in result.assertions:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})\n")
@@ -158,10 +168,7 @@ def _cmd_experiment(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "resonance":
             return _cmd_resonance(args)

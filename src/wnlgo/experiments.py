@@ -25,8 +25,7 @@ metric is finite, a timing span) belongs in _sweep.
 
 Determinism: fixed iteration orders everywhere, float repr round-trip
 formatting in CSV, no timestamps in data rows; the git hash goes into the
-JSON metadata only.  Sweep entries may run on a thread pool (they share no
-mutable state); results are merged in config order.
+JSON metadata only.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -549,8 +547,8 @@ def _require_experiment(cfg: ExperimentConfig, name: str,
             f"eps values, got {len(cfg.eps_list)}")
 
 
-def _sweep(cfg: ExperimentConfig, one, assess, threads: int, slopes=(),
-           series: str = "", meta=None, extra_series=None) -> SweepResult:
+def _sweep(cfg: ExperimentConfig, one, assess, slopes=(), series: str = "",
+           meta=None, extra_series=None) -> SweepResult:
     """Run one(eps) over cfg.eps_list in config order and return the result.
 
     one(eps) gives the metrics of eps, or (metrics, rows) when series names
@@ -561,11 +559,7 @@ def _sweep(cfg: ExperimentConfig, one, assess, threads: int, slopes=(),
     on the first nan or inf of the metrics or any series, which the CSVs
     still write.  meta and extra_series are added as given.
     """
-    if threads > 1:  # the eps entries share no mutable state
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, cfg.eps_list))
-    else:
-        outcomes = [one(eps) for eps in cfg.eps_list]
+    outcomes = [one(eps) for eps in cfg.eps_list]
     all_series = dict(extra_series or {})
     if series:
         outcomes, per_eps = zip(*outcomes)
@@ -659,13 +653,14 @@ def _tau_scan(cfg: ExperimentConfig):
 
 def _first_local_max(times, values) -> float:
     """Time of the first interior local max before the first non-finite value,
-    else of the largest value before it: tau never lands on a blow-up."""
+    else of the largest value before it, else the first time: tau never
+    lands on a blow-up."""
     finite = np.isfinite(values)
     values = values[:len(values) if finite.all() else int(np.argmin(finite))]
     for k in range(1, len(values) - 1):
         if values[k] >= values[k - 1] and values[k] > values[k + 1]:
             return times[k]
-    return times[int(np.argmax(values))]
+    return times[int(np.argmax(values))] if len(values) else times[0]
 
 
 # -- experiment runners ----------------------------------------------------------
@@ -696,7 +691,7 @@ def error_series(cfg: ExperimentConfig, eps: float, snapshots=None) -> list:
     return rows
 
 
-def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
+def run_convergence(cfg: ExperimentConfig) -> SweepResult:
     _require_experiment(cfg, "converge", cfg.t_final > 0 and cfg.lam == 0.0)
     shared_snaps = None
     if cfg.j_exponent == 1.0:
@@ -727,12 +722,11 @@ def run_convergence(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         return [("errors strictly decreasing in eps", mono,
                  f"l2 errors {['%.6g' % v for v in l2s]}")]
 
-    return _sweep(cfg, one, assess, threads, slopes=error_keys,
-                  series="timeseries",
+    return _sweep(cfg, one, assess, slopes=error_keys, series="timeseries",
                   meta={"snapshot_times": cfg.snapshot_times()})
 
 
-def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
+def run_zero_mode(cfg: ExperimentConfig) -> SweepResult:
     _require_experiment(cfg, "zero-mode", fits_slope=False)
     phase_set = cfg.phase_set()
     alphas = cfg.seed_profiles(1.0).amplitudes[:phase_set.origin_count]
@@ -770,10 +764,10 @@ def run_zero_mode(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
         return [("finite-difference rate matches closed form (sup, relative)",
                  worst <= 1e-4, f"worst relative error {worst:.3e}")]
 
-    return _sweep(cfg, one, assess, threads, series="zero_mode")
+    return _sweep(cfg, one, assess, series="zero_mode")
 
 
-def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
+def run_more_weakly(cfg: ExperimentConfig) -> SweepResult:
     _require_experiment(cfg, "more-weakly")
     phase_set = cfg.phase_set()
 
@@ -804,11 +798,10 @@ def run_more_weakly(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
              last_ratio > cfg.ratio_min, f"ratio {last_ratio:.3f}"),
         ]
 
-    return _sweep(cfg, one, assess, threads,
-                  slopes=("initial_norm", "final_norm"))
+    return _sweep(cfg, one, assess, slopes=("initial_norm", "final_norm"))
 
 
-def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
+def run_inflation(cfg: ExperimentConfig) -> SweepResult:
     _require_experiment(cfg, "inflate")
     phase_set = cfg.phase_set()
 
@@ -861,11 +854,11 @@ def run_inflation(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
              abs(psi_slope - predicted) <= 0.15, f"fitted {psi_slope:.4f}"),
         ]
 
-    return _sweep(cfg, one, assess, threads, slopes=("phi_norm", "psi_norm"),
+    return _sweep(cfg, one, assess, slopes=("phi_norm", "psi_norm"),
                   meta={"tau": tau}, extra_series={"tau_scan": tau_series})
 
 
-def run_sobolev_asymptotics(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
+def run_sobolev_asymptotics(cfg: ExperimentConfig) -> SweepResult:
     _require_experiment(cfg, "sobolev-asymptotics")
     d = cfg.dim
 
@@ -894,7 +887,7 @@ def run_sobolev_asymptotics(cfg: ExperimentConfig, threads: int = 1) -> SweepRes
         return [(f"fitted slope within 0.05 of {predicted}",
                  abs(slope - predicted) <= 0.05, f"fitted {slope:.5f}")]
 
-    return _sweep(cfg, one, assess, threads, slopes=("norm",))
+    return _sweep(cfg, one, assess, slopes=("norm",))
 
 
 _RUNNERS = {
@@ -906,8 +899,8 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> SweepResult:
-    return _RUNNERS[cfg.experiment](cfg, threads)
+def run_experiment(cfg: ExperimentConfig) -> SweepResult:
+    return _RUNNERS[cfg.experiment](cfg)
 
 
 # -- output --------------------------------------------------------------------

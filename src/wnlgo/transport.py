@@ -17,6 +17,7 @@ is the critical case.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -216,84 +217,115 @@ def _product(stack: np.ndarray, indices) -> np.ndarray:
     return out
 
 
-def _sum_products(left, right, terms, acc=None):
-    """acc (if not None) plus left[a] * right[b] summed over the (a, b) of
-    terms, in place on acc."""
-    if acc is None:
-        (a, b), terms = terms[0], terms[1:]
-        acc = left[a] * right[b]
-    for a, b in terms:
-        acc += left[a] * right[b]
-    return acc
-
-
-def _form(entry, entries, conj, sums):
-    """The sum of a plan entry, in a fresh array when entries are fields."""
-    kind, terms = entry
-    if kind == "conj":
-        return sums[terms].conjugate()
-    if kind == "pairs":
-        return _sum_products(entries, conj, terms)
-    twice, once = terms
-    acc = _sum_products(sums, sums, twice) * 2.0 if twice else None
-    return _sum_products(sums, sums, once, acc)
-
-
-def _common(s, params: TransportParams, apply_e):
-    """lam E(s) + mu s, the factor of every a_j, from the (0, 0) class sum s,
-    which is real: the class is closed under conjugation.  lam as a complex
-    scalar makes the factor complex, so its products with the modes need no
-    cast."""
-    if params.lam == 0.0:
-        return params.mu * s
-    common = complex(params.lam) * apply_e(s.real)
-    if params.mu != 0.0:
-        common += params.mu * s
-    return common
-
-
-def _rhs_stack(stack: np.ndarray, plan: _Plan, params: TransportParams,
-               apply_e) -> np.ndarray:
-    """The interaction term on a stack of grid fields, one per mode; apply_e
-    applies E to the real (0, 0) class sum.
-
-    Each coupled class sum is used for all its couplings while it is in
-    cache, and then dropped.  A conjugate class is taken from its source
-    before the source is scaled, so nothing relies on Khat being exactly
-    even.
+@lru_cache(maxsize=32)
+def _program(plan: _Plan, count: int, lam: float, mu: float) -> tuple:
+    """The interaction term of plan as the steps the rhs takes, in order;
+    _rhs_stack runs them on grid fields, _scan_source writes them out as
+    statements on scalars.  A step is ("conjugates", bs), w{b} = conj(v{b})
+    for each mode b of bs; ("=" or "+=", ((target, a, b), ...)), target =
+    or += a * b in turn; ("*=", target, name, value), the value bound as
+    name in the scan; ("conj" or "copy", target, source); or ("E", target,
+    source), target = lam E(source.real).  s{i} is sum i of the plan, x the
+    coupled class sum in use, t the conjugate taken from x before it is
+    scaled (so nothing relies on Khat being exactly even), and o{j} the term
+    of mode j before the factor -i weight.  common = lam E(s) + mu s, the
+    factor of every mode, comes from the (0, 0) class sum s (real: the
+    class is closed under conjugation) and the value named mu.  lam is a
+    complex scalar, so common needs no cast in its products with the modes.
     """
-    entries, conj = stack, np.conj(stack)
-    sums = {}
+    # interned, so that the grid's dict finds each name by identity
+    v, w, o = ([sys.intern(f"{p}{j}") for j in range(count)] for p in "vwo")
+    s = [sys.intern(f"s{i}") for i in range(len(plan.sums))]
+    steps = [("conjugates", tuple(sorted(
+        {b for kind, terms in plan.sums if kind == "pairs" for _, b in terms})))]
+
+    def accumulate(target, factors, fresh=True):
+        if fresh:
+            steps.append(("=", ((target, *factors[0]),)))
+            factors = factors[1:]
+        if factors:
+            steps.append(("+=", tuple([(target, a, b) for a, b in factors])))
+
+    def form(target, entry):
+        kind, terms = entry
+        if kind == "conj":
+            steps.append(("conj", target, s[terms]))
+        elif kind == "pairs":
+            accumulate(target, [(v[a], w[b]) for a, b in terms])
+        else:
+            twice, once = terms
+            if twice:
+                accumulate(target, [(s[a], s[b]) for a, b in twice])
+                steps.append(("*=", target, "2.0", 2.0))
+            accumulate(target, [(s[a], s[b]) for a, b in once], not twice)
+
     for sid in plan.lower:
-        sums[sid] = _form(plan.sums[sid], entries, conj, sums)
-    common = _common(_form(plan.sums[plan.common], entries, conj, sums),
-                     params, apply_e)
-    out = [common * a for a in entries]
-    for (sid, c), pairs, partner in zip(plan.coefficients, plan.couplings,
-                                        plan.partners):
-        entry = plan.sums[sid]
-        s = taken if entry[0] == "conj" else _form(entry, entries, conj, sums)
+        form(s[sid], plan.sums[sid])
+    form(s[plan.common], plan.sums[plan.common])
+    if lam == 0.0:
+        accumulate("common", [("mu", s[plan.common])])
+    else:
+        steps.append(("E", "common", s[plan.common]))
+        if mu != 0.0:
+            accumulate("common", [("mu", s[plan.common])], fresh=False)
+    steps.append(("=", tuple((o[j], "common", v[j]) for j in range(count))))
+    for i, ((sid, c), pairs, partner) in enumerate(zip(
+            plan.coefficients, plan.couplings, plan.partners)):
+        if plan.sums[sid][0] == "conj":
+            steps.append(("copy", "x", "t"))  # taken before it was scaled
+        else:
+            form("x", plan.sums[sid])
         if partner:
-            taken = s.conjugate()
-        s *= c
-        for j, l in pairs:
-            out[j] += s * entries[l]
-    del conj, sums  # not held while the result is copied
+            steps.append(("conj", "t", "x"))
+        steps.append(("*=", "x", f"k{i}", c))
+        steps.append(("+=", tuple([(o[j], "x", v[l]) for j, l in pairs])))
+    return tuple(steps)
+
+
+def _rhs_stack(stack: np.ndarray, program: tuple, params: TransportParams,
+               apply_e) -> np.ndarray:
+    """The interaction term on a stack of grid fields, one per mode: the
+    steps of program run on arrays; apply_e applies E to a real field."""
+    lam = complex(params.lam)
+    vals = {sys.intern(f"v{j}"): a for j, a in enumerate(stack)}
+    vals["mu"] = params.mu
+    for step in program:
+        op = step[0]
+        if op == "+=":
+            for target, a, b in step[1]:
+                vals[target] += vals[a] * vals[b]
+        elif op == "=":
+            for target, a, b in step[1]:
+                vals[target] = vals[a] * vals[b]
+        elif op == "*=":
+            vals[step[1]] *= step[3]
+        elif op == "conjugates":  # of the modes, in one call
+            conj = np.conj(stack)
+            vals.update((sys.intern(f"w{b}"), conj[b]) for b in step[1])
+        elif op == "conj":
+            vals[step[1]] = vals[step[2]].conjugate()
+        elif op == "copy":
+            vals[step[1]] = vals[step[2]]
+        else:  # "E"
+            vals[step[1]] = lam * apply_e(vals[step[2]].real)
+    out = [vals[f"o{j}"] for j in range(len(stack))]
+    del vals, conj  # not held while the result is copied
     out = np.array(out)
     return np.multiply(-1j * params.weight, out, out=out)
 
 
 def _interaction(phase_set: PhaseSet, params: TransportParams,
                  grid: SpectralGrid):
-    """stack -> _rhs_stack(stack, ...) on grid fields, with the model's plan
-    and E, the kernel's Fourier multiplier, resolved once."""
-    plan = _plan(phase_set, params.lam, params.mu, params.kernel)
+    """stack -> _rhs_stack(stack, ...) on grid fields, with the model's
+    program and E, the kernel's Fourier multiplier, resolved once."""
+    program = _program(_plan(phase_set, params.lam, params.mu, params.kernel),
+                       len(phase_set), params.lam, params.mu)
 
     def apply_e(s):
         return _kernels.apply_raw(params.kernel, grid, s)
 
     def rhs(stack):
-        return _rhs_stack(stack, plan, params, apply_e)
+        return _rhs_stack(stack, program, params, apply_e)
     return rhs
 
 
@@ -301,58 +333,25 @@ def _scan_source(plan: _Plan, count: int, lam: float, mu: float) -> str:
     """The source of bind(k0, ..., lam, mu, e0, scale) -> (rhs, loop), the
     interaction term and its RK4 steps on spatially constant profiles.
 
-    rhs(v0, ..., v{count-1}) takes one complex value per mode and returns
-    the term as a tuple.  It forms the sums of _rhs_stack's plan, in the
-    same order and with the same operations, one statement each; E acts on
-    a constant as its symbol's zero-mode value e0.  loop(steps, h, values)
-    takes one step of _rk4's stages per item of steps.  Each number of the
-    model is a parameter of bind, bound as the Python object the grid code
-    uses: a literal need not read back as that value (repr(-1j) is '-1j',
-    whose real part reads back as -0.0, not +0.0).
+    rhs(v0, ..., v{count-1}) takes one complex value per mode, runs the
+    steps of _program as statements on locals of their names, with E acting
+    on a constant as its symbol's zero-mode value e0, and returns the term
+    as a tuple.  loop(steps, h, values) takes one step of _rk4's stages per
+    item of steps.  Each number of the model is a parameter of bind, bound
+    as the Python object the grid code uses: a literal need not read back
+    as that value (repr(-1j) is '-1j', whose real part reads back as -0.0,
+    not +0.0).
     """
+    templates = {"*=": "{} *= {}", "conj": "{} = {}.conjugate()",
+                 "copy": "{} = {}", "E": "{} = lam * (e0 * {}.real)"}
     lines = []
-
-    def accumulate(target, products, fresh=True):
-        for product in products:
-            lines.append(f"{target} {'=' if fresh else '+='} {product}")
-            fresh = False
-
-    def form(target, entry):  # _form, on the named sums
-        kind, terms = entry
-        if kind == "conj":
-            lines.append(f"{target} = s{terms}.conjugate()")
-        elif kind == "pairs":
-            accumulate(target, [f"v{a} * w{b}" for a, b in terms])
+    for op, *args in _program(plan, count, lam, mu):
+        if op in ("=", "+="):
+            lines += [f"{target} {op} {a} * {b}" for target, a, b in args[0]]
+        elif op == "conjugates":
+            lines += [f"w{b} = v{b}.conjugate()" for b in args[0]]
         else:
-            twice, once = terms
-            accumulate(target, [f"s{a} * s{b}" for a, b in twice])
-            if twice:
-                lines.append(f"{target} *= 2.0")
-            accumulate(target, [f"s{a} * s{b}" for a, b in once], not twice)
-
-    lines += [f"w{b} = v{b}.conjugate()" for b in sorted(
-        {b for kind, terms in plan.sums if kind == "pairs" for _, b in terms})]
-    for sid in plan.lower:
-        form(f"s{sid}", plan.sums[sid])
-    s = f"s{plan.common}"
-    form(s, plan.sums[plan.common])
-    if lam == 0.0:  # _common
-        lines.append(f"common = mu * {s}")
-    else:
-        lines.append(f"common = lam * (e0 * {s}.real)")
-        if mu != 0.0:
-            lines.append(f"common += mu * {s}")
-    lines += [f"o{j} = common * v{j}" for j in range(count)]
-    for i, ((sid, _), pairs, partner) in enumerate(zip(
-            plan.coefficients, plan.couplings, plan.partners)):
-        if plan.sums[sid][0] == "conj":
-            lines.append("x = t")  # the source's sum, taken before scaling
-        else:
-            form("x", plan.sums[sid])
-        if partner:
-            lines.append("t = x.conjugate()")
-        lines.append(f"x *= k{i}")
-        lines += [f"o{j} += x * v{l}" for j, l in pairs]
+            lines.append(templates[op].format(*args))
 
     def tup(template):
         return ", ".join(template.format(j=j) for j in range(count)) + ","

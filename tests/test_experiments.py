@@ -10,9 +10,9 @@ import pytest
 import scipy.fft
 
 from wnlgo import AdmissibilityError, ConfigError, GridFunction, \
-    ProfileSet, __version__, ResolutionError, SpectralGrid, evolve_semiclassical, \
-    oscillatory_initial_data, read_snapshot, require_admissible, \
-    require_resolved, sobolev_norm
+    ProfileSet, __version__, ResolutionError, ScaledProfileSpec, SpectralGrid, \
+    evolve_semiclassical, oscillatory_initial_data, read_snapshot, \
+    require_admissible, require_resolved, scaled_profile_norm, sobolev_norm
 from wnlgo.cli import main
 from wnlgo import cli, experiments
 from wnlgo.experiments import emit_results, fit_power_law, load_config, \
@@ -476,10 +476,12 @@ def test_period_cell_runs_match_the_full_grid(make_config):
 
 @pytest.mark.parametrize("values, tau", [
     ([0.1, 0.3, 0.2, 0.4], 1), ([0.1, 0.2, 0.3, 0.4], 3),
-    ([0.1, 0.2, np.nan, np.nan], 1), ([0.1, 0.2, 0.3, np.inf], 2)],
-    ids=["local-max", "rising", "nan", "inf"])
+    ([0.1, 0.2, np.nan, np.nan], 1), ([0.1, 0.2, 0.3, np.inf], 2),
+    ([np.inf, np.nan, np.nan, np.nan], 0)],
+    ids=["local-max", "rising", "nan", "inf", "no-finite-value"])
 def test_first_local_max_stops_at_a_blow_up(values, tau):
-    # the first local max, else the largest value, of the finite prefix
+    # the first local max, else the largest value, of the finite prefix,
+    # else the first time
     assert experiments._first_local_max([0, 1, 2, 3], values) == tau
 
 
@@ -713,6 +715,45 @@ class TestCli:
         assert sweep[1].startswith("1.0,nan,nan,")
         meta = json.loads((tmp_path / "r" / "metadata.json").read_text())
         assert meta["assertions"][-1]["name"] == "all values finite"
+
+    def test_tau_scan_blown_up_from_the_start_fails(self, tmp_path, capsys):
+        # a seed zero mode of amplitude 1e308 makes the scan's first sample
+        # inf: tau is the first time, and the run fails its finiteness check
+        cfg = inflate_config()
+        cfg["phases"]["phi0"] = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        cfg["data"]["amplitudes"] = [1e308, 0.7, 0.7, 0.7]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--config", self.write(tmp_path, cfg),
+                         "--out", str(tmp_path / "r"), "inflate"])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == ("FAIL  all values finite  (first non-finite: "
+                           "a0_l2 at t = 0.0)")
+        meta = json.loads((tmp_path / "r" / "metadata.json").read_text())
+        assert meta["tau"] == 0.0
+
+    def test_scaled_sobolev_sweep_runs(self, tmp_path, capsys):
+        # the scaled family has no predicted slope: its one assertion is
+        # the finiteness check, and each norm is scaled_profile_norm's
+        cfg = dict(SCALED, experiment="sobolev-asymptotics", width=0.8,
+                   beta=0.5)
+        assert main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"),
+                     "sobolev-asymptotics"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if not line.startswith("slope")] \
+            == ["PASS  all values finite  (no nan or inf)"]
+        lines = (tmp_path / "r" / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "eps,norm"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [eps for eps, _ in rows] == cfg["eps_list"]
+
+        def profile(points):
+            return np.exp(-np.sum(points ** 2, axis=-1) / (2.0 * 0.8 * 0.8))
+        assert [norm for _, norm in rows] == [
+            scaled_profile_norm(ScaledProfileSpec(profile, (1.0,), 0.5, eps,
+                                                  half_length=32.0), -0.5)
+            for eps in cfg["eps_list"]]
 
     def test_profiles_writes_snapshots(self, tmp_path):
         cfg_path = self.write(tmp_path, field_config(T=0.02, snapshots=1))
@@ -964,6 +1005,17 @@ class TestCli:
                   "sobolev-asymptotics"])
         assert exc.value.code == 2
         assert "--threads: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_threads_above_one_is_a_usage_error(self, tmp_path, capsys):
+        # sweeps run on one thread; --threads 1 stays accepted
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", os.path.join(CONFIGS, "sobolev_wkb.json"),
+                  "--out", str(tmp_path / "r"), "--threads", "2",
+                  "sobolev-asymptotics"])
+        assert exc.value.code == 2
+        assert "--threads: must be >= 1 and at most 1" \
+            in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
 

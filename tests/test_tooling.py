@@ -1,13 +1,16 @@
-"""The benchmark's span table against the package it wraps.
+"""The benchmark's span table and command lines against the package.
 
 bench/spans.py wraps package functions by name and reads their arguments by
-name; a rename in the package would otherwise only show as a missing or
-failing ``--trace 1`` run.
+name, and bench/run.py builds each workload's CLI arguments; a rename in the
+package or a change to the CLI would otherwise only show as a missing or
+failing benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +19,23 @@ import pytest
 from wnlgo import GridFunction, ModelParams, ProfileSet, Signature, \
     SpectralGrid, TransportParams, close_phase_set, davey_stewartson, \
     evolve_profiles, evolve_semiclassical, oscillatory_initial_data
+from wnlgo.cli import build_parser
 from wnlgo.transport import _steps
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_spans", Path(__file__).resolve().parents[1] / "bench" / "spans.py")
-spans = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(spans)
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _bench_module("spans")
+workloads = _bench_module("workloads")
 COUNTERS = {(module, name): counter for module, name, counter in spans.SPANNED}
 
 
@@ -63,3 +77,31 @@ def test_profile_counter_reads_the_evolver_arguments(keywords):
     got = counted(evolve_profiles, "transport", state, keywords,
                   t_end=0.549, dt=0.01)
     assert got == {"transport.rk4_steps": _steps(0.049, 0.01)[0]}
+
+
+def bench_argv(workload):
+    """The CLI arguments bench/run.py's run() passes for workload, read from
+    its source; a path there is a placeholder string."""
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    argv, = [node.value for node in ast.walk(run)
+             if isinstance(node, ast.Assign)
+             and [ast.unparse(t) for t in node.targets] == ["argv"]]
+
+    def value(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        if ast.unparse(node) == "workload.command":
+            return workload.command
+        return f"<{ast.unparse(node)}>"
+    return [value(node) for node in argv.elts]
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_cli_accepts_the_benchmark_arguments(name):
+    workload = workloads.WORKLOADS[name]
+    argv = bench_argv(workload)
+    assert workload.command in argv
+    args = build_parser().parse_args(argv)
+    assert args.command == workload.command

@@ -14,9 +14,9 @@ from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     evolve_profiles, identity, is_resonant, profile_norms, shift_in_fourier, \
     transport_rhs, zero, zero_mode_rate
 from wnlgo.kernels import apply_raw
-from wnlgo.transport import _common, _constant_scan, _form, _interaction, \
-    _pair_coefficients, _plan, _rhs_stack, _rk4, _scan_source, _steps, \
-    _strang, constant_profile_history, plan_facts
+from wnlgo.transport import _constant_scan, _interaction, \
+    _pair_coefficients, _plan, _program, _rhs_stack, _rk4, _scan_source, \
+    _steps, _strang, constant_profile_history, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 ELLIPTIC = Signature.elliptic(2)
@@ -251,7 +251,7 @@ def _level_terms(plan, level):
             if entry[0] == "terms" and lev == level]
 
 
-@pytest.mark.parametrize("signature,nu,box_radius,n,kernel,mu", [
+BRUTE_FORCE_CASES = [
     (ELLIPTIC, 1, 4, 16, davey_stewartson(), -0.4),
     (HYPERBOLIC, 2, 2, 8, davey_stewartson(), -0.4),
     (HYPERBOLIC, 1, 4, 8, davey_stewartson(), -0.4),
@@ -259,9 +259,13 @@ def _level_terms(plan, level):
     (ELLIPTIC, 1, 4, 16, davey_stewartson(), 0.0),
     (HYPERBOLIC, 2, 2, 8, davey_stewartson(), 0.0),
     (ELLIPTIC, 2, 4, 16, davey_stewartson(), -0.4),
-    (ELLIPTIC, 3, 4, 8, davey_stewartson(), -0.4)],
-    ids=["nu1", "nu2", "nu1-hyperbolic", "nu1-hyperbolic-custom", "nu1-mu0",
-         "nu2-mu0", "nu2-elliptic", "nu3-elliptic"])
+    (ELLIPTIC, 3, 4, 8, davey_stewartson(), -0.4)]
+BRUTE_FORCE_IDS = ["nu1", "nu2", "nu1-hyperbolic", "nu1-hyperbolic-custom",
+                   "nu1-mu0", "nu2-mu0", "nu2-elliptic", "nu3-elliptic"]
+
+
+@pytest.mark.parametrize("signature,nu,box_radius,n,kernel,mu",
+                         BRUTE_FORCE_CASES, ids=BRUTE_FORCE_IDS)
 def test_rhs_matches_brute_force_oracle(signature, nu, box_radius, n, kernel,
                                         mu):
     # random data on every mode, generated ones included; the hyperbolic
@@ -318,15 +322,25 @@ RECT_3D = ((1, 0, 0), (1, 1, 0), (0, 1, 0))
 OBLIQUE = dipolar((0.48, 0.6, 0.64))
 
 
-@pytest.mark.parametrize("phi0, signature, nu, box_radius, kernel, lam, mu", [
+SKIPPING_CASES = [
     (RECT, ELLIPTIC, 1, 4, davey_stewartson(), 0.8, 0.0),
     (RECT, HYPERBOLIC, 2, 2, davey_stewartson(), 0.8, 0.0),
     (RECT, ELLIPTIC, 1, 4, custom(2, _nearly_even_symbol), 0.8, 0.0),
     (RECT, HYPERBOLIC, 1, 4, identity(2), 0.5, -0.5),
     (RECT_3D, Signature.from_string("-++"), 2, 1, OBLIQUE, 1.0,
-     -evaluate_kernel(OBLIQUE, (1.0, 0.0, 0.0)))],
-    ids=["ds", "nu2-ds", "nearly-even-custom", "identity-common-only",
-         "nu2-oblique-dipolar"])
+     -evaluate_kernel(OBLIQUE, (1.0, 0.0, 0.0)))]
+SKIPPING_IDS = ["ds", "nu2-ds", "nearly-even-custom", "identity-common-only",
+                "nu2-oblique-dipolar"]
+
+
+def random_stack(count, grid, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count,) + grid.shape) \
+        + 1j * rng.standard_normal((count,) + grid.shape)
+
+
+@pytest.mark.parametrize("phi0, signature, nu, box_radius, kernel, lam, mu",
+                         SKIPPING_CASES, ids=SKIPPING_IDS)
 def test_skipping_zero_couplings_is_bit_identical(phi0, signature, nu,
                                                   box_radius, kernel, lam, mu):
     # the rhs on the model's plan against the unpruned plan with every
@@ -336,18 +350,17 @@ def test_skipping_zero_couplings_is_bit_identical(phi0, signature, nu,
     ps = close_phase_set(phi0, signature, nu, box_radius=box_radius)
     params = TransportParams(lam, mu, nu, kernel, weight=1.3)
     grid = SpectralGrid(len(phi0[0]), np.pi, 8)
-    rng = np.random.default_rng(5)
-    stack = rng.standard_normal((len(ps),) + grid.shape) \
-        + 1j * rng.standard_normal((len(ps),) + grid.shape)
+    stack = random_stack(len(ps), grid, 5)
 
-    def apply_e(s):
-        return apply_raw(kernel, grid, s)
+    def rhs(plan):
+        return _rhs_stack(stack, _program(plan, len(ps), lam, mu), params,
+                          lambda s: apply_raw(kernel, grid, s))
     full_plan = _unpruned(ps, lam, mu, kernel)
-    full = _rhs_stack(stack, full_plan, params, apply_e)
+    full = rhs(full_plan)
     plan = _plan(ps, lam, mu, kernel)
     assert 0 < plan.zero_classes
     assert sum(map(len, plan.couplings)) < sum(map(len, full_plan.couplings))
-    assert np.array_equal(_rhs_stack(stack, plan, params, apply_e), full)
+    assert np.array_equal(rhs(plan), full)
     if kernel.kind == "identity":  # every coupling has coefficient 0
         assert plan.coefficients == () and not any(plan.couplings)
         assert plan.keys[plan.common] == (0, nu)
@@ -633,6 +646,117 @@ SCAN_IDS = [f"rhs-{name}" for name in CONSTANT_RHS_IDS] \
     + [f"history-{name}" for name in CONSTANT_HISTORY_IDS]
 
 
+def reference_sum_products(left, right, terms, acc=None):
+    """acc (if not None) plus left[a] * right[b] summed over the (a, b) of
+    terms, in place on acc."""
+    if acc is None:
+        (a, b), terms = terms[0], terms[1:]
+        acc = left[a] * right[b]
+    for a, b in terms:
+        acc += left[a] * right[b]
+    return acc
+
+
+def reference_form(entry, entries, conj, sums):
+    """The sum of a plan entry, in a fresh array when entries are fields."""
+    kind, terms = entry
+    if kind == "conj":
+        return sums[terms].conjugate()
+    if kind == "pairs":
+        return reference_sum_products(entries, conj, terms)
+    twice, once = terms
+    acc = reference_sum_products(sums, sums, twice) * 2.0 if twice else None
+    return reference_sum_products(sums, sums, once, acc)
+
+
+def reference_common(s, params, apply_e):
+    """lam E(s) + mu s from the real (0, 0) class sum s."""
+    if params.lam == 0.0:
+        return params.mu * s
+    common = complex(params.lam) * apply_e(s.real)
+    if params.mu != 0.0:
+        common += params.mu * s
+    return common
+
+
+def reference_rhs_stack(stack, plan, params, apply_e):
+    """The interaction term on a stack of grid fields as an interpreted walk
+    of the plan, as the grid rhs formed it before the plan's steps were
+    written out once (_program) for it and the compiled scan."""
+    entries, conj = stack, np.conj(stack)
+    sums = {}
+    for sid in plan.lower:
+        sums[sid] = reference_form(plan.sums[sid], entries, conj, sums)
+    common = reference_common(
+        reference_form(plan.sums[plan.common], entries, conj, sums), params,
+        apply_e)
+    out = [common * a for a in entries]
+    for (sid, c), pairs, partner in zip(plan.coefficients, plan.couplings,
+                                        plan.partners):
+        entry = plan.sums[sid]
+        if entry[0] == "conj":
+            s = taken
+        else:
+            s = reference_form(entry, entries, conj, sums)
+        if partner:
+            taken = s.conjugate()
+        s *= c
+        for j, l in pairs:
+            out[j] += s * entries[l]
+    out = np.array(out)
+    return np.multiply(-1j * params.weight, out, out=out)
+
+
+# every model of the grid rhs tests above and of the constant-profile ones,
+# as (phi0, signature, nu, box_radius, kernel, lam, mu, weight)
+WALK_CASES = [(RECT, signature, nu, box_radius, kernel, 0.8, mu, 1.3)
+              for signature, nu, box_radius, _, kernel, mu
+              in BRUTE_FORCE_CASES] \
+    + [case + (1.3,) for case in SKIPPING_CASES] \
+    + [(RECT, signature, p.nu, 4 if p.nu == 1 else 2, p.kernel, p.lam, p.mu,
+        p.weight) for signature, p in CONSTANT_RHS_CASES] \
+    + [(RECT, HYPERBOLIC, 1, 16, davey_stewartson(), 1.0, 0.0, 1.0)]
+WALK_IDS = [f"brute-force-{name}" for name in BRUTE_FORCE_IDS] \
+    + [f"skipping-{name}" for name in SKIPPING_IDS] \
+    + [f"constant-{name}" for name in CONSTANT_RHS_IDS] + ["wide-65-modes"]
+
+
+@pytest.mark.parametrize(
+    "phi0, signature, nu, box_radius, kernel, lam, mu, weight", WALK_CASES,
+    ids=WALK_IDS)
+def test_rhs_runs_as_the_plan_walk(phi0, signature, nu, box_radius, kernel,
+                                   lam, mu, weight):
+    # the grid rhs, the plan's steps run on arrays, against the interpreted
+    # walk of the plan: the same operations in the same order, so equal
+    # bits, zero signs included (one mode is zero, one value -0.0)
+    ps = close_phase_set(phi0, signature, nu, box_radius=box_radius)
+    params = TransportParams(lam, mu, nu, kernel, weight=weight)
+    grid = SpectralGrid(len(phi0[0]), np.pi, 8)
+    stack = random_stack(len(ps), grid, 13)
+    stack[-1] = 0.0
+    stack[(0,) * stack.ndim] = complex(-0.0, 0.0)
+    got = _interaction(ps, params, grid)(stack)
+    expect = reference_rhs_stack(
+        stack, _plan(ps, lam, mu, kernel), params,
+        lambda s: apply_raw(kernel, grid, s))
+    assert_same_bits(got, expect)
+
+
+def test_program_is_built_once_per_plan():
+    # the grid rhs of a model on any grid reuses the program of its plan
+    ps = close_phase_set(RECT, HYPERBOLIC, 1, box_radius=4)
+    params = TransportParams(0.8, 0.3, 1, davey_stewartson())
+    plan = _plan(ps, params.lam, params.mu, params.kernel)
+    program = _program(plan, len(ps), params.lam, params.mu)
+    misses = _program.cache_info().misses
+    for n in (4, 8):
+        grid = SpectralGrid(2, np.pi, n)
+        assert transport_rhs(ProfileSet.from_seed(
+            ps, grid, [GridFunction.constant(grid, 0.5)] * 3, params))
+    assert _program.cache_info().misses == misses
+    assert _program(plan, len(ps), params.lam, params.mu) is program
+
+
 def reference_constant_interaction(phase_set, params):
     """values -> the interaction term on spatially constant profiles, one
     Python complex per mode in a list: the interpreted loop that the
@@ -658,9 +782,10 @@ def reference_constant_interaction(phase_set, params):
         conj = [v.conjugate() for v in values]
         sums = {}
         for sid in plan.lower:
-            sums[sid] = _form(plan.sums[sid], values, conj, sums)
-        common = _common(_form(plan.sums[plan.common], values, conj, sums),
-                         params, apply_e)
+            sums[sid] = reference_form(plan.sums[sid], values, conj, sums)
+        common = reference_common(
+            reference_form(plan.sums[plan.common], values, conj, sums),
+            params, apply_e)
         out = [common * a for a in values]
         for kind, first, rest, c, pairs, partner in classes:
             if kind == "pairs":
@@ -671,7 +796,7 @@ def reference_constant_interaction(phase_set, params):
             elif kind == "conj":
                 s = taken
             else:
-                s = _form(rest, values, conj, sums)
+                s = reference_form(rest, values, conj, sums)
             if partner:
                 taken = s.conjugate()
             s *= c
@@ -768,7 +893,7 @@ def test_compiled_history_matches_the_interpreted_loop(signature, box_radius,
 def test_scan_source_is_arithmetic_only(signature, box_radius, params):
     # no text of a config can reach compile(): the generated source calls
     # nothing but rhs and conjugate, reads no attribute but .real, and its
-    # only literals are the stage factors of _rk4 and _form
+    # only literals are the stage factors of _rk4 and the level-2 sums' 2.0
     ps = close_phase_set(RECT, signature, params.nu, box_radius=box_radius)
     plan = _plan(ps, params.lam, params.mu, params.kernel)
     tree = ast.parse(_scan_source(plan, len(ps), params.lam, params.mu))
