@@ -17,20 +17,19 @@ __version__ = "0.1.0"  # first: experiments records it in metadata.json
 
 from .errors import AdmissibilityError, ConfigError, ResolutionError
 from .grid import GridFunction, SpectralGrid, read_snapshot, resample, \
-    shift_in_fourier, write_snapshot
+    write_snapshot
 from .kernels import DIPOLAR_SCALE, KernelSpec, apply, apply_raw, custom, \
     davey_stewartson, dipolar, evaluate, identity, \
     oscillatory_coefficient_limit, parse_kernel, zero
 from .norms import ScaledProfileSpec, gaussian_sobolev_norm, \
     scaled_profile_norm, sobolev_norm, wiener_norm
 from .resonance import PhaseSet, ResonantTuple, Signature, as_wave_vector, \
-    close_phase_set, find_admissible_triple, is_resonant, parallelogram_oracle, \
-    rectangle_oracle, resonant_tuples
+    close_phase_set, find_admissible_triple, is_resonant, resonant_tuples
 from .solver import ModelParams, SemiclassicalField, assemble_approximation, \
     approximation_error, evolve_semiclassical, oscillatory_initial_data, \
     require_admissible, require_resolved
-from .transport import ProfileSet, TransportParams, XNorms, evolve_profiles, \
-    profile_norms, transport_rhs, zero_mode_rate
+from .transport import ProfileSet, TransportParams, evolve_profiles, \
+    transport_rhs, zero_mode_rate
 from .experiments import ExperimentConfig, SweepResult, emit_results, \
     fit_power_law, load_config, parse_config, run_convergence, run_experiment, \
     run_inflation, run_more_weakly, run_sobolev_asymptotics, run_zero_mode
@@ -38,7 +37,7 @@ from .experiments import ExperimentConfig, SweepResult, emit_results, \
 __all__ = [
     "AdmissibilityError", "ConfigError", "ResolutionError",
     "GridFunction", "SpectralGrid", "read_snapshot", "resample",
-    "shift_in_fourier", "write_snapshot",
+    "write_snapshot",
     "DIPOLAR_SCALE", "KernelSpec", "apply", "apply_raw", "custom",
     "davey_stewartson", "dipolar", "evaluate", "identity",
     "oscillatory_coefficient_limit", "parse_kernel", "zero",
@@ -46,12 +45,12 @@ __all__ = [
     "sobolev_norm", "wiener_norm",
     "PhaseSet", "ResonantTuple", "Signature", "as_wave_vector",
     "close_phase_set", "find_admissible_triple", "is_resonant",
-    "parallelogram_oracle", "rectangle_oracle", "resonant_tuples",
+    "resonant_tuples",
     "ModelParams", "SemiclassicalField", "assemble_approximation",
     "approximation_error", "evolve_semiclassical", "oscillatory_initial_data",
     "require_admissible", "require_resolved",
-    "ProfileSet", "TransportParams", "XNorms", "evolve_profiles",
-    "profile_norms", "transport_rhs", "zero_mode_rate",
+    "ProfileSet", "TransportParams", "evolve_profiles", "transport_rhs",
+    "zero_mode_rate",
     "ExperimentConfig", "SweepResult", "emit_results", "fit_power_law",
     "load_config", "parse_config", "run_convergence", "run_experiment",
     "run_inflation", "run_more_weakly", "run_sobolev_asymptotics",

@@ -71,6 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_resonance(args) -> int:
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ConfigError(
+            f"--out {args.out!r} is not a file in an existing directory")
     with as_config_error():
         phi0 = tuple(_parse_vector(part) for part in args.phi0.split(";"))
         if args.signature is None:

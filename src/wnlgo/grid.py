@@ -49,7 +49,7 @@ class SpectralGrid:
     dim : int
         Spatial dimension d >= 1.
     half_length : float
-        Half box length L > 0; the box is [-L, L)^d.
+        Half box length L, finite and > 0; the box is [-L, L)^d.
     points_per_axis : int
         Points per axis, a power of two >= 4.
     """
@@ -65,8 +65,9 @@ class SpectralGrid:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.half_length > 0:
-            raise ValueError(f"half_length must be > 0, got {self.half_length}")
+        if not 0 < self.half_length < float("inf"):
+            raise ValueError(
+                f"half_length must be finite and > 0, got {self.half_length}")
         n = self.points_per_axis
         if pow2_at_least(n) != n:
             raise ValueError(f"points_per_axis must be a power of two >= 4, got {n}")
@@ -177,10 +178,6 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_callable(cls, grid: SpectralGrid, fn) -> "GridFunction":
-        return cls(grid, fn(*grid.mesh()) * np.ones(grid.shape))
-
-    @classmethod
     def zeros(cls, grid: SpectralGrid) -> "GridFunction":
         return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
@@ -194,28 +191,6 @@ class GridFunction:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-def forward_transform(f: GridFunction) -> GridFunction:
-    """Spectral coefficients of ``f`` on the frequency lattice (FFT order)."""
-    return GridFunction(f.grid, f.grid.forward(f.values))
-
-
-def inverse_transform(fhat: GridFunction) -> GridFunction:
-    """Inverse of :func:`forward_transform`."""
-    return GridFunction(fhat.grid, fhat.grid.inverse(fhat.values))
-
-
-def shift_in_fourier(f: GridFunction, velocity, t: float) -> GridFunction:
-    """Exact translation f(x - v t) for band-limited f.
-
-    Multiplies the coefficient at frequency xi by exp(-i t v.xi); for t = 0
-    or a full box period the field is returned unchanged up to round-off.
-    """
-    xi = f.grid.frequency_axis()
-    dot = f.grid.separable([v * xi for v in np.asarray(velocity, dtype=float)])
-    coeffs = f.grid.forward(f.values) * np.exp(-1j * t * dot)
-    return GridFunction(f.grid, f.grid.inverse(coeffs))
 
 
 def _band_runs(n: int, N: int, k: int) -> list:

@@ -82,46 +82,6 @@ def is_resonant(signature: Signature, nu: int, kappas, target) -> bool:
     return quad == signature.quad(target)
 
 
-def rectangle_oracle(kappas, target) -> bool:
-    """Geometric test equivalent to is_resonant for nu=1, all-plus signature.
-
-    (kappa_k, kappa_l, kappa_m) hits kappa_j exactly when the four points are
-    the corners of a (possibly degenerate) rectangle with kappa_l opposite
-    kappa_j: the diagonals share a midpoint and the sides at the kappa_l
-    corner are orthogonal.  Deliberately a different formulation from the
-    alternating-sum test, so the two can cross-check each other.
-    """
-    k, l, m = (as_wave_vector(v) for v in kappas)
-    j = as_wave_vector(target)
-    if any(len(v) != len(j) for v in (k, l, m)):
-        raise ValueError("wave vector dimension mismatch")
-    if tuple(a + b for a, b in zip(k, m)) != tuple(a + b for a, b in zip(j, l)):
-        return False
-    dot = sum((a - b) * (c - b) for a, b, c in zip(k, l, m))
-    return dot == 0
-
-
-def parallelogram_oracle(kappas, target) -> bool:
-    """Geometric test equivalent to is_resonant for nu=1, signature (-1,+1).
-
-    After translating everything by -target (the conditions are translation
-    invariant), the tuple resonates exactly when kappa'_l = kappa'_k +
-    kappa'_m and the translated components satisfy p'_k p'_m == q'_k q'_m.
-    Geometrically: a parallelogram whose corners pair across the first
-    bisector.
-    """
-    k, l, m = (as_wave_vector(v) for v in kappas)
-    j = as_wave_vector(target)
-    if not all(len(v) == 2 for v in (k, l, m, j)):
-        raise ValueError("hyperbolic oracle is two-dimensional")
-    pk, qk = k[0] - j[0], k[1] - j[1]
-    pl, ql = l[0] - j[0], l[1] - j[1]
-    pm, qm = m[0] - j[0], m[1] - j[1]
-    if (pl, ql) != (pk + pm, qk + qm):
-        return False
-    return pk * pm == qk * qm
-
-
 @dataclass(frozen=True)
 class ResonantTuple:
     """Indices (l_1, ..., l_{2nu+1}) into a PhaseSet, resonant onto target."""

@@ -20,7 +20,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product as _iproduct
 
 import numpy as np
 import scipy.fft
@@ -42,16 +41,8 @@ class TransportParams:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.nu < 1:
+        if self.nu < 1 or self.nu != int(self.nu):
             raise ValueError("nu must be a positive integer")
-
-
-@dataclass(frozen=True)
-class XNorms:
-    """Summed Fourier l1+l2 amplitude norms, plain and weighted."""
-
-    x_norm: float
-    xs_norms: dict
 
 
 @dataclass(frozen=True)
@@ -74,6 +65,9 @@ class ProfileSet:
                 raise ValueError("amplitude grids must all match")
         if self.phase_set.dim != self.grid.dim:
             raise ValueError("phase set / grid dimension mismatch")
+        if self.params.nu != self.phase_set.nu:
+            raise ValueError(f"params.nu = {self.params.nu} but the phase set "
+                             f"was closed for nu = {self.phase_set.nu}")
 
     @classmethod
     def from_seed(cls, phase_set: PhaseSet, grid: SpectralGrid, seed_amplitudes,
@@ -559,43 +553,3 @@ def zero_mode_rate(kappas, alphas, params: TransportParams,
     for c, indices in zip(coeffs, seeded):
         acc += c * _product(stack, indices)
     return GridFunction(grid, (-1j * params.weight) * acc)
-
-
-def _l1_l2(fhat: np.ndarray, measure: float):
-    l1 = measure * float(np.sum(np.abs(fhat)))
-    l2 = float(np.sqrt(measure * np.sum(np.abs(fhat) ** 2)))
-    return l1, l2
-
-
-def profile_norms(state: ProfileSet, s_list=()) -> XNorms:
-    """Summed Fourier l1+l2 norms of the amplitudes, with s-weighted variants.
-
-    The s-weighted norm adds <kappa_j>^s mode weights and all derivative
-    weights |xi^beta| for multi-indices |beta| <= s.
-    """
-    grid = state.grid
-    measure = grid.spectral_cell_volume
-    hats = [grid.forward(a.values) for a in state.amplitudes]
-    base = [_l1_l2(h, measure) for h in hats]
-    x_norm = float(sum(l1 + l2 for l1, l2 in base))
-
-    xs = {}
-    for s in s_list:
-        if s != int(s) or s < 0:
-            raise ValueError("s-weighted norms are defined for integer s >= 0")
-        s = int(s)
-        mode_part = 0.0
-        for (l1, l2), kappa in zip(base, state.phase_set.vectors):
-            bracket = (1.0 + sum(c * c for c in kappa)) ** (s / 2.0)
-            mode_part += bracket * (l1 + l2)
-        deriv_part = 0.0
-        xi_abs = np.abs(grid.frequency_axis())
-        for beta in _iproduct(range(s + 1), repeat=grid.dim):
-            if sum(beta) > s:
-                continue
-            weight = grid.separable([xi_abs ** p for p in beta], np.multiply)
-            for h in hats:
-                l1, l2 = _l1_l2(weight * h, measure)
-                deriv_part += l1 + l2
-        xs[s] = mode_part + deriv_part
-    return XNorms(x_norm, xs)

@@ -1,0 +1,122 @@
+"""Closed-form references that the tests check the package against.
+
+Nothing in wnlgo calls these; they exist to cross-check it, each written
+in a different way from the code it checks: the rectangle and
+parallelogram laws against the alternating-sum resonance test, the exact
+Fourier shift against the Strang advection, and the profiles' weighted
+Wiener-algebra norms against closed-form Gaussian values.  A plain module,
+not collected by pytest; test files import it by name.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product as _iproduct
+
+import numpy as np
+
+from wnlgo import GridFunction, ProfileSet, SpectralGrid, as_wave_vector
+
+
+def from_callable(grid: SpectralGrid, fn) -> GridFunction:
+    return GridFunction(grid, fn(*grid.mesh()) * np.ones(grid.shape))
+
+
+def rectangle_oracle(kappas, target) -> bool:
+    """Geometric test equivalent to is_resonant for nu=1, all-plus signature.
+
+    (kappa_k, kappa_l, kappa_m) hits kappa_j exactly when the four points are
+    the corners of a (possibly degenerate) rectangle with kappa_l opposite
+    kappa_j: the diagonals share a midpoint and the sides at the kappa_l
+    corner are orthogonal.  Deliberately a different formulation from the
+    alternating-sum test, so the two can cross-check each other.
+    """
+    k, l, m = (as_wave_vector(v) for v in kappas)
+    j = as_wave_vector(target)
+    if any(len(v) != len(j) for v in (k, l, m)):
+        raise ValueError("wave vector dimension mismatch")
+    if tuple(a + b for a, b in zip(k, m)) != tuple(a + b for a, b in zip(j, l)):
+        return False
+    dot = sum((a - b) * (c - b) for a, b, c in zip(k, l, m))
+    return dot == 0
+
+
+def parallelogram_oracle(kappas, target) -> bool:
+    """Geometric test equivalent to is_resonant for nu=1, signature (-1,+1).
+
+    After translating everything by -target (the conditions are translation
+    invariant), the tuple resonates exactly when kappa'_l = kappa'_k +
+    kappa'_m and the translated components satisfy p'_k p'_m == q'_k q'_m.
+    Geometrically: a parallelogram whose corners pair across the first
+    bisector.
+    """
+    k, l, m = (as_wave_vector(v) for v in kappas)
+    j = as_wave_vector(target)
+    if not all(len(v) == 2 for v in (k, l, m, j)):
+        raise ValueError("hyperbolic oracle is two-dimensional")
+    pk, qk = k[0] - j[0], k[1] - j[1]
+    pl, ql = l[0] - j[0], l[1] - j[1]
+    pm, qm = m[0] - j[0], m[1] - j[1]
+    if (pl, ql) != (pk + pm, qk + qm):
+        return False
+    return pk * pm == qk * qm
+
+
+def shift_in_fourier(f: GridFunction, velocity, t: float) -> GridFunction:
+    """Exact translation f(x - v t) for band-limited f.
+
+    Multiplies the coefficient at frequency xi by exp(-i t v.xi); for t = 0
+    or a full box period the field is returned unchanged up to round-off.
+    """
+    xi = f.grid.frequency_axis()
+    dot = f.grid.separable([v * xi for v in np.asarray(velocity, dtype=float)])
+    coeffs = f.grid.forward(f.values) * np.exp(-1j * t * dot)
+    return GridFunction(f.grid, f.grid.inverse(coeffs))
+
+
+@dataclass(frozen=True)
+class XNorms:
+    """Summed Fourier l1+l2 amplitude norms, plain and weighted."""
+
+    x_norm: float
+    xs_norms: dict
+
+
+def _l1_l2(fhat: np.ndarray, measure: float):
+    l1 = measure * float(np.sum(np.abs(fhat)))
+    l2 = float(np.sqrt(measure * np.sum(np.abs(fhat) ** 2)))
+    return l1, l2
+
+
+def profile_norms(state: ProfileSet, s_list=()) -> XNorms:
+    """Summed Fourier l1+l2 norms of the amplitudes, with s-weighted variants.
+
+    The s-weighted norm adds <kappa_j>^s mode weights and all derivative
+    weights |xi^beta| for multi-indices |beta| <= s.
+    """
+    grid = state.grid
+    measure = grid.spectral_cell_volume
+    hats = [grid.forward(a.values) for a in state.amplitudes]
+    base = [_l1_l2(h, measure) for h in hats]
+    x_norm = float(sum(l1 + l2 for l1, l2 in base))
+
+    xs = {}
+    for s in s_list:
+        if s != int(s) or s < 0:
+            raise ValueError("s-weighted norms are defined for integer s >= 0")
+        s = int(s)
+        mode_part = 0.0
+        for (l1, l2), kappa in zip(base, state.phase_set.vectors):
+            bracket = (1.0 + sum(c * c for c in kappa)) ** (s / 2.0)
+            mode_part += bracket * (l1 + l2)
+        deriv_part = 0.0
+        xi_abs = np.abs(grid.frequency_axis())
+        for beta in _iproduct(range(s + 1), repeat=grid.dim):
+            if sum(beta) > s:
+                continue
+            weight = grid.separable([xi_abs ** p for p in beta], np.multiply)
+            for h in hats:
+                l1, l2 = _l1_l2(weight * h, measure)
+                deriv_part += l1 + l2
+        xs[s] = mode_part + deriv_part
+    return XNorms(x_norm, xs)

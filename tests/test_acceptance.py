@@ -16,9 +16,10 @@ import pytest
 
 from wnlgo import GridFunction, ScaledProfileSpec, Signature, SpectralGrid, \
     close_phase_set, davey_stewartson, is_resonant, \
-    oscillatory_coefficient_limit, parallelogram_oracle, rectangle_oracle, \
-    scaled_profile_norm, sobolev_norm
+    oscillatory_coefficient_limit, scaled_profile_norm, sobolev_norm
 from wnlgo.experiments import emit_results, parse_config, run_experiment
+
+from oracles import parallelogram_oracle, rectangle_oracle
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")

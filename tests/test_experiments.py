@@ -990,6 +990,16 @@ class TestCli:
         assert main(["resonance"] + flags) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("out", [os.path.join("missing", "x.json"), "."])
+    def test_resonance_bad_out_exit_two(self, tmp_path, capsys, out):
+        # a missing directory, and a directory in place of the file
+        out = str(tmp_path / out)
+        assert main(["--out", out, "resonance", "--phi0", "1,0;1,1;0,1",
+                     "--box-radius", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(out) in err
+        assert os.listdir(tmp_path) == []
+
     def test_resonance_needs_box_radius(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["resonance", "--phi0", "1,0;1,1;0,1"])

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from wnlgo import GridFunction, SpectralGrid, read_snapshot, resample, \
-    shift_in_fourier, write_snapshot
-from wnlgo.grid import MAGIC, forward_transform, inverse_transform
+    write_snapshot
+from wnlgo.grid import MAGIC
+
+from oracles import from_callable, shift_in_fourier
 
 
 def gaussian_1d(grid, width=1.0):
-    return GridFunction.from_callable(
+    return from_callable(
         grid, lambda x: np.exp(-x * x / (2.0 * width * width)))
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
         SpectralGrid(1, -2.0, 64)
+    for half_length in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralGrid(2, half_length, 16)
     with pytest.raises(ValueError):
         SpectralGrid(1, 2.0, 48)  # not a power of two
     with pytest.raises(ValueError):
@@ -53,7 +58,7 @@ def test_plane_wave_bin():
     # forward puts a plane wave e^{i k.x} into the single bin k with value
     # (2 pi)^{-d/2} (2L)^d
     g = SpectralGrid(2, np.pi, 64)
-    f = GridFunction.from_callable(g, lambda x, y: np.exp(1j * (3 * x - 2 * y)))
+    f = from_callable(g, lambda x, y: np.exp(1j * (3 * x - 2 * y)))
     coeffs = g.forward(f.values)
     expected = (2 * np.pi) ** (-1.0) * (2 * np.pi) ** 2
     assert coeffs[3 % 64, -2 % 64] == pytest.approx(expected, rel=1e-12)
@@ -83,8 +88,7 @@ def test_gaussian_transform_pair():
 def test_forward_inverse_wrappers():
     g = SpectralGrid(1, 8.0, 64)
     f = gaussian_1d(g, 2.0)
-    assert np.allclose(inverse_transform(forward_transform(f)).values,
-                       f.values, atol=1e-12)
+    assert np.allclose(g.inverse(g.forward(f.values)), f.values, atol=1e-12)
 
 
 class TestShift:
@@ -92,7 +96,7 @@ class TestShift:
         g = SpectralGrid(1, 16.0, 512)
         f = gaussian_1d(g)
         moved = shift_in_fourier(f, (2.0,), 1.25)
-        expected = GridFunction.from_callable(
+        expected = from_callable(
             g, lambda x: np.exp(-(x - 2.5) ** 2 / 2.0))
         assert np.max(np.abs(moved.values - expected.values)) < 1e-9
 
@@ -153,10 +157,10 @@ class TestSeparable:
 
 def test_resample_band_limited_exact():
     g = SpectralGrid(1, np.pi, 32)
-    f = GridFunction.from_callable(
+    f = from_callable(
         g, lambda x: np.cos(3 * x) + 0.5j * np.sin(7 * x))
     up = resample(f, 128)
-    expected = GridFunction.from_callable(
+    expected = from_callable(
         up.grid, lambda x: np.cos(3 * x) + 0.5j * np.sin(7 * x))
     assert np.max(np.abs(up.values - expected.values)) < 1e-12
     down = resample(up, 32)

@@ -6,6 +6,8 @@ from wnlgo import DIPOLAR_SCALE, GridFunction, SpectralGrid, apply, apply_raw, \
     oscillatory_coefficient_limit, parse_kernel, zero
 from wnlgo import grid as grid_module, kernels
 
+from oracles import from_callable
+
 
 def test_ds_values():
     ds = davey_stewartson()
@@ -74,7 +76,7 @@ def test_apply_plane_wave_eigenfunction():
     g = SpectralGrid(2, np.pi, 32)
     ds = davey_stewartson()
     for k in ((1, 0), (0, 1), (2, 1), (-3, 2)):
-        f = GridFunction.from_callable(
+        f = from_callable(
             g, lambda x, y, k=k: np.exp(1j * (k[0] * x + k[1] * y)))
         out = apply(ds, f)
         expected = evaluate(ds, np.asarray(k, float)) * f.values
@@ -176,7 +178,7 @@ class TestCustom:
         fn = lambda p: p[..., 0] ** 2 / (p[..., 0] ** 2 + p[..., 1] ** 2)
         k = custom(2, fn)
         g = SpectralGrid(2, np.pi, 16)
-        f = GridFunction.from_callable(g, lambda x, y: np.exp(1j * (x + y)))
+        f = from_callable(g, lambda x, y: np.exp(1j * (x + y)))
         out = apply(k, f)
         assert np.max(np.abs(out.values - 0.5 * f.values)) < 1e-12
 
@@ -221,7 +223,7 @@ class TestCustom:
 class TestOscillatoryCoefficientLimit:
     def test_decays_for_smooth_symbol(self):
         g = SpectralGrid(2, np.pi, 256)
-        A = GridFunction.from_callable(
+        A = from_callable(
             g, lambda x, y: np.exp(-(x * x + y * y) / (2 * 0.42 ** 2)))
         vals = oscillatory_coefficient_limit(
             davey_stewartson(), (1.0, 0.0), A, [1 / 4, 1 / 8, 1 / 16])
@@ -229,7 +231,7 @@ class TestOscillatoryCoefficientLimit:
 
     def test_identity_symbol_sees_no_increment(self):
         g = SpectralGrid(1, np.pi, 64)
-        A = GridFunction.from_callable(g, lambda x: np.exp(-x * x))
+        A = from_callable(g, lambda x: np.exp(-x * x))
         vals = oscillatory_coefficient_limit(identity(1), (1.0,), A, [0.5, 0.25])
         assert max(vals) < 1e-10
 

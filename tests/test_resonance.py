@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from wnlgo import Signature, close_phase_set, davey_stewartson, \
-    find_admissible_triple, identity, is_resonant, parallelogram_oracle, \
-    rectangle_oracle, resonant_tuples, zero
+    find_admissible_triple, identity, is_resonant, resonant_tuples, zero
+
+from oracles import parallelogram_oracle, rectangle_oracle
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")

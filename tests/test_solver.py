@@ -7,11 +7,13 @@ from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     TransportParams, approximation_error, assemble_approximation, \
     close_phase_set, davey_stewartson, evolve_profiles, evolve_semiclassical, \
     identity, oscillatory_initial_data, require_admissible, require_resolved, \
-    resample, shift_in_fourier, zero
+    resample, zero
 from wnlgo.grid import _superpose
 from wnlgo.kernels import apply
 from wnlgo.solver import _free_phase
 from wnlgo.transport import _advection_phases
+
+from oracles import shift_in_fourier
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")

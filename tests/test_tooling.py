@@ -1,9 +1,11 @@
-"""The benchmark's span table and command lines against the package.
+"""The benchmark's span table and command lines against the package, and
+the package's imports.
 
 bench/spans.py wraps package functions by name and reads their arguments by
 name, and bench/run.py builds each workload's CLI arguments; a rename in the
 package or a change to the CLI would otherwise only show as a missing or
-failing benchmark run.
+failing benchmark run.  No linter ships with the package, so an import left
+behind when code moves out is caught here.
 """
 
 import ast
@@ -23,6 +25,7 @@ from wnlgo.cli import build_parser
 from wnlgo.transport import _steps
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wnlgo"
 
 
 def _bench_module(name):
@@ -105,3 +108,21 @@ def test_cli_accepts_the_benchmark_arguments(name):
     assert workload.command in argv
     args = build_parser().parse_args(argv)
     assert args.command == workload.command
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_import_is_used(name):
+    """Each name a module imports is read in it, or re-exported in its
+    __all__ (the package's __init__)."""
+    tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) \
+                and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            used |= set(ast.literal_eval(node.value))
+    assert sorted(imported - used) == []

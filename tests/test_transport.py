@@ -11,13 +11,14 @@ import scipy.fft
 
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     TransportParams, close_phase_set, custom, davey_stewartson, dipolar, \
-    evolve_profiles, identity, is_resonant, profile_norms, shift_in_fourier, \
-    transport_rhs, zero, zero_mode_rate
+    evolve_profiles, identity, is_resonant, transport_rhs, zero, zero_mode_rate
 from wnlgo.kernels import apply_raw
 from wnlgo.transport import _constant_scan, _interaction, \
     _pair_coefficients, _plan, _program, _rhs_stack, _rk4, _scan_source, \
     _steps, _strang, constant_profile_history, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
+
+from oracles import profile_norms, shift_in_fourier
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -37,8 +38,9 @@ def rect_state(grid, params, signature=ELLIPTIC, amps=(0.9, 0.7, 0.8)):
 
 
 def test_params_reject_bad_nu():
-    with pytest.raises(ValueError):
-        TransportParams(lam=1.0, mu=0.0, nu=0, kernel=identity(2))
+    for nu in (0, 1.5):
+        with pytest.raises(ValueError):
+            TransportParams(lam=1.0, mu=0.0, nu=nu, kernel=identity(2))
 
 
 def test_profile_set_validation():
@@ -54,6 +56,10 @@ def test_profile_set_validation():
              GridFunction.zeros(grid)]
     with pytest.raises(ValueError, match="grids"):
         ProfileSet.from_seed(ps, grid, mixed, params)
+    # the phase set's nu is the one the rhs runs, so params must agree
+    with pytest.raises(ValueError, match="nu = 1"):
+        ProfileSet.from_seed(ps, grid, [GridFunction.zeros(grid)] * 3,
+                             replace(params, nu=2))
 
 
 def test_single_mode_closed_form():
