@@ -23,8 +23,8 @@ from .kernels import DIPOLAR_SCALE, KernelSpec, apply, apply_raw, custom, \
     oscillatory_coefficient_limit, parse_kernel, zero
 from .norms import ScaledProfileSpec, gaussian_sobolev_norm, \
     scaled_profile_norm, sobolev_norm, wiener_norm
-from .resonance import PhaseSet, ResonantTuple, Signature, as_wave_vector, \
-    close_phase_set, find_admissible_triple, is_resonant, resonant_tuples
+from .resonance import PhaseSet, Signature, as_wave_vector, close_phase_set, \
+    is_resonant, resonant_tuples
 from .solver import ModelParams, SemiclassicalField, assemble_approximation, \
     approximation_error, evolve_semiclassical, oscillatory_initial_data, \
     require_admissible, require_resolved
@@ -43,9 +43,8 @@ __all__ = [
     "oscillatory_coefficient_limit", "parse_kernel", "zero",
     "ScaledProfileSpec", "gaussian_sobolev_norm", "scaled_profile_norm",
     "sobolev_norm", "wiener_norm",
-    "PhaseSet", "ResonantTuple", "Signature", "as_wave_vector",
-    "close_phase_set", "find_admissible_triple", "is_resonant",
-    "resonant_tuples",
+    "PhaseSet", "Signature", "as_wave_vector", "close_phase_set",
+    "is_resonant", "resonant_tuples",
     "ModelParams", "SemiclassicalField", "assemble_approximation",
     "approximation_error", "evolve_semiclassical", "oscillatory_initial_data",
     "require_admissible", "require_resolved",

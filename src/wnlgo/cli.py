@@ -95,9 +95,8 @@ def _cmd_resonance(args) -> int:
     }
     if args.target is not None:
         payload["target"] = list(target)
-        payload["tuples"] = [
-            [list(ps.vectors[i]) for i in t.indices]
-            for t in resonant_tuples(ps, idx)]
+        payload["tuples"] = [[list(ps.vectors[i]) for i in t]
+                             for t in resonant_tuples(ps, idx)]
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)

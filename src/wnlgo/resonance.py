@@ -19,8 +19,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels as _kernels
-
 
 def as_wave_vector(v) -> tuple:
     """Coerce to a tuple of exact Python ints, rejecting non-integers."""
@@ -80,14 +78,6 @@ def is_resonant(signature: Signature, nu: int, kappas, target) -> bool:
         return False
     quad = sum((-1) ** idx * signature.quad(k) for idx, k in enumerate(kappas))
     return quad == signature.quad(target)
-
-
-@dataclass(frozen=True)
-class ResonantTuple:
-    """Indices (l_1, ..., l_{2nu+1}) into a PhaseSet, resonant onto target."""
-
-    indices: tuple
-    target: int
 
 
 @dataclass(frozen=True)
@@ -251,45 +241,11 @@ def resonant_tuples(phase_set: PhaseSet, target_index: int) -> list:
 
     Read off the prefix index: the tuples ending in l are the prefixes of
     the class keyed (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l)), followed by
-    l.  Output is in lexicographic index order.
+    l.  Output is the index tuples (l_1, ..., l_{2nu+1}) in lexicographic order.
     """
     count = len(phase_set)
     if not 0 <= target_index < count:
         raise ValueError(f"target index {target_index} out of range")
     index = phase_set.prefix_index
-    found = sorted(p + (l,) for l in range(count)
-                   for p in index.prefixes(index.key(target_index, l)))
-    return [ResonantTuple(t, target_index) for t in found]
-
-
-def find_admissible_triple(kernel, lam: float, mu: float, dim: int,
-                           search_radius: int):
-    """Search for three modes whose interaction creates a nonzero zero mode.
-
-    Looks for nonzero orthogonal integer vectors kappa_1, kappa_3 with
-    Khat(kappa_1) + Khat(kappa_3) != -2 mu / lambda (tolerance 1e-9) and
-    returns (kappa_1, kappa_1 + kappa_3, kappa_3) — the rectangle
-    0, kappa_1, kappa_2, kappa_3 — or None when the box holds no such pair.
-    Requires lambda != 0 (for lambda = 0 the creation coefficient is just
-    2 mu, with no kernel dependence to search over).
-    """
-    if lam == 0:
-        raise ValueError("find_admissible_triple needs lambda != 0")
-    if dim < 2:
-        raise ValueError("needs dim >= 2")
-    ranges = [range(-search_radius, search_radius + 1)] * dim
-    candidates = [v for v in itertools.product(*ranges) if any(v)]
-    candidates.sort(key=lambda v: (max(abs(c) for c in v),
-                                   sum(abs(c) for c in v),
-                                   tuple(-c for c in v)))
-    threshold = -2.0 * mu / lam
-    for k1 in candidates:
-        for k3 in candidates:
-            if sum(a * b for a, b in zip(k1, k3)) != 0:
-                continue
-            total = (_kernels.evaluate(kernel, np.array(k1, dtype=float))
-                     + _kernels.evaluate(kernel, np.array(k3, dtype=float)))
-            if abs(total - threshold) > 1e-9:
-                k2 = tuple(a + b for a, b in zip(k1, k3))
-                return k1, k2, k3
-    return None
+    return sorted(p + (l,) for l in range(count)
+                  for p in index.prefixes(index.key(target_index, l)))

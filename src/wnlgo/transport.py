@@ -17,6 +17,7 @@ is the critical case.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -26,8 +27,7 @@ import scipy.fft
 
 from . import kernels as _kernels
 from .grid import GridFunction, SpectralGrid
-from .resonance import (PhaseSet, Signature, as_wave_vector, close_phase_set,
-                        is_resonant, resonant_tuples)
+from .resonance import PhaseSet, Signature, as_wave_vector, is_resonant
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _plan(phase_set: PhaseSet, lam: float, mu: float,
             if l != j:
                 couplings.setdefault(code, []).append((j, l))
     coeff = dict(zip(couplings, _pair_coefficients(
-        phase_set, lam, mu, kernel,
+        phase_set.vectors, lam, mu, kernel,
         [pairs[0] for pairs in couplings.values()])))
     sums, ids = [], {}
 
@@ -185,11 +185,11 @@ def _plan(phase_set: PhaseSet, lam: float, mu: float,
         len(coeff) - len(kept))
 
 
-def _pair_coefficients(phase_set: PhaseSet, lam: float, mu: float,
+def _pair_coefficients(vectors, lam: float, mu: float,
                        kernel: _kernels.KernelSpec, pairs) -> list:
-    """mu + lam*Khat(kappa_j - kappa_l) for each (j, l) of pairs, j != l."""
+    """mu + lam*Khat(vectors[j] - vectors[l]) for each (j, l) of pairs, j != l."""
     j, l = np.array(pairs, dtype=int).reshape(-1, 2).T
-    vectors = np.array(phase_set.vectors, dtype=float)
+    vectors = np.array(vectors, dtype=float)
     return (mu + lam * _kernels.symbol(kernel, vectors[j] - vectors[l])).tolist()
 
 
@@ -519,10 +519,9 @@ def zero_mode_rate(kappas, alphas, params: TransportParams,
                    signature: Signature | None = None) -> GridFunction:
     """Instantaneous creation rate of the zero mode from three seed modes.
 
-    For seed vectors forming the rectangle 0, kappa_1, kappa_2 = kappa_1 +
-    kappa_3, kappa_3 (with orthogonal nonzero kappa_1, kappa_3), the rate at
-    t=0 is assembled directly from the resonant tuples whose entries all
-    carry seed data — for nu = 1 this reduces to the closed form
+    The seeds resonate onto 0 (the rectangle 0, kappa_1, kappa_2, kappa_3
+    under the signature), and the rate at t=0 sums the seeds' resonant
+    (2 nu + 1)-tuples onto 0 — for nu = 1 this reduces to the closed form
     -i * weight * (2 mu + lam (Khat(kappa_1) + Khat(kappa_3))) a_1 conj(a_2) a_3.
     Computed without any grid transform, so it can cross-check the evolved
     dynamics.
@@ -531,25 +530,21 @@ def zero_mode_rate(kappas, alphas, params: TransportParams,
     alphas = list(alphas)
     if len(kappas) != 3 or len(alphas) != 3:
         raise ValueError("expected exactly three seed modes")
-    d = len(kappas[0])
+    origin = (0,) * len(kappas[0])
     if signature is None:
-        signature = Signature.elliptic(d)
-    k1, k2, k3 = kappas
-    origin = (0,) * d
+        signature = Signature.elliptic(len(origin))
     if origin in kappas or len(set(kappas)) != 3:
         raise ValueError("seed modes must be distinct and nonzero")
-    if not is_resonant(signature, 1, (k1, k2, k3), origin):
+    if not is_resonant(signature, 1, kappas, origin):
         raise ValueError("seed modes do not interact onto the zero mode")
 
-    radius = max(abs(c) for k in kappas for c in k)
-    ps = close_phase_set(kappas, signature, params.nu, box_radius=radius)
-    j0 = ps.index(origin)
+    seeded = [t for t in itertools.product(range(3), repeat=2 * params.nu + 1)
+              if is_resonant(signature, params.nu, [kappas[i] for i in t], origin)]
+    coeffs = _pair_coefficients(kappas + [origin], params.lam, params.mu,
+                                params.kernel, [(3, t[-1]) for t in seeded])
     grid = alphas[0].grid
     acc = np.zeros(grid.shape, dtype=np.complex128)
     stack = np.stack([a.values for a in alphas])
-    seeded = [rt.indices for rt in resonant_tuples(ps, j0) if max(rt.indices) < 3]
-    coeffs = _pair_coefficients(ps, params.lam, params.mu, params.kernel,
-                                [(j0, indices[-1]) for indices in seeded])
     for c, indices in zip(coeffs, seeded):
         acc += c * _product(stack, indices)
     return GridFunction(grid, (-1j * params.weight) * acc)

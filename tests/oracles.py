@@ -3,8 +3,9 @@
 Nothing in wnlgo calls these; they exist to cross-check it, each written
 in a different way from the code it checks: the rectangle and
 parallelogram laws against the alternating-sum resonance test, the exact
-Fourier shift against the Strang advection, and the profiles' weighted
-Wiener-algebra norms against closed-form Gaussian values.  A plain module,
+Fourier shift against the Strang advection, the profiles' weighted
+Wiener-algebra norms against closed-form Gaussian values, and the zero-mode
+rate read off a closed phase set against the rate enumerated over the seeds.  A plain module,
 not collected by pytest; test files import it by name.
 """
 
@@ -15,7 +16,10 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from wnlgo import GridFunction, ProfileSet, SpectralGrid, as_wave_vector
+from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
+    TransportParams, as_wave_vector, close_phase_set, is_resonant, \
+    resonant_tuples
+from wnlgo.transport import _pair_coefficients, _product
 
 
 def from_callable(grid: SpectralGrid, fn) -> GridFunction:
@@ -120,3 +124,40 @@ def profile_norms(state: ProfileSet, s_list=()) -> XNorms:
                 deriv_part += l1 + l2
         xs[s] = mode_part + deriv_part
     return XNorms(x_norm, xs)
+
+
+def reference_zero_mode_rate(kappas, alphas, params: TransportParams,
+                             signature: Signature | None = None) -> GridFunction:
+    """The zero-mode creation rate from the phase set the seeds close to.
+
+    Closes kappas for params.nu in their own box, takes every resonant tuple
+    onto the zero mode from resonant_tuples, keeps those whose entries are
+    all seeds, and sums their products with the coefficients
+    mu + lam*Khat(0 - kappa_last), in the order resonant_tuples lists them.
+    """
+    kappas = [as_wave_vector(k) for k in kappas]
+    alphas = list(alphas)
+    if len(kappas) != 3 or len(alphas) != 3:
+        raise ValueError("expected exactly three seed modes")
+    d = len(kappas[0])
+    if signature is None:
+        signature = Signature.elliptic(d)
+    k1, k2, k3 = kappas
+    origin = (0,) * d
+    if origin in kappas or len(set(kappas)) != 3:
+        raise ValueError("seed modes must be distinct and nonzero")
+    if not is_resonant(signature, 1, (k1, k2, k3), origin):
+        raise ValueError("seed modes do not interact onto the zero mode")
+
+    radius = max(abs(c) for k in kappas for c in k)
+    ps = close_phase_set(kappas, signature, params.nu, box_radius=radius)
+    j0 = ps.index(origin)
+    grid = alphas[0].grid
+    acc = np.zeros(grid.shape, dtype=np.complex128)
+    stack = np.stack([a.values for a in alphas])
+    seeded = [t for t in resonant_tuples(ps, j0) if max(t) < 3]
+    coeffs = _pair_coefficients(ps.vectors, params.lam, params.mu,
+                                params.kernel, [(j0, t[-1]) for t in seeded])
+    for c, indices in zip(coeffs, seeded):
+        acc += c * _product(stack, indices)
+    return GridFunction(grid, (-1j * params.weight) * acc)

@@ -716,6 +716,50 @@ class TestCli:
         meta = json.loads((tmp_path / "r" / "metadata.json").read_text())
         assert meta["assertions"][-1]["name"] == "all values finite"
 
+    @pytest.mark.parametrize("model, branch", [
+        ({"kernel": "zero", "mu": -0.5}, "finite-difference rate"),
+        ({"kernel": "identity", "mu": -0.5}, "finite-difference rate"),
+        ({"nu": 2, "mu": -0.5}, "finite-difference rate"),
+        ({"kernel": "identity", "mu": -1.0}, "zero mode stays flat")],
+        ids=["zero-driven", "identity-driven", "ds-quintic-driven",
+             "identity-flat"])
+    def test_zero_mode_branch_follows_the_predicted_rate(
+            self, tmp_path, capsys, model, branch):
+        # lam + 2 mu = 0 cancels the creation coefficient only for the DS
+        # kernel at nu = 1; every other zero mode here is driven but the
+        # identity kernel's at mu = -lam
+        with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
+            cfg = json.load(fh)
+        cfg["model"].update(model)
+        cfg["grid"]["points_per_axis"] = 32
+        cfg.update(T=0.2, profile_points=32)
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "zero-mode"])
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("PASS  " + branch)
+        assert code == 0
+
+    @pytest.mark.parametrize("phi0, code", [
+        ([[2, 1], [3, 3], [1, 2]], 0), ([[1, 1], [2, 0], [1, -1]], 2)],
+        ids=["resonant", "not-resonant"])
+    def test_zero_mode_seeds_resonate_under_the_signature(
+            self, tmp_path, capsys, phi0, code):
+        # under '+-' the first rectangle resonates onto 0 although its sides
+        # are not Euclidean-orthogonal; the second is orthogonal but does not
+        with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
+            cfg = json.load(fh)
+        cfg["model"]["signature"] = "+-"
+        cfg["phases"]["phi0"] = phi0
+        cfg["data"]["amplitudes"] = [0.9, 0.7, 0.8]
+        cfg.update(T=0.2, profile_points=64)
+        assert main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "zero-mode"]) == code
+        out = capsys.readouterr()
+        if code == 2:
+            assert "resonant onto 0 under signature '+-'" in out.err
+        else:
+            assert out.out.startswith("PASS  finite-difference rate")
+
     def test_tau_scan_blown_up_from_the_start_fails(self, tmp_path, capsys):
         # a seed zero mode of amplitude 1e308 makes the scan's first sample
         # inf: tau is the first time, and the run fails its finiteness check

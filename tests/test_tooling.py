@@ -22,9 +22,11 @@ from wnlgo import GridFunction, ModelParams, ProfileSet, Signature, \
     SpectralGrid, TransportParams, close_phase_set, davey_stewartson, \
     evolve_profiles, evolve_semiclassical, oscillatory_initial_data
 from wnlgo.cli import build_parser
+from wnlgo.experiments import load_config
 from wnlgo.transport import _steps
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wnlgo"
 
 
@@ -108,6 +110,89 @@ def test_cli_accepts_the_benchmark_arguments(name):
     assert workload.command in argv
     args = build_parser().parse_args(argv)
     assert args.command == workload.command
+
+
+def package_uses(script):
+    """What a bench script takes from the package, read from its source:
+    (name, object) for each name it imports from wnlgo; (name, keyword,
+    object) for each keyword it passes to one of them; and (receiver, attr)
+    for each attribute it reads on one of them or on a value that
+    load_config returned."""
+    tree = ast.parse((BENCH / script).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: getattr(
+                    importlib.import_module(node.module), alias.name)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module.split(".")[0] == "wnlgo"
+                for alias in node.names}
+    configs = {target.id for node in ast.walk(tree)
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Call)
+               and ast.unparse(node.value.func) == "load_config"
+               for target in node.targets}
+    keywords = [(node.func.id, kw.arg, imported[node.func.id])
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in imported for kw in node.keywords]
+    attributes = [(node.value.id, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in set(imported) | configs]
+    return imported, keywords, attributes
+
+
+@pytest.mark.parametrize("script", ["run.py", "selftest.py", "spans.py"])
+def test_bench_finds_what_it_uses_in_the_package(script):
+    """Each name a bench script imports from the package exists (an import
+    that fails raises here), each keyword it passes is a parameter, and each
+    attribute it reads exists, on a loaded config for load_config's result."""
+    imported, keywords, attributes = package_uses(script)
+    assert imported
+    for name, keyword, fn in keywords:
+        assert keyword in inspect.signature(fn).parameters, (name, keyword)
+    config = load_config(str(CONFIGS / "converge_ds_elliptic.json"))
+    for receiver, attr in attributes:
+        owner = imported[receiver] if receiver in imported else config
+        assert hasattr(owner, attr), (receiver, attr)
+
+
+def test_bench_run_reads_the_setup_api():
+    # the names above, for bench/run.py's set-up and closure probe
+    imported, keywords, attributes = package_uses("run.py")
+    assert {"load_config", "ProfileSet", "SpectralGrid", "transport_rhs",
+            "Signature", "close_phase_set", "cli"} <= set(imported)
+    assert {("close_phase_set", "max_generations"),
+            ("close_phase_set", "box_radius")} <= {k[:2] for k in keywords}
+    assert {("ProfileSet", "from_seed"), ("Signature", "from_string"),
+            ("cli", "main"), ("parsed", "phase_set"),
+            ("parsed", "seed_amplitudes"), ("parsed", "transport_params"),
+            ("parsed", "half_box"), ("parsed", "dim")} <= set(attributes)
+
+
+def counter_arguments(counter):
+    """The argument names a bench/spans.py counter reads, args["name"]."""
+    tree = ast.parse(inspect.getsource(counter))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and ast.unparse(node.value) == "args"
+            and isinstance(node.slice, ast.Constant)}
+
+
+@pytest.mark.parametrize("module, name", sorted(
+    key for key, counter in COUNTERS.items() if counter is not None))
+def test_span_counters_read_parameters_of_their_function(module, name):
+    fn = getattr(importlib.import_module("wnlgo." + module), name)
+    read = counter_arguments(COUNTERS[module, name])
+    assert read <= set(inspect.signature(fn).parameters)
+
+
+def test_spans_read_these_names():
+    # the parse above finds every argument the counters read, and
+    # spans.instrument wraps the two transform methods by name
+    assert set().union(*map(counter_arguments, filter(None, COUNTERS.values()))) \
+        == {"values", "field", "t_end", "dt", "state", "path"}
+    for method in ("forward", "inverse"):
+        assert callable(getattr(SpectralGrid, method))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PACKAGE.glob("*.py")))

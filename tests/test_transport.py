@@ -18,7 +18,7 @@ from wnlgo.transport import _constant_scan, _interaction, \
     _steps, _strang, constant_profile_history, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
-from oracles import profile_norms, shift_in_fourier
+from oracles import profile_norms, reference_zero_mode_rate, shift_in_fourier
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -312,7 +312,7 @@ def _unpruned(ps, lam, mu, kernel):
     plan = _plan(ps, lam, mu + 0.5, kernel)
     assert plan.zero_classes == 0
     sids = [sid for sid, _ in plan.coefficients]
-    coeffs = _pair_coefficients(ps, lam, mu, kernel,
+    coeffs = _pair_coefficients(ps.vectors, lam, mu, kernel,
                                 [pairs[0] for pairs in plan.couplings])
     return replace(plan, coefficients=tuple(zip(sids, coeffs)))
 
@@ -413,7 +413,7 @@ def test_schedule_applies_each_coupling_once(signature, nu, box_radius,
         taken = sid if partner else None
     assert taken is None
     pairs = [(j, l) for j in range(len(ps)) for l in range(len(ps)) if j != l]
-    coeffs = _pair_coefficients(ps, lam, mu, kernel, pairs)
+    coeffs = _pair_coefficients(ps.vectors, lam, mu, kernel, pairs)
     index = ps.prefix_index
     assert Counter((j, l, plan.keys[sid]) for j, l, sid in _applied(plan)) \
         == Counter((j, l, (index.key(j, l), nu))
@@ -993,13 +993,37 @@ class TestZeroModeRate:
 
     def test_matches_full_rhs_at_start(self):
         grid = SpectralGrid(2, np.pi, 32)
-        params = TransportParams(1.0, 0.25, 1, davey_stewartson(), weight=0.7)
-        state = rect_state(grid, params)
-        rate = zero_mode_rate(RECT, state.amplitudes[:3], params)
-        j0 = state.phase_set.index((0, 0))
-        rhs = transport_rhs(state)[j0]
-        scale = np.max(np.abs(rate.values))
-        assert np.max(np.abs(rhs.values - rate.values)) < 1e-13 * scale
+        for nu in (1, 2):
+            params = TransportParams(1.0, 0.25, nu, davey_stewartson(),
+                                     weight=0.7)
+            state = rect_state(grid, params)
+            rate = zero_mode_rate(RECT, state.amplitudes[:3], params)
+            j0 = state.phase_set.index((0, 0))
+            rhs = transport_rhs(state)[j0]
+            scale = np.max(np.abs(rate.values))
+            assert scale > 0
+            assert np.max(np.abs(rhs.values - rate.values)) < 1e-13 * scale
+
+    # (kernel, lam, mu): each kernel flat (the zero mode's coefficients
+    # cancel on the axis rectangle) and driven
+    MODELS = [(davey_stewartson(), 1.0, -0.5), (davey_stewartson(), 1.0, 0.25),
+              (identity(2), 1.0, -1.0), (identity(2), 1.0, -0.5),
+              (zero(2), 1.0, 0.0), (zero(2), 1.0, -0.5)]
+
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("signature, kappas", [
+        ("++", RECT), ("-+", RECT), ("+-", RECT),
+        ("-+", ((2, 1), (3, 3), (1, 2))), ("+-", ((2, 1), (3, 3), (1, 2)))])
+    def test_matches_the_closure_oracle(self, nu, signature, kappas):
+        grid = SpectralGrid(2, np.pi, 16)
+        signature = Signature.from_string(signature)
+        alphas = [gaussian(grid, a, center=(0.3 * k, -0.2 * k))
+                  for k, a in enumerate((0.9, 0.7, 0.8))]
+        for kernel, lam, mu in self.MODELS:
+            params = TransportParams(lam, mu, nu, kernel, weight=0.7)
+            got = zero_mode_rate(kappas, alphas, params, signature)
+            expect = reference_zero_mode_rate(kappas, alphas, params, signature)
+            assert np.array_equal(got.values, expect.values)
 
     def test_validation(self):
         grid = SpectralGrid(2, np.pi, 16)
