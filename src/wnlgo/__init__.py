@@ -26,8 +26,8 @@ from .norms import ScaledProfileSpec, gaussian_sobolev_norm, \
 from .resonance import PhaseSet, Signature, as_wave_vector, close_phase_set, \
     is_resonant, resonant_tuples
 from .solver import ModelParams, SemiclassicalField, assemble_approximation, \
-    approximation_error, evolve_semiclassical, oscillatory_initial_data, \
-    require_admissible, require_resolved
+    approximation_error, evolve_fields, evolve_semiclassical, \
+    oscillatory_initial_data, require_admissible, require_resolved
 from .transport import ProfileSet, TransportParams, evolve_profiles, \
     transport_rhs, zero_mode_rate
 from .experiments import ExperimentConfig, SweepResult, emit_results, \
@@ -46,8 +46,8 @@ __all__ = [
     "PhaseSet", "Signature", "as_wave_vector", "close_phase_set",
     "is_resonant", "resonant_tuples",
     "ModelParams", "SemiclassicalField", "assemble_approximation",
-    "approximation_error", "evolve_semiclassical", "oscillatory_initial_data",
-    "require_admissible", "require_resolved",
+    "approximation_error", "evolve_fields", "evolve_semiclassical",
+    "oscillatory_initial_data", "require_admissible", "require_resolved",
     "ProfileSet", "TransportParams", "evolve_profiles", "transport_rhs",
     "zero_mode_rate",
     "ExperimentConfig", "SweepResult", "emit_results", "fit_power_law",

@@ -213,21 +213,32 @@ def _half_multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
     return out
 
 
-def apply_raw(kernel: KernelSpec, grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
+def apply_raw(kernel: KernelSpec, grid: SpectralGrid, values: np.ndarray,
+              multiplier: np.ndarray | None = None) -> np.ndarray:
     """Re E(values) for a real array, on real FFTs; for hot loops.
 
-    The sign pattern and the normalisation factors of :meth:`SpectralGrid.forward`
+    values is one field on grid, or a stack of fields of grid's shape along
+    axis 0, transformed over axes 1..d.  multiplier defaults to
+    :func:`_half_multiplier` on grid; a stack of fields on grids of one
+    shape but other spacings passes theirs, stacked the same way.  The sign
+    pattern and the normalisation factors of :meth:`SpectralGrid.forward`
     and :meth:`SpectralGrid.inverse` cancel in the round trip, so they are
     skipped.  :func:`apply` is the general (complex) path.
     """
     values = np.asarray(values)
     if np.iscomplexobj(values):
         raise ValueError("apply_raw needs a real array; use apply() for complex fields")
-    if values.shape != grid.shape:
-        raise ValueError(f"expected shape {grid.shape}, got {values.shape}")
-    spectrum = scipy.fft.rfftn(values, workers=1)
-    spectrum *= _half_multiplier(kernel, grid)
-    return scipy.fft.irfftn(spectrum, s=grid.shape, overwrite_x=True, workers=1)
+    stacked = values.ndim - grid.dim
+    if stacked not in (0, 1) or values.shape[stacked:] != grid.shape:
+        raise ValueError(f"expected shape {grid.shape} or a stack of it, "
+                         f"got {values.shape}")
+    if multiplier is None:
+        multiplier = _half_multiplier(kernel, grid)
+    axes = tuple(range(stacked, values.ndim))
+    spectrum = scipy.fft.rfftn(values, axes=axes, workers=1)
+    spectrum *= multiplier
+    return scipy.fft.irfftn(spectrum, s=grid.shape, axes=axes, overwrite_x=True,
+                            workers=1)
 
 
 def oscillatory_coefficient_limit(kernel: KernelSpec, kappa, A: GridFunction,

@@ -10,12 +10,14 @@ lam E(|u|^{2nu}) + mu |u|^{2nu} is real (E has a real even symbol), so |u| is
 pointwise conserved by the nonlinear flow and the substep is a pure phase
 rotation.  The free flow is diagonal in Fourier.  Both substeps preserve the
 discrete L2 norm to rounding, making the scheme unconditionally stable.
+Fields of one grid shape and one model apart from eps (the period cells of
+an eps sweep) evolve as one stack, bit-identical to one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,9 +143,16 @@ def _free_phase(grid: SpectralGrid, signature: Signature,
                            for eta in signature.etas], np.multiply)
 
 
-def evolve_semiclassical(field: SemiclassicalField, t_end: float,
-                         dt: float) -> SemiclassicalField:
-    """Advance to t_end by Strang splitting (free half / exact nonlinear / free half).
+def evolve_fields(fields, t_end: float, dt: float) -> list:
+    """Advance every field to t_end by Strang splitting (free half / exact
+    nonlinear / free half), as one stack along axis 0.
+
+    The fields share a grid shape, a start time and a model apart from eps;
+    each keeps its own grid, so period cells of one shape for different eps
+    evolve together.  Each step is one FFT pair of the whole stack (and one
+    real FFT pair for E), and each field's values are bit-identical to
+    evolving it alone: every line of a stacked transform is computed as the
+    same transform of that field alone.
 
     The nonlinear substep multiplies by exp(-i dt eps^{J-1} V) with the real
     potential V = lam E(|u|^{2nu}) + mu |u|^{2nu}; no time-stepping error
@@ -152,21 +161,36 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
     (:func:`kernels.apply_raw`), and the rotation takes one tangent:
     exp(i theta) = z / conj(z) with z = 1 + i tan(theta / 2) for finite theta.
     """
-    span = t_end - field.time
+    fields = list(fields)
+    if not fields:
+        return []
+    first = fields[0]
+    p = first.params
+    for f in fields[1:]:
+        if f.grid.shape != first.grid.shape or f.time != first.time \
+                or replace(f.params, eps=p.eps) != p:
+            raise ValueError("evolve_fields needs one grid shape, one start "
+                             "time and one model apart from eps")
+    span = t_end - first.time
     n_steps, _ = _steps(abs(span), dt)
     if span == 0:
-        return field
+        return fields
     dt = span / n_steps  # signed; backward evolution reverses the flow
 
-    p = field.params
-    grid = field.grid
-    half = _free_phase(grid, p.signature, 0.25 * p.eps * dt)
-    angle = -0.5 * dt * p.eps ** (p.j_exponent - 1.0)  # theta / 2 per unit V
+    shape = (len(fields),) + first.grid.shape
+    half = np.stack([_free_phase(f.grid, p.signature, 0.25 * f.params.eps * dt)
+                     for f in fields])
+    # theta / 2 per unit V, one value per field
+    angle = np.array([-0.5 * dt * f.params.eps ** (p.j_exponent - 1.0)
+                      for f in fields]).reshape((-1,) + (1,) * first.grid.dim)
     nonlocal_term = p.lam != 0.0 and p.kernel.kind != "zero"
+    if nonlocal_term:
+        multiplier = np.stack([_kernels._half_multiplier(p.kernel, f.grid)
+                               for f in fields])
 
-    density = np.empty(grid.shape)
-    square = np.empty(grid.shape)
-    z = np.ones(grid.shape, dtype=np.complex128)  # 1 + i tan(theta / 2)
+    density = np.empty(shape)
+    square = np.empty(shape)
+    z = np.ones(shape, dtype=np.complex128)  # 1 + i tan(theta / 2)
 
     def rotate(u):
         nonlocal density  # *= and **= assign the name
@@ -175,7 +199,7 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
         if p.nu > 1:
             density **= p.nu
         if nonlocal_term:
-            theta = _kernels.apply_raw(p.kernel, grid, density)
+            theta = _kernels.apply_raw(p.kernel, first.grid, density, multiplier)
             theta *= p.lam * angle
             if p.mu != 0.0:
                 density *= p.mu * angle
@@ -188,8 +212,16 @@ def evolve_semiclassical(field: SemiclassicalField, t_end: float,
         u /= np.conjugate(z, out=z)  # the next tan rewrites z.imag
         return u
 
-    u = _strang(field.values.values, half, n_steps, None, rotate)
-    return SemiclassicalField(GridFunction(grid, u), field.time + span, field.params)
+    u = _strang(np.stack([f.values.values for f in fields]), half, n_steps,
+                rotate)
+    return [SemiclassicalField(GridFunction(f.grid, v), f.time + span, f.params)
+            for f, v in zip(fields, u)]
+
+
+def evolve_semiclassical(field: SemiclassicalField, t_end: float,
+                         dt: float) -> SemiclassicalField:
+    """Advance one field to t_end: :func:`evolve_fields` on a stack of one."""
+    return evolve_fields([field], t_end, dt)[0]
 
 
 def assemble_approximation(profiles: ProfileSet, params: ModelParams,

@@ -427,12 +427,14 @@ def _steps(span: float, dt: float) -> tuple:
     return n_steps, span / n_steps
 
 
-def _strang(values: np.ndarray, half, n_steps: int, axes, substep) -> np.ndarray:
-    """n_steps Strang steps: the half linear flow, then per step values =
-    substep(values) and the full flow (half on the last step).  The flow
-    multiplies the transform over axes by half or full = half * half.
-    substep may work in place; the caller's values are never written."""
+def _strang(values: np.ndarray, half, n_steps: int, substep) -> np.ndarray:
+    """n_steps Strang steps of a stack of fields along axis 0: the half
+    linear flow, then per step values = substep(values) and the full flow
+    (half on the last step).  The flow multiplies the transform over every
+    axis but the first by half or full = half * half.  substep may work in
+    place; the caller's values are never written."""
     full = half * half
+    axes = tuple(range(1, values.ndim))
 
     def flow(values, phase, overwrite=True):
         values = scipy.fft.fftn(values, axes=axes, overwrite_x=overwrite, workers=1)
@@ -478,7 +480,7 @@ def evolve_profiles(state: ProfileSet, t_end: float, dt: float) -> ProfileSet:
     grid = state.grid
     rhs = _interaction(state.phase_set, state.params, grid)
     stack = _strang(state.stack(), _advection_phases(state, 0.5 * dt), n_steps,
-                    tuple(range(1, grid.dim + 1)), _rk4(rhs, dt))
+                    _rk4(rhs, dt))
     amps = tuple(GridFunction(grid, a) for a in stack)
     return replace(state, amplitudes=amps, time=state.time + span)
 

@@ -4,9 +4,10 @@ Nothing in wnlgo calls these; they exist to cross-check it, each written
 in a different way from the code it checks: the rectangle and
 parallelogram laws against the alternating-sum resonance test, the exact
 Fourier shift against the Strang advection, the profiles' weighted
-Wiener-algebra norms against closed-form Gaussian values, and the zero-mode
-rate read off a closed phase set against the rate enumerated over the seeds.  A plain module,
-not collected by pytest; test files import it by name.
+Wiener-algebra norms against closed-form Gaussian values, the zero-mode
+rate read off a closed phase set against the rate enumerated over the seeds,
+and the split-step run one field at a time against the stacked evolution.
+A plain module, not collected by pytest; test files import it by name.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 
 import numpy as np
+import scipy.fft
 
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
-    TransportParams, as_wave_vector, close_phase_set, is_resonant, \
-    resonant_tuples
+    TransportParams, apply_raw, as_wave_vector, close_phase_set, \
+    is_resonant, resonant_tuples
+from wnlgo.solver import _free_phase
 from wnlgo.transport import _pair_coefficients, _product
 
 
@@ -161,3 +164,47 @@ def reference_zero_mode_rate(kappas, alphas, params: TransportParams,
     for c, indices in zip(coeffs, seeded):
         acc += c * _product(stack, indices)
     return GridFunction(grid, (-1j * params.weight) * acc)
+
+
+def evolve_one_at_a_time(fields, t_end: float, dt: float) -> list:
+    """The values of each field evolved alone to t_end: the split-step loop
+    that solver.evolve_fields runs on a stack, written for one field, with
+    its transforms over all the field's axes and E on that field's grid.
+    Every operation is the stacked loop's, in its order, on one field."""
+    return [_evolve_alone(f, t_end, dt) for f in fields]
+
+
+def _evolve_alone(field, t_end: float, dt: float) -> np.ndarray:
+    span = t_end - field.time
+    if span == 0:
+        return field.values.values
+    n_steps = max(1, round(abs(span) / dt))
+    dt = span / n_steps
+    p, grid = field.params, field.grid
+    half = _free_phase(grid, p.signature, 0.25 * p.eps * dt)
+    full = half * half
+    angle = -0.5 * dt * p.eps ** (p.j_exponent - 1.0)
+
+    def flow(u, phase):
+        u = scipy.fft.fftn(u, workers=1)
+        u *= phase
+        return scipy.fft.ifftn(u, overwrite_x=True, workers=1)
+
+    u = flow(field.values.values, half)
+    z = np.ones(grid.shape, dtype=np.complex128)
+    for step in range(n_steps):
+        density = u.real ** 2 + u.imag ** 2
+        if p.nu > 1:
+            density **= p.nu
+        if p.lam != 0.0 and p.kernel.kind != "zero":
+            theta = apply_raw(p.kernel, grid, density)
+            theta *= p.lam * angle
+            if p.mu != 0.0:
+                theta += density * (p.mu * angle)
+        else:
+            theta = density * (p.mu * angle)
+        z.imag = np.tan(theta)
+        u *= z
+        u /= np.conjugate(z)
+        u = flow(u, full if step < n_steps - 1 else half)
+    return u

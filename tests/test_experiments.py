@@ -10,13 +10,16 @@ import pytest
 import scipy.fft
 
 from wnlgo import AdmissibilityError, ConfigError, GridFunction, \
-    ProfileSet, __version__, ResolutionError, ScaledProfileSpec, SpectralGrid, \
-    evolve_semiclassical, oscillatory_initial_data, read_snapshot, \
-    require_admissible, require_resolved, scaled_profile_norm, sobolev_norm
+    ProfileSet, __version__, ResolutionError, ScaledProfileSpec, \
+    SemiclassicalField, SpectralGrid, evolve_semiclassical, \
+    oscillatory_initial_data, read_snapshot, require_admissible, \
+    require_resolved, scaled_profile_norm, sobolev_norm
 from wnlgo.cli import main
 from wnlgo import cli, experiments
 from wnlgo.experiments import emit_results, fit_power_law, load_config, \
     parse_config, run_convergence, run_experiment
+
+from oracles import evolve_one_at_a_time
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -474,6 +477,83 @@ def test_period_cell_runs_match_the_full_grid(make_config):
             assert abs(row[key] - value) <= 1e-12 * abs(value), (eps, key)
 
 
+def _one_at_a_time(fields, t_end, dt):
+    """evolve_fields by the oracle: each field evolved alone."""
+    return [SemiclassicalField(GridFunction(f.grid, v), t_end, f.params)
+            for f, v in zip(fields, evolve_one_at_a_time(fields, t_end, dt))]
+
+
+def _hyperbolic_config(box_radius=4):
+    with open(os.path.join(CONFIGS, "inflate_ds_hyperbolic.json"),
+              encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["phases"]["box_radius"] = box_radius
+    return raw
+
+
+def _gaussian_inflate_config():
+    raw = inflate_config()
+    raw["data"].update(profile="gaussian", width=0.5)
+    return raw
+
+
+class TestCellStacks:
+    """The sweeps evolve runs of equal-shape period cells as one stack."""
+
+    def run(self, monkeypatch, cfg):
+        """(rows, fields per evolve_fields call) of one run of cfg."""
+        sizes = []
+        evolve = experiments.evolve_fields
+
+        def spy(fields, t_end, dt):
+            sizes.append(len(fields))
+            return evolve(fields, t_end, dt)
+        monkeypatch.setattr(experiments, "evolve_fields", spy)
+        rows = run_experiment(cfg).rows
+        monkeypatch.setattr(experiments, "evolve_fields", evolve)
+        return rows, sizes
+
+    @pytest.mark.parametrize("make_config", [
+        lambda: inflate_config(eps_list=[0.25, 0.125, 0.0625]),
+        lambda: more_weakly_config(eps_list=[0.25, 0.125, 0.0625]),
+        _ds_inflate_config, _hyperbolic_config],
+        ids=["inflate-local", "more-weakly-J1.5", "inflate-ds",
+             "inflate-ds-hyperbolic"])
+    def test_rows_match_one_at_a_time(self, monkeypatch, make_config):
+        cfg = parse_config(make_config())
+        rows, sizes = self.run(monkeypatch, cfg)
+        assert sizes == [len(cfg.eps_list)]
+        monkeypatch.setattr(experiments, "evolve_fields", _one_at_a_time)
+        assert run_experiment(cfg).rows == rows
+
+    @pytest.mark.parametrize("make_config, sizes", [
+        (_gaussian_inflate_config, [1, 1]),  # whole boxes of 64^2 and 128^2
+        (more_weakly_config, [1, 1, 1])],  # cells of 16^2, 64^2 and 16^2
+        ids=["gaussian", "cell-shapes-differ"])
+    def test_each_shape_runs_in_its_own_stack(self, monkeypatch, make_config,
+                                              sizes):
+        cfg = parse_config(make_config())
+        assert self.run(monkeypatch, cfg)[1] == sizes
+
+    def test_point_budget_splits_a_stack(self, monkeypatch):
+        cfg = parse_config(inflate_config(eps_list=[0.25, 0.125, 0.0625]))
+        rows, sizes = self.run(monkeypatch, cfg)
+        assert sizes == [3]
+        monkeypatch.setattr(experiments, "_POINT_BUDGET", 2 * 16 ** 2)
+        assert self.run(monkeypatch, cfg) == (rows, [2, 1])
+
+
+def test_hyperbolic_ds_inflation_holds_at_two_boxes():
+    # criterion 11's DS sweep under the -+ signature: the phase set is cut by
+    # the box at radius 3 and 4 alike, and tau and every assertion agree
+    results = [run_experiment(parse_config(_hyperbolic_config(box)))
+               for box in (3, 4)]
+    for result in results:
+        assert result.passed, result.assertions
+        assert result.metadata["phase_set"]["truncated_by_box"]
+    assert results[0].metadata["tau"] == results[1].metadata["tau"]
+
+
 @pytest.mark.parametrize("values, tau", [
     ([0.1, 0.3, 0.2, 0.4], 1), ([0.1, 0.2, 0.3, 0.4], 3),
     ([0.1, 0.2, np.nan, np.nan], 1), ([0.1, 0.2, 0.3, np.inf], 2),
@@ -536,19 +616,20 @@ class TestTauScanWork:
         ids=["local", "ds"])
     def test_uniform_scan_has_no_grid_work(self, monkeypatch, make_config,
                                            real):
-        # per eps: u0 (one fftn per seed mode, one ifftn for the sum), one
-        # split-step solve to tau (N + 1 fftn / ifftn, N rfftn / irfftn
-        # with the DS kernel), two Sobolev norms and the zero-mode
-        # amplitude (one fftn each); nothing else
+        # per eps: u0 (one fftn per seed mode, one ifftn for the sum), two
+        # Sobolev norms and the zero-mode amplitude (one fftn each); one
+        # split-step solve to tau of the stack of every eps, whose cells
+        # share a shape (N + 1 fftn / ifftn, N rfftn / irfftn with the DS
+        # kernel); nothing else
         cfg = parse_config(make_config())
         calls, result = self.count(monkeypatch, cfg)
         n = round(result.metadata["tau"] / cfg.dt)
         solves = len(cfg.eps_list)
         seeds = len(cfg.amplitudes)
         assert calls == {"evolve_profiles": 0,
-                         "fftn": solves * (seeds + n + 4),
-                         "ifftn": solves * (n + 2), "rfftn": solves * n * real,
-                         "irfftn": solves * n * real}
+                         "fftn": solves * (seeds + 3) + n + 1,
+                         "ifftn": solves + n + 1, "rfftn": n * real,
+                         "irfftn": n * real}
 
     def test_gaussian_scan_runs_on_the_grid(self, monkeypatch):
         raw = inflate_config(T=1.0)
@@ -558,8 +639,9 @@ class TestTauScanWork:
         n = round(result.metadata["tau"] / cfg.dt)
         solves = len(cfg.eps_list)
         seeds = len(cfg.amplitudes)
-        # per eps as above; 201 samples of [0, 1], one step of profile_dt
-        # each: two advections
+        # per eps as above, but each whole box has its own shape, so each
+        # eps is its own split-step solve; 201 samples of [0, 1], one step
+        # of profile_dt each: two advections
         assert calls == {"evolve_profiles": 201,
                          "fftn": solves * (seeds + n + 4) + 400,
                          "ifftn": solves * (n + 2) + 400, "rfftn": 0,
@@ -649,7 +731,8 @@ class TestCli:
             self, tmp_path, capsys, monkeypatch, command, paths, message):
         def no_work(*args, **kwargs):
             raise AssertionError("the run started")
-        for name in ("evolve_profiles", "evolve_semiclassical"):
+        for name in ("evolve_profiles", "evolve_semiclassical",
+                     "evolve_fields"):
             monkeypatch.setattr(experiments, name, no_work)
         self.write(tmp_path, zero_mode_config())
         (tmp_path / "file").write_text("")

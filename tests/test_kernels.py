@@ -158,6 +158,23 @@ class TestApplyRaw:
             if any(k):
                 assert evaluate(kernel, [m[k] for m in mesh]) == table[k], k
 
+    @pytest.mark.parametrize("name", ["ds", "dipolar", "custom"])
+    def test_stack_matches_each_field_alone(self, name):
+        # fields on grids of one shape and other spacings, each with its
+        # own multiplier, transformed as one stack along axis 0
+        kernel, grid = REAL_APPLY_CASES[name]
+        grids = [SpectralGrid(grid.dim, grid.half_length * f,
+                              grid.points_per_axis) for f in (1.0, 0.3, 0.7)]
+        values = np.random.default_rng(34).standard_normal((3,) + grid.shape)
+        multiplier = np.stack([kernels._half_multiplier(kernel, g)
+                               for g in grids])
+        got = apply_raw(kernel, grid, values, multiplier)
+        for g, v, out in zip(grids, values, got):
+            assert np.array_equal(out, apply_raw(kernel, g, v))
+        shared = apply_raw(kernel, grid, values)
+        for v, out in zip(values, shared):
+            assert np.array_equal(out, apply_raw(kernel, grid, v))
+
     def test_input_is_left_unchanged(self):
         kernel, grid = REAL_APPLY_CASES["ds"]
         values = np.random.default_rng(32).standard_normal(grid.shape)
@@ -169,8 +186,9 @@ class TestApplyRaw:
         kernel, grid = REAL_APPLY_CASES["ds"]
         with pytest.raises(ValueError, match="real"):
             apply_raw(kernel, grid, np.ones(grid.shape, dtype=np.complex128))
-        with pytest.raises(ValueError, match="shape"):
-            apply_raw(kernel, grid, np.ones((16, 16)))
+        for shape in ((16, 16), (2, 16, 16), (2, 2) + grid.shape):
+            with pytest.raises(ValueError, match="shape"):
+                apply_raw(kernel, grid, np.ones(shape))
 
 
 class TestCustom:

@@ -5,15 +5,16 @@ import scipy.fft
 from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     ResolutionError, SemiclassicalField, Signature, SpectralGrid, \
     TransportParams, approximation_error, assemble_approximation, \
-    close_phase_set, davey_stewartson, evolve_profiles, evolve_semiclassical, \
-    identity, oscillatory_initial_data, require_admissible, require_resolved, \
-    resample, zero
+    close_phase_set, davey_stewartson, dipolar, evolve_fields, \
+    evolve_profiles, evolve_semiclassical, identity, oscillatory_initial_data, \
+    require_admissible, require_resolved, resample, zero
+from wnlgo.experiments import parse_config, run_inflation
 from wnlgo.grid import _superpose
 from wnlgo.kernels import apply
 from wnlgo.solver import _free_phase
-from wnlgo.transport import _advection_phases
+from wnlgo.transport import _advection_phases, _steps
 
-from oracles import shift_in_fourier
+from oracles import evolve_one_at_a_time, shift_in_fourier
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -507,6 +508,77 @@ def test_step_matches_reference_loop(name):
     assert np.linalg.norm(out.values.values - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+STACK_KERNELS = {
+    # name: (dim, kernel, lam, mu); dipolar on 8^3 cells, the others on 16^2
+    "zero": (2, zero(2), 1.0, 0.5),
+    "local-ds": (2, davey_stewartson(), 0.0, 0.5),
+    "ds": (2, davey_stewartson(), 1.0, 0.5),
+    "dipolar": (3, dipolar((3.0 / 7.0, 6.0 / 7.0, 2.0 / 7.0)), 0.7, 0.3),
+}
+
+
+def cell_fields(dim, kernel, lam, mu, nu, j, signs, eps_list=(0.5, 0.3, 0.125)):
+    """One random field per eps, on cells of one shape whose spacings
+    differ with eps, as the sweeps' period cells do, all at time 0.2."""
+    n = 8 if dim == 3 else 16
+    signature = Signature.from_string(signs + "+" * (dim - 2))
+    rng = np.random.default_rng(41)
+    fields = []
+    for eps in eps_list:
+        grid = SpectralGrid(dim, np.pi * eps, n)
+        values = rng.standard_normal((2,) + grid.shape) * 0.5
+        fields.append(SemiclassicalField(
+            GridFunction(grid, values[0] + 1j * values[1]), 0.2,
+            ModelParams(eps, j, lam, mu, nu, signature, kernel)))
+    return fields
+
+
+class TestEvolveFields:
+    """The stacked evolution against each field evolved alone."""
+
+    @pytest.mark.parametrize("t_end", [0.3, 0.1], ids=["forward", "backward"])
+    @pytest.mark.parametrize("signs", ["++", "-+"])
+    @pytest.mark.parametrize("j", [1.0, 1.5])
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("name", sorted(STACK_KERNELS))
+    def test_matches_one_at_a_time(self, name, nu, j, signs, t_end):
+        fields = cell_fields(*STACK_KERNELS[name], nu, j, signs)
+        got = evolve_fields(fields, t_end, 0.004)
+        expected = evolve_one_at_a_time(fields, t_end, 0.004)
+        for field, out, ref in zip(fields, got, expected):
+            assert np.array_equal(out.values.values, ref)
+            assert out.grid == field.grid and out.params == field.params
+            assert out.time == t_end
+
+    def test_single_field_is_evolve_semiclassical(self):
+        field = cell_fields(*STACK_KERNELS["ds"], 1, 1.5, "-+")[1]
+        out = evolve_semiclassical(field, 0.3, 0.004)
+        assert np.array_equal(out.values.values,
+                              evolve_fields([field], 0.3, 0.004)[0].values.values)
+
+    def test_empty_and_zero_span(self):
+        fields = cell_fields(*STACK_KERNELS["zero"], 1, 1.0, "++")
+        assert evolve_fields([], 0.5, 0.01) == []
+        assert all(a is b for a, b in zip(evolve_fields(fields, 0.2, 0.01),
+                                          fields))
+
+    @pytest.mark.parametrize("change", ["shape", "time", "model"])
+    def test_rejects_fields_that_cannot_share_a_stack(self, change):
+        fields = cell_fields(*STACK_KERNELS["ds"], 1, 1.0, "++")
+        last = fields[-1]
+        if change == "shape":
+            grid = SpectralGrid(2, last.grid.half_length, 32)
+            last = SemiclassicalField(GridFunction.zeros(grid), 0.2, last.params)
+        elif change == "time":
+            last = SemiclassicalField(last.values, 0.25, last.params)
+        else:
+            last = SemiclassicalField(last.values, 0.2,
+                                      params_for(last.params.eps, lam=1.0,
+                                                 mu=0.25, kernel=davey_stewartson()))
+        with pytest.raises(ValueError, match="one grid shape"):
+            evolve_fields(fields[:-1] + [last], 0.3, 0.01)
+
+
 def exact_phase(argument):
     """exp(i argument) from an n-d argument, in extended precision, with the
     argument's own rounding as the bound to allow."""
@@ -603,6 +675,27 @@ class TestTransformCount:
         assert shapes["fftn"] == [stack] * (n + 1)
         assert shapes["ifftn"] == [stack] * (n + 1)
         assert shapes["rfftn"] == [grid.shape] * (4 * n)
+
+    def test_uniform_sweep_transforms_its_cells_as_one_stack(self, monkeypatch):
+        # inflate-local's sweep: its three eps run on 16^2 period cells, so
+        # each step is one complex transform pair of the (3, 16, 16) stack
+        cfg = parse_config({
+            "experiment": "inflate",
+            "model": {"lam": 0.0, "mu": 1.0, "nu": 1, "signature": "++",
+                      "kernel": "zero"},
+            "grid": {"dim": 2, "box_pi_multiple": 1.0, "points_scale": 16},
+            "phases": {"phi0": [[1, 0], [1, 1], [0, 1]], "box_radius": 4},
+            "data": {"profile": "uniform", "amplitudes": [0.7, 0.7, 0.7]},
+            "eps_list": [0.25, 0.125, 0.0625], "T": 5.0, "dt": 0.005,
+            "s": -0.6, "sigma": -1.0})
+        result = []
+        shapes = self.shapes(monkeypatch,
+                             lambda: result.append(run_inflation(cfg)))
+        n = _steps(result[0].metadata["tau"], cfg.dt)[0]
+        stack = (3, 16, 16)
+        assert [s for s in shapes["fftn"] if s == stack] == [stack] * (n + 1)
+        assert [s for s in shapes["ifftn"] if s == stack] == [stack] * (n + 1)
+        assert all(len(s) == 2 for s in shapes["fftn"] if s != stack)
 
     def test_ds_run_takes_one_tangent_per_step(self, monkeypatch):
         # numpy's float64 cos and sin are much slower than its tan here, and

@@ -182,7 +182,7 @@ def test_strang_never_writes_its_input():
     def double(v):
         v *= 2.0
         return v
-    out = _strang(values, half, 3, (1, 2), double)
+    out = _strang(values, half, 3, double)
     assert np.array_equal(values, before)
     # |half| = 1, so the flow keeps the l2 norm, and three doublings remain
     assert np.isclose(np.linalg.norm(out), 8.0 * np.linalg.norm(values))
