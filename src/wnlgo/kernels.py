@@ -12,7 +12,10 @@ symbol at the origin.
 Each kind's formula is written once, in :func:`symbol`.  It serves
 :func:`evaluate`, the grid multiplier of E and the transport coupling
 coefficients mu + lam Khat(kappa_j - kappa_l), so the coefficients are the
-values E applies to a product oscillating at kappa_j - kappa_l.
+values E applies to a product oscillating at kappa_j - kappa_l.  Both the
+multiplier and the coefficients are the symbol at integer lattice points:
+Khat sees only the direction of a frequency, so Khat(pi k / L) = Khat(k),
+and one table per grid shape serves every box of that shape.
 """
 
 from __future__ import annotations
@@ -172,17 +175,18 @@ def zero_mode_value(kernel: KernelSpec) -> float:
 
 
 @lru_cache(maxsize=64)
-def _multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
-    """Symbol sampled on the grid frequency lattice, zero mode fixed; read-only."""
-    points = np.stack([m.ravel() for m in grid.frequency_mesh()], axis=-1)
-    out = np.empty(grid.size)
+def _multiplier(kernel: KernelSpec, shape: tuple) -> np.ndarray:
+    """Symbol sampled on the integer lattice of shape, zero mode fixed; read-only."""
+    k = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in shape], indexing="ij")
+    points = np.stack([m.ravel() for m in k], axis=-1)
+    out = np.empty(len(points))
     out[0] = zero_mode_value(kernel)  # the origin comes first in FFT order
     out[1:] = symbol(kernel, points[1:])
     bad = np.flatnonzero(~np.isfinite(out))  # custom: probed off the lattice
     if bad.size:
         raise ValueError(f"kernel symbol is not finite at lattice frequency "
                          f"{tuple(points[bad[0]].tolist())}")
-    out = out.reshape(grid.shape)
+    out = out.reshape(shape)
     out.setflags(write=False)
     return out
 
@@ -192,12 +196,12 @@ def apply(kernel: KernelSpec, f: GridFunction) -> GridFunction:
     if f.grid.dim != kernel.dim:
         raise ValueError(
             f"kernel dim {kernel.dim} != field dim {f.grid.dim}")
-    coeffs = f.grid.forward(f.values)
-    return GridFunction(f.grid, f.grid.inverse(_multiplier(kernel, f.grid) * coeffs))
+    coeffs = _multiplier(kernel, f.grid.shape) * f.grid.forward(f.values)
+    return GridFunction(f.grid, f.grid.inverse(coeffs))
 
 
 @lru_cache(maxsize=64)
-def _half_multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
+def _half_multiplier(kernel: KernelSpec, shape: tuple) -> np.ndarray:
     """The multiplier on the rfftn half spectrum (last axis 0..n/2).
 
     On a real field only the even part (Khat(k) + Khat(-k))/2 of the sampled
@@ -206,24 +210,23 @@ def _half_multiplier(kernel: KernelSpec, grid: SpectralGrid) -> np.ndarray:
     symbols that are not even in each axis separately (an oblique dipolar
     axis).
     """
-    full = _multiplier(kernel, grid)
-    mirror = np.roll(np.flip(full), 1, axis=tuple(range(grid.dim)))
-    out = 0.5 * (full + mirror)[..., :grid.points_per_axis // 2 + 1]
+    full = _multiplier(kernel, shape)
+    mirror = np.roll(np.flip(full), 1, axis=tuple(range(len(shape))))
+    out = 0.5 * (full + mirror)[..., :shape[-1] // 2 + 1]
     out.setflags(write=False)
     return out
 
 
-def apply_raw(kernel: KernelSpec, grid: SpectralGrid, values: np.ndarray,
-              multiplier: np.ndarray | None = None) -> np.ndarray:
+def apply_raw(kernel: KernelSpec, grid: SpectralGrid,
+              values: np.ndarray) -> np.ndarray:
     """Re E(values) for a real array, on real FFTs; for hot loops.
 
     values is one field on grid, or a stack of fields of grid's shape along
-    axis 0, transformed over axes 1..d.  multiplier defaults to
-    :func:`_half_multiplier` on grid; a stack of fields on grids of one
-    shape but other spacings passes theirs, stacked the same way.  The sign
-    pattern and the normalisation factors of :meth:`SpectralGrid.forward`
-    and :meth:`SpectralGrid.inverse` cancel in the round trip, so they are
-    skipped.  :func:`apply` is the general (complex) path.
+    axis 0, transformed over axes 1..d; the one :func:`_half_multiplier` of
+    that shape serves every spacing.  The sign pattern and the normalisation
+    factors of :meth:`SpectralGrid.forward` and :meth:`SpectralGrid.inverse`
+    cancel in the round trip, so they are skipped.  :func:`apply` is the
+    general (complex) path.
     """
     values = np.asarray(values)
     if np.iscomplexobj(values):
@@ -232,11 +235,9 @@ def apply_raw(kernel: KernelSpec, grid: SpectralGrid, values: np.ndarray,
     if stacked not in (0, 1) or values.shape[stacked:] != grid.shape:
         raise ValueError(f"expected shape {grid.shape} or a stack of it, "
                          f"got {values.shape}")
-    if multiplier is None:
-        multiplier = _half_multiplier(kernel, grid)
     axes = tuple(range(stacked, values.ndim))
     spectrum = scipy.fft.rfftn(values, axes=axes, workers=1)
-    spectrum *= multiplier
+    spectrum *= _half_multiplier(kernel, grid.shape)
     return scipy.fft.irfftn(spectrum, s=grid.shape, axes=axes, overwrite_x=True,
                             workers=1)
 

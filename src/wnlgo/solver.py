@@ -149,10 +149,11 @@ def evolve_fields(fields, t_end: float, dt: float) -> list:
 
     The fields share a grid shape, a start time and a model apart from eps;
     each keeps its own grid, so period cells of one shape for different eps
-    evolve together.  Each step is one FFT pair of the whole stack (and one
-    real FFT pair for E), and each field's values are bit-identical to
-    evolving it alone: every line of a stacked transform is computed as the
-    same transform of that field alone.
+    evolve together, and E's one table of that shape serves them all.  Each
+    step is one FFT pair of the whole stack (and one real FFT pair for E),
+    and each field's values are bit-identical to evolving it alone: every
+    line of a stacked transform is computed as the same transform of that
+    field alone.
 
     The nonlinear substep multiplies by exp(-i dt eps^{J-1} V) with the real
     potential V = lam E(|u|^{2nu}) + mu |u|^{2nu}; no time-stepping error
@@ -184,9 +185,6 @@ def evolve_fields(fields, t_end: float, dt: float) -> list:
     angle = np.array([-0.5 * dt * f.params.eps ** (p.j_exponent - 1.0)
                       for f in fields]).reshape((-1,) + (1,) * first.grid.dim)
     nonlocal_term = p.lam != 0.0 and p.kernel.kind != "zero"
-    if nonlocal_term:
-        multiplier = np.stack([_kernels._half_multiplier(p.kernel, f.grid)
-                               for f in fields])
 
     density = np.empty(shape)
     square = np.empty(shape)
@@ -199,7 +197,7 @@ def evolve_fields(fields, t_end: float, dt: float) -> list:
         if p.nu > 1:
             density **= p.nu
         if nonlocal_term:
-            theta = _kernels.apply_raw(p.kernel, first.grid, density, multiplier)
+            theta = _kernels.apply_raw(p.kernel, first.grid, density)
             theta *= p.lam * angle
             if p.mu != 0.0:
                 density *= p.mu * angle

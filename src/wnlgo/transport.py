@@ -218,11 +218,11 @@ def _program(plan: _Plan, count: int, lam: float, mu: float) -> tuple:
     statements on scalars.  A step is ("conjugates", bs), w{b} = conj(v{b})
     for each mode b of bs; ("=" or "+=", ((target, a, b), ...)), target =
     or += a * b in turn; ("*=", target, name, value), the value bound as
-    name in the scan; ("conj" or "copy", target, source); or ("E", target,
-    source), target = lam E(source.real).  s{i} is sum i of the plan, x the
-    coupled class sum in use, t the conjugate taken from x before it is
-    scaled (so nothing relies on Khat being exactly even), and o{j} the term
-    of mode j before the factor -i weight.  common = lam E(s) + mu s, the
+    name in the scan; ("conj", target, source); or ("E", target, source),
+    target = lam E(source.real).  s{i} is sum i of the plan, x the coupled
+    class sum in use, t the sum of its conjugate class, taken from x before
+    x is scaled (so nothing relies on Khat being exactly even), and o{j} the
+    term of mode j before the factor -i weight.  common = lam E(s) + mu s, the
     factor of every mode, comes from the (0, 0) class sum s (real: the
     class is closed under conjugation) and the value named mu.  lam is a
     complex scalar, so common needs no cast in its products with the modes.
@@ -265,14 +265,13 @@ def _program(plan: _Plan, count: int, lam: float, mu: float) -> tuple:
     steps.append(("=", tuple((o[j], "common", v[j]) for j in range(count))))
     for i, ((sid, c), pairs, partner) in enumerate(zip(
             plan.coefficients, plan.couplings, plan.partners)):
-        if plan.sums[sid][0] == "conj":
-            steps.append(("copy", "x", "t"))  # taken before it was scaled
-        else:
+        name = "t" if plan.sums[sid][0] == "conj" else "x"
+        if name == "x":
             form("x", plan.sums[sid])
         if partner:
             steps.append(("conj", "t", "x"))
-        steps.append(("*=", "x", f"k{i}", c))
-        steps.append(("+=", tuple([(o[j], "x", v[l]) for j, l in pairs])))
+        steps.append(("*=", name, f"k{i}", c))
+        steps.append(("+=", tuple([(o[j], name, v[l]) for j, l in pairs])))
     return tuple(steps)
 
 
@@ -298,8 +297,6 @@ def _rhs_stack(stack: np.ndarray, program: tuple, params: TransportParams,
             vals.update((sys.intern(f"w{b}"), conj[b]) for b in step[1])
         elif op == "conj":
             vals[step[1]] = vals[step[2]].conjugate()
-        elif op == "copy":
-            vals[step[1]] = vals[step[2]]
         else:  # "E"
             vals[step[1]] = lam * apply_e(vals[step[2]].real)
     out = [vals[f"o{j}"] for j in range(len(stack))]
@@ -337,7 +334,7 @@ def _scan_source(plan: _Plan, count: int, lam: float, mu: float) -> str:
     not +0.0).
     """
     templates = {"*=": "{} *= {}", "conj": "{} = {}.conjugate()",
-                 "copy": "{} = {}", "E": "{} = lam * (e0 * {}.real)"}
+                 "E": "{} = lam * (e0 * {}.real)"}
     lines = []
     for op, *args in _program(plan, count, lam, mu):
         if op in ("=", "+="):

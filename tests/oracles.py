@@ -6,7 +6,9 @@ parallelogram laws against the alternating-sum resonance test, the exact
 Fourier shift against the Strang advection, the profiles' weighted
 Wiener-algebra norms against closed-form Gaussian values, the zero-mode
 rate read off a closed phase set against the rate enumerated over the seeds,
-and the split-step run one field at a time against the stacked evolution.
+the split-step run one field at a time against the stacked evolution, and
+E's symbol sampled at each box's own frequencies against the one table of
+integer lattice points per grid shape.
 A plain module, not collected by pytest; test files import it by name.
 """
 
@@ -21,6 +23,7 @@ import scipy.fft
 from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     TransportParams, apply_raw, as_wave_vector, close_phase_set, \
     is_resonant, resonant_tuples
+from wnlgo.kernels import symbol, zero_mode_value
 from wnlgo.solver import _free_phase
 from wnlgo.transport import _pair_coefficients, _product
 
@@ -208,3 +211,20 @@ def _evolve_alone(field, t_end: float, dt: float) -> np.ndarray:
         u /= np.conjugate(z)
         u = flow(u, full if step < n_steps - 1 else half)
     return u
+
+
+def frequency_multiplier(kernel, grid: SpectralGrid) -> np.ndarray:
+    """Khat at the physical frequencies pi k / L of grid (FFT order), with
+    the zero mode fixed: the multiplier of E sampled on this box alone."""
+    points = np.stack([m.ravel() for m in grid.frequency_mesh()], axis=-1)
+    out = np.empty(grid.size)
+    out[0] = zero_mode_value(kernel)
+    out[1:] = symbol(kernel, points[1:])
+    return out.reshape(grid.shape)
+
+
+def half_spectrum(full: np.ndarray) -> np.ndarray:
+    """The even part (M(k) + M(-k)) / 2 of a multiplier table in FFT order,
+    with -k taken index by index modulo n, on the rfftn half spectrum."""
+    mirror = full[np.ix_(*[-np.arange(n) % n for n in full.shape])]
+    return 0.5 * (full + mirror)[..., :full.shape[-1] // 2 + 1]

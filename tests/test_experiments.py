@@ -15,7 +15,7 @@ from wnlgo import AdmissibilityError, ConfigError, GridFunction, \
     oscillatory_initial_data, read_snapshot, require_admissible, \
     require_resolved, scaled_profile_norm, sobolev_norm
 from wnlgo.cli import main
-from wnlgo import cli, experiments
+from wnlgo import cli, experiments, kernels
 from wnlgo.experiments import emit_results, fit_power_law, load_config, \
     parse_config, run_convergence, run_experiment
 
@@ -534,6 +534,15 @@ class TestCellStacks:
                                               sizes):
         cfg = parse_config(make_config())
         assert self.run(monkeypatch, cfg)[1] == sizes
+
+    def test_cells_of_one_shape_share_one_table(self, monkeypatch):
+        # E's multiplier depends on the kernel and the grid shape alone, so
+        # the three eps of one stack of 16^2 cells build one table
+        cfg = parse_config(dict(_ds_inflate_config(),
+                                eps_list=[0.25, 0.125, 0.0625]))
+        kernels._half_multiplier.cache_clear()
+        assert self.run(monkeypatch, cfg)[1] == [3]
+        assert kernels._half_multiplier.cache_info().currsize == 1
 
     def test_point_budget_splits_a_stack(self, monkeypatch):
         cfg = parse_config(inflate_config(eps_list=[0.25, 0.125, 0.0625]))

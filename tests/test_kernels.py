@@ -6,7 +6,7 @@ from wnlgo import DIPOLAR_SCALE, GridFunction, SpectralGrid, apply, apply_raw, \
     oscillatory_coefficient_limit, parse_kernel, zero
 from wnlgo import grid as grid_module, kernels
 
-from oracles import from_callable
+from oracles import frequency_multiplier, from_callable, half_spectrum
 
 
 def test_ds_values():
@@ -126,10 +126,11 @@ class TestApplyRaw:
 
     @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
     def test_cached_multipliers_are_read_only(self, name):
-        # one cached array serves every later call with this kernel and grid
+        # one cached array serves every later call with this kernel and
+        # grid shape
         kernel, grid = REAL_APPLY_CASES[name]
-        for table in (kernels._multiplier(kernel, grid),
-                      kernels._half_multiplier(kernel, grid)):
+        for table in (kernels._multiplier(kernel, grid.shape),
+                      kernels._half_multiplier(kernel, grid.shape)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[(1,) * grid.dim] = 7.0
@@ -149,31 +150,27 @@ class TestApplyRaw:
 
     @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
     def test_evaluate_is_the_lattice_multiplier(self, name):
-        # one symbol serves both: Khat at each nonzero lattice frequency is
-        # the multiplier there, bit for bit
+        # one symbol serves both: Khat at each nonzero integer lattice point
+        # k is the multiplier there, bit for bit
         kernel, grid = REAL_APPLY_CASES[name]
-        table = kernels._multiplier(kernel, grid)
-        mesh = grid.frequency_mesh()
-        for k in np.ndindex(grid.shape):
-            if any(k):
-                assert evaluate(kernel, [m[k] for m in mesh]) == table[k], k
+        table = kernels._multiplier(kernel, grid.shape)
+        n = grid.points_per_axis
+        for index in np.ndindex(grid.shape):
+            if any(index):
+                k = [i - n if 2 * i >= n else i for i in index]
+                assert evaluate(kernel, k) == table[index], index
 
     @pytest.mark.parametrize("name", ["ds", "dipolar", "custom"])
     def test_stack_matches_each_field_alone(self, name):
-        # fields on grids of one shape and other spacings, each with its
-        # own multiplier, transformed as one stack along axis 0
+        # fields on grids of one shape and other spacings, transformed as
+        # one stack along axis 0: each is E of that field on its own grid
         kernel, grid = REAL_APPLY_CASES[name]
         grids = [SpectralGrid(grid.dim, grid.half_length * f,
                               grid.points_per_axis) for f in (1.0, 0.3, 0.7)]
         values = np.random.default_rng(34).standard_normal((3,) + grid.shape)
-        multiplier = np.stack([kernels._half_multiplier(kernel, g)
-                               for g in grids])
-        got = apply_raw(kernel, grid, values, multiplier)
+        got = apply_raw(kernel, grid, values)
         for g, v, out in zip(grids, values, got):
             assert np.array_equal(out, apply_raw(kernel, g, v))
-        shared = apply_raw(kernel, grid, values)
-        for v, out in zip(values, shared):
-            assert np.array_equal(out, apply_raw(kernel, grid, v))
 
     def test_input_is_left_unchanged(self):
         kernel, grid = REAL_APPLY_CASES["ds"]
@@ -189,6 +186,47 @@ class TestApplyRaw:
         for shape in ((16, 16), (2, 16, 16), (2, 2) + grid.shape):
             with pytest.raises(ValueError, match="shape"):
                 apply_raw(kernel, grid, np.ones(shape))
+
+
+TABLE_KERNELS = {
+    "ds": davey_stewartson(), "identity": identity(2), "zero": zero(2),
+    "dipolar-z": dipolar((0.0, 0.0, 1.0)),
+    "dipolar-oblique": dipolar((3.0 / 7.0, 6.0 / 7.0, 2.0 / 7.0)),
+    "dipolar-rational": dipolar((0.48, 0.6, 0.64)),
+}
+
+
+class TestLatticeTable:
+    """One table per kernel and grid shape, sampled at the integer lattice,
+    against the symbol sampled at each box's own frequencies pi k / L."""
+
+    def tables(self, kernel, grid):
+        """(got, want) for the full and the half-spectrum table."""
+        want = frequency_multiplier(kernel, grid)
+        return ((kernels._multiplier(kernel, grid.shape), want),
+                (kernels._half_multiplier(kernel, grid.shape),
+                 half_spectrum(want)))
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("name", sorted(TABLE_KERNELS))
+    def test_dyadic_boxes_are_bit_identical(self, name, n):
+        # scaling a frequency by a power of two is exact, so L = 2^j pi
+        # leaves every sample unchanged
+        kernel = TABLE_KERNELS[name]
+        for j in range(-4, 2):
+            grid = SpectralGrid(kernel.dim, 2.0 ** j * np.pi, n)
+            for got, want in self.tables(kernel, grid):
+                assert np.array_equal(got, want), j
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("name", sorted(TABLE_KERNELS))
+    def test_other_boxes_agree_to_rounding(self, name, n):
+        # on other boxes only the rounding of pi k / L moves a sample
+        kernel = TABLE_KERNELS[name]
+        for half_length in (1.0, 1.5, 2.0, 3.0 * np.pi):
+            grid = SpectralGrid(kernel.dim, half_length, n)
+            for got, want in self.tables(kernel, grid):
+                assert np.max(np.abs(got - want)) <= 1e-12, half_length
 
 
 class TestCustom:

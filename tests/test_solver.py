@@ -5,7 +5,7 @@ import scipy.fft
 from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     ResolutionError, SemiclassicalField, Signature, SpectralGrid, \
     TransportParams, approximation_error, assemble_approximation, \
-    close_phase_set, davey_stewartson, dipolar, evolve_fields, \
+    close_phase_set, custom, davey_stewartson, dipolar, evolve_fields, \
     evolve_profiles, evolve_semiclassical, identity, oscillatory_initial_data, \
     require_admissible, require_resolved, resample, zero
 from wnlgo.experiments import parse_config, run_inflation
@@ -514,6 +514,9 @@ STACK_KERNELS = {
     "local-ds": (2, davey_stewartson(), 0.0, 0.5),
     "ds": (2, davey_stewartson(), 1.0, 0.5),
     "dipolar": (3, dipolar((3.0 / 7.0, 6.0 / 7.0, 2.0 / 7.0)), 0.7, 0.3),
+    # even and degree zero, but its samples at pi k / L round with L
+    "custom": (2, custom(2, lambda p: p[:, 0] * p[:, 1]
+                         / (p[:, 0] ** 2 + p[:, 1] ** 2)), 1.0, 0.5),
 }
 
 
