@@ -351,6 +351,11 @@ def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
     if (cfg.points_scale is None) == (cfg.points_per_axis is None):
         raise ConfigError(
             "grid needs exactly one of 'points_scale' / 'points_per_axis'")
+    if cfg.points_scale is not None \
+            and not 0 < cfg.points_scale / cfg.eps_list[-1] < math.inf:
+        raise ConfigError(
+            "need 0 < grid.points_scale / eps < inf at every eps, got "
+            f"{cfg.points_scale} / {cfg.eps_list[-1]}")
     if cfg.signature.dim != cfg.dim:
         raise ConfigError("signature length must equal grid dim")
     with as_config_error():
@@ -361,6 +366,10 @@ def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
             profile_dt=cfg.dt if cfg.profile_dt is None else cfg.profile_dt)
     if cfg.t_final < 0 or cfg.dt <= 0 or cfg.profile_dt <= 0 or cfg.rate_dt <= 0:
         raise ConfigError("need T >= 0, dt > 0, profile_dt > 0 and rate_dt > 0")
+    if not cfg.t_final / min(cfg.dt, cfg.profile_dt) < math.inf:
+        raise ConfigError(
+            f"T = {cfg.t_final} over dt = {cfg.dt} or profile_dt = "
+            f"{cfg.profile_dt} is not a finite number of steps")
     if cfg.j_exponent < 1:
         raise ConfigError(f"need model.j_exponent >= 1, got {cfg.j_exponent}")
     if cfg.profile == "gaussian" and not cfg.width > 0:

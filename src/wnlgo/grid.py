@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -33,7 +34,10 @@ SNAPSHOT_VERSION = 1
 
 
 def pow2_at_least(x: float) -> int:
-    """The smallest power of two, 4 or more, not below x (to 1e-9)."""
+    """The smallest power of two, 4 or more, not below x (to 1e-9); x must
+    not be infinite or nan."""
+    if not math.isfinite(x):
+        raise ValueError(f"no power of two is at least {x}")
     n = 4
     while n < x - 1e-9:
         n *= 2

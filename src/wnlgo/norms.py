@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.integrate
 
 from .errors import ResolutionError
 from .grid import GridFunction, SpectralGrid, pow2_at_least
@@ -186,6 +185,7 @@ def gaussian_sobolev_norm(z: complex, s: float, d: int) -> float:
     # adaptive quadrature can miss entirely; flag it as a breakpoint.
     layer = 1.0 / math.sqrt(c2)
     points = [min(layer, 4.0), min(8.0 * layer, 6.0)] if layer < 4.0 else None
+    import scipy.integrate  # slow to import, and needed on this path only
     value, _ = scipy.integrate.quad(integrand, 0.0, 8.0,
                                     epsabs=0.0, epsrel=1e-10, limit=200,
                                     points=points)

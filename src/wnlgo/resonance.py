@@ -117,7 +117,8 @@ class PhaseSet:
 
     @cached_property
     def prefix_index(self) -> "PrefixIndex":
-        """The 2nu-prefix classes of this set, built on first use."""
+        """The 2nu-prefix classes of this set, built on first use unless
+        close_phase_set made the set (it keeps its last index)."""
         return PrefixIndex(self.vectors, self.signature, self.nu)
 
 
@@ -133,7 +134,9 @@ class PrefixIndex:
 
     Each key is packed into one int64 code, digit by digit in a balanced
     radix wide enough for every level-nu key, so the code of a sum of keys
-    is the sum of their codes and no digit ever carries.
+    is the sum of their codes and no digit ever carries.  The level keys are
+    built here; the pair classes behind pairs() (a count^2 sort) only on
+    first use, since a closure needs just the levels.
     """
 
     def __init__(self, vectors, signature: Signature, nu: int):
@@ -146,13 +149,10 @@ class PrefixIndex:
         if self.radix ** digits.shape[1] >= 2 ** 62:
             raise ValueError("wave vectors too large for int64 resonance keys")
         self.codes = digits @ self.radix ** np.arange(digits.shape[1])
-        pairs = (self.codes[:, None] - self.codes[None, :]).ravel()
-        self.levels = [np.unique(pairs)]
+        self.levels = [np.unique(self.codes[:, None] - self.codes)]
         for _ in range(nu - 1):
             self.levels.append(
                 np.unique(self.levels[-1][:, None] + self.levels[0]))
-        self._pair_order = np.argsort(pairs, kind="stable")
-        self._pair_codes = pairs[self._pair_order]
 
     def key(self, j: int, l: int) -> int:
         """Code of (kappa_j - kappa_l, Q(kappa_j) - Q(kappa_l))."""
@@ -173,12 +173,36 @@ class PrefixIndex:
         for kappa, q in zip(self.vectors, self.quads):
             t = lin + kappa
             hits.append(t[(self.etas * t * t).sum(axis=1) == quad + q])
-        return np.unique(np.concatenate(hits), axis=0)
+        hits = np.concatenate(hits)
+        # one int64 code per row, most significant digit first: unique
+        # codes are unique rows, in lexicographic order
+        low = hits.min()
+        width = int(hits.max() - low) + 1
+        if width ** hits.shape[1] >= 2 ** 63:
+            raise ValueError("wave vectors too large for int64 resonance keys")
+        _, first = np.unique(
+            (hits - low) @ width ** np.arange(hits.shape[1])[::-1],
+            return_index=True)
+        return hits[first]
 
-    def pairs(self, code: int) -> list:
+    @cached_property
+    def pair_classes(self) -> dict:
+        """Pair code -> the index pairs (l_1, l_2) with that key, each class
+        in lexicographic order and the classes in the order of their first
+        pairs: one stable sort of the count^2 pair codes."""
+        count = len(self.vectors)
+        codes = (self.codes[:, None] - self.codes).ravel()  # key(j, l)
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        bounds = np.append(starts, len(order)).tolist()
+        pairs = list(zip(*(i.tolist() for i in np.divmod(order, count))))
+        return {codes[bounds[g]].item(): tuple(pairs[bounds[g]:bounds[g + 1]])
+                for g in np.argsort(order[starts]).tolist()}
+
+    def pairs(self, code: int) -> tuple:
         """Index pairs (l_1, l_2) whose key is code, in lexicographic order."""
-        lo, hi = np.searchsorted(self._pair_codes, (code, code + 1))
-        return [divmod(int(i), len(self.vectors)) for i in self._pair_order[lo:hi]]
+        return self.pair_classes.get(code, ())
 
     def terms(self, code: int, level: int) -> list:
         """(level m-1 code, pair code) splits of a level-m key, m >= 2."""
@@ -190,7 +214,7 @@ class PrefixIndex:
         """Every prefix of `level` pairs (default nu) whose key is code."""
         level = self.nu if level is None else level
         if level == 1:
-            return self.pairs(code)
+            return list(self.pairs(code))
         return [p + q for rest, k in self.terms(code, level)
                 for p in self.prefixes(rest, level - 1) for q in self.pairs(k)]
 
@@ -202,7 +226,8 @@ def close_phase_set(phi0, signature: Signature, nu: int,
     Each generation adds every target of a resonant (2 nu + 1)-tuple from the
     current set with sup-norm <= box_radius, and stops at a fixed point or
     after max_generations.  Truncation (by the box or by the generation
-    limit) is recorded on the result.
+    limit) is recorded on the result, and the last generation's PrefixIndex,
+    built on exactly the returned vectors, becomes its prefix_index.
     """
     if nu < 1:
         raise ValueError(f"nu must be a positive integer, got {nu}")
@@ -225,13 +250,17 @@ def close_phase_set(phi0, signature: Signature, nu: int,
     known = set(vectors)
     truncated_by_box = False
     for generations in itertools.count():
-        targets = PrefixIndex(vectors, signature, nu).targets()
+        index = PrefixIndex(vectors, signature, nu)
+        targets = index.targets()
         inside = np.abs(targets).max(axis=1) <= box_radius
         truncated_by_box = truncated_by_box or not inside.all()
         fresh = sorted(set(map(tuple, targets[inside].tolist())) - known)
         if not fresh or generations >= max_generations:
-            return PhaseSet(d, signature, nu, tuple(vectors), origin_count,
-                            truncated_by_box, bool(fresh), generations)
+            phase_set = PhaseSet(d, signature, nu, tuple(vectors), origin_count,
+                                 truncated_by_box, bool(fresh), generations)
+            # the cached property's value: index was built on these vectors
+            phase_set.__dict__["prefix_index"] = index
+            return phase_set
         vectors.extend(fresh)
         known.update(fresh)
 

@@ -138,15 +138,15 @@ class _Plan:
 @lru_cache(maxsize=32)
 def _plan(phase_set: PhaseSet, lam: float, mu: float,
           kernel: _kernels.KernelSpec) -> _Plan:
+    """The _Plan of a phase set and model.  Its couplings and its level-1
+    "pairs" sums are the phase set's pair classes, one grouping of the
+    sorted pair keys, taken in the order of each class's first pair."""
     index = phase_set.prefix_index
-    codes = (index.codes[:, None] - index.codes).tolist()  # index.key(j, l)
-    # kappa_j - kappa_l is part of the key: a class's first coupling gives
-    # the coefficient of all of them
-    couplings = {}
-    for j, row in enumerate(codes):
-        for l, code in enumerate(row):
-            if l != j:
-                couplings.setdefault(code, []).append((j, l))
+    # mode j couples to mode l through the pair class of index.key(j, l);
+    # the class keyed 0 is the j == l pairs.  kappa_j - kappa_l is part of
+    # the key: a class's first pair gives the coefficient of all of them
+    couplings = {code: pairs for code, pairs in index.pair_classes.items()
+                 if code != 0}
     coeff = dict(zip(couplings, _pair_coefficients(
         phase_set.vectors, lam, mu, kernel,
         [pairs[0] for pairs in couplings.values()])))
@@ -157,7 +157,7 @@ def _plan(phase_set: PhaseSet, lam: float, mu: float,
             if (-code, level) in ids:
                 entry = ("conj", ids[-code, level])
             elif level == 1:
-                entry = ("pairs", tuple(index.pairs(code)))
+                entry = ("pairs", index.pairs(code))
             else:
                 terms = [(sum_id(rest, level - 1), sum_id(k, 1))
                          for rest, k in index.terms(code, level)]
@@ -179,7 +179,7 @@ def _plan(phase_set: PhaseSet, lam: float, mu: float,
         tuple(sums), keys,
         tuple(i for i, (_, level) in enumerate(keys) if level < nu), common,
         tuple((kept[code], coeff[code]) for code in order),
-        tuple(tuple(couplings[code]) for code in order),
+        tuple(couplings[code] for code in order),
         tuple(sums[kept[code]][0] != "conj" and -code in kept
               for code in order),
         len(coeff) - len(kept))

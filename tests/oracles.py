@@ -6,26 +6,29 @@ parallelogram laws against the alternating-sum resonance test, the exact
 Fourier shift against the Strang advection, the profiles' weighted
 Wiener-algebra norms against closed-form Gaussian values, the zero-mode
 rate read off a closed phase set against the rate enumerated over the seeds,
-the split-step run one field at a time against the stacked evolution, and
+the split-step run one field at a time against the stacked evolution,
 E's symbol sampled at each box's own frequencies against the one table of
-integer lattice points per grid shape.
+integer lattice points per grid shape, and the closure and coupling plan
+with a row-wise unique, an eager pair sort and a per-pair loop against the
+ones built from one grouping of the pair codes.
 A plain module, not collected by pytest; test files import it by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iproduct
+from itertools import count as _count, product as _iproduct
 
 import numpy as np
 import scipy.fft
 
-from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
-    TransportParams, apply_raw, as_wave_vector, close_phase_set, \
-    is_resonant, resonant_tuples
+from wnlgo import GridFunction, PhaseSet, ProfileSet, Signature, \
+    SpectralGrid, TransportParams, apply_raw, as_wave_vector, \
+    close_phase_set, is_resonant, resonant_tuples
 from wnlgo.kernels import symbol, zero_mode_value
+from wnlgo.resonance import PrefixIndex
 from wnlgo.solver import _free_phase
-from wnlgo.transport import _pair_coefficients, _product
+from wnlgo.transport import _pair_coefficients, _Plan, _product
 
 
 def from_callable(grid: SpectralGrid, fn) -> GridFunction:
@@ -228,3 +231,102 @@ def half_spectrum(full: np.ndarray) -> np.ndarray:
     with -k taken index by index modulo n, on the rfftn half spectrum."""
     mirror = full[np.ix_(*[-np.arange(n) % n for n in full.shape])]
     return 0.5 * (full + mirror)[..., :full.shape[-1] // 2 + 1]
+
+
+class EagerPrefixIndex(PrefixIndex):
+    """The prefix index with its pair sort made at construction, pairs()
+    looked up by searchsorted in it and targets() made unique row-wise by
+    np.unique(axis=0)."""
+
+    def __init__(self, vectors, signature: Signature, nu: int):
+        super().__init__(vectors, signature, nu)
+        pairs = (self.codes[:, None] - self.codes[None, :]).ravel()
+        self._pair_order = np.argsort(pairs, kind="stable")
+        self._sorted_pairs = pairs[self._pair_order]
+
+    def targets(self) -> np.ndarray:
+        codes, half, digits = self.levels[-1], self.radix // 2, []
+        for _ in range(self.vectors.shape[1] + 1):
+            digits.append((codes + half) % self.radix - half)
+            codes = (codes - digits[-1]) // self.radix
+        lin, quad = np.stack(digits[:-1], axis=1), digits[-1]
+        hits = []
+        for kappa, q in zip(self.vectors, self.quads):
+            t = lin + kappa
+            hits.append(t[(self.etas * t * t).sum(axis=1) == quad + q])
+        return np.unique(np.concatenate(hits), axis=0)
+
+    def pairs(self, code: int) -> list:
+        lo, hi = np.searchsorted(self._sorted_pairs, (code, code + 1))
+        return [divmod(int(i), len(self.vectors))
+                for i in self._pair_order[lo:hi]]
+
+
+def reference_closure(phi0, signature: Signature, nu: int,
+                      max_generations: int = 8,
+                      box_radius: int = 0) -> PhaseSet:
+    """close_phase_set on a fresh EagerPrefixIndex per generation, with no
+    index handed to the result (valid arguments only)."""
+    vectors = [as_wave_vector(k) for k in phi0]
+    origin_count, known, truncated_by_box = len(vectors), set(vectors), False
+    for generations in _count():
+        targets = EagerPrefixIndex(vectors, signature, nu).targets()
+        inside = np.abs(targets).max(axis=1) <= box_radius
+        truncated_by_box = truncated_by_box or not inside.all()
+        fresh = sorted(set(map(tuple, targets[inside].tolist())) - known)
+        if not fresh or generations >= max_generations:
+            return PhaseSet(signature.dim, signature, nu, tuple(vectors),
+                            origin_count, truncated_by_box, bool(fresh),
+                            generations)
+        vectors.extend(fresh)
+        known.update(fresh)
+
+
+def reference_plan(phase_set: PhaseSet, lam: float, mu: float,
+                   kernel) -> _Plan:
+    """The coupling plan with its couplings grouped by a loop over every
+    (j, l), j != l, and each pair class looked up in an EagerPrefixIndex."""
+    index = EagerPrefixIndex(phase_set.vectors, phase_set.signature,
+                             phase_set.nu)
+    codes = (index.codes[:, None] - index.codes).tolist()
+    couplings = {}
+    for j, row in enumerate(codes):
+        for l, code in enumerate(row):
+            if l != j:
+                couplings.setdefault(code, []).append((j, l))
+    coeff = dict(zip(couplings, _pair_coefficients(
+        phase_set.vectors, lam, mu, kernel,
+        [pairs[0] for pairs in couplings.values()])))
+    sums, ids = [], {}
+
+    def sum_id(code: int, level: int) -> int:
+        if (code, level) not in ids:
+            if (-code, level) in ids:
+                entry = ("conj", ids[-code, level])
+            elif level == 1:
+                entry = ("pairs", tuple(index.pairs(code)))
+            else:
+                terms = [(sum_id(rest, level - 1), sum_id(k, 1))
+                         for rest, k in index.terms(code, level)]
+                symmetric = level == 2
+                entry = ("terms", (
+                    tuple(t for t in terms if symmetric and t[0] < t[1]),
+                    tuple(t for t in terms if not symmetric or t[0] == t[1])))
+            ids[code, level] = len(sums)
+            sums.append(entry)
+        return ids[code, level]
+
+    nu = phase_set.nu
+    common = sum_id(0, nu)
+    kept = {code: sum_id(code, nu) for code, c in coeff.items() if c != 0.0}
+    order = sorted(kept, key=lambda code: (abs(code),
+                                           sums[kept[code]][0] == "conj"))
+    keys = tuple(ids)
+    return _Plan(
+        tuple(sums), keys,
+        tuple(i for i, (_, level) in enumerate(keys) if level < nu), common,
+        tuple((kept[code], coeff[code]) for code in order),
+        tuple(tuple(couplings[code]) for code in order),
+        tuple(sums[kept[code]][0] != "conj" and -code in kept
+              for code in order),
+        len(coeff) - len(kept))

@@ -727,6 +727,30 @@ class TestCli:
         assert main(["--config", cfg_path, "--out", str(tmp_path / "r"),
                      "converge"]) == 4
 
+    @pytest.mark.parametrize("points_scale, overrides, message", [
+        (1e10, {"eps_list": [1e-300]}, "grid.points_scale / eps < inf"),
+        (0, {}, "grid.points_scale / eps"),
+        (-16, {}, "grid.points_scale / eps"),
+        (None, {"T": 1e308}, "T = 1e+308 over dt = 0.01"),
+        (None, {"T": 1.0, "profile_dt": 1e-320}, "not a finite number of steps")],
+        ids=["scale-over-eps-inf", "scale-0", "scale-negative", "T-over-dt-inf",
+             "T-over-profile-dt-inf"])
+    def test_unbounded_or_empty_grid_and_step_counts_exit_two(
+            self, tmp_path, capsys, points_scale, overrides, message):
+        # points_scale / eps = inf once sent pow2_at_least into an endless
+        # loop, T / dt = inf an OverflowError out of the step count, and a
+        # non-positive points_scale to a 4-point grid's resolution error
+        cfg = field_config(**overrides)
+        if points_scale is not None:
+            cfg["grid"] = {"dim": 2, "box_pi_multiple": 1.0,
+                           "points_scale": points_scale}
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "converge"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["--out", str(tmp_path / "r"), "converge"]) == 2
 

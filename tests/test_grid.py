@@ -3,7 +3,7 @@ import pytest
 
 from wnlgo import GridFunction, SpectralGrid, read_snapshot, resample, \
     write_snapshot
-from wnlgo.grid import MAGIC
+from wnlgo.grid import MAGIC, pow2_at_least
 
 from oracles import from_callable, shift_in_fourier
 
@@ -11,6 +11,14 @@ from oracles import from_callable, shift_in_fourier
 def gaussian_1d(grid, width=1.0):
     return from_callable(
         grid, lambda x: np.exp(-x * x / (2.0 * width * width)))
+
+
+def test_pow2_at_least():
+    assert [pow2_at_least(x) for x in (-16, 0, 4, 4.5, 64, 64 + 1e-10)] \
+        == [4, 4, 4, 8, 64, 64]
+    for x in (float("inf"), float("nan")):  # would loop for ever
+        with pytest.raises(ValueError, match="power of two"):
+            pow2_at_least(x)
 
 
 def test_grid_validation():

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +15,19 @@ from wnlgo import GridFunction, ResolutionError, ScaledProfileSpec, \
 def gaussian(grid, amp=1.0, width=1.0):
     r2 = sum(c ** 2 for c in grid.mesh())
     return GridFunction(grid, amp * np.exp(-r2 / (2.0 * width ** 2)) + 0j * r2)
+
+
+def test_import_leaves_scipy_integrate_out():
+    # scipy.integrate costs more to import than the package itself, and only
+    # gaussian_sobolev_norm uses it
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wnlgo; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert run.stdout == "False\n"
 
 
 def random_band_limited(grid, rng, band=5):

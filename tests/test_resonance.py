@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from wnlgo import Signature, close_phase_set, is_resonant, resonant_tuples
+from wnlgo import resonance
 
-from oracles import parallelogram_oracle, rectangle_oracle
+from oracles import EagerPrefixIndex, parallelogram_oracle, \
+    reference_closure, rectangle_oracle
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -168,6 +170,80 @@ def test_closure_matches_brute_force(signature, nu, box_radius,
     assert (ps.vectors, ps.generations, ps.truncated_by_box,
             ps.truncated_by_generations) == brute_force_closure(
                 PHI0, sig, nu, box_radius, max_generations)
+
+
+RECT_3D = ((1, 0, 0), (1, 1, 0), (0, 1, 0))
+# (phi0, signature, nu, box_radius, max_generations, truncated by the box,
+# by the generation limit)
+REFERENCE_CASES = [
+    (PHI0, "++", 1, 4, 8, False, False),
+    (PHI0, "-+", 1, 16, 8, True, False),
+    (PHI0, "-+", 1, 32, 8, True, False),
+    (PHI0, "-+", 1, 32, 3, True, True),
+    (PHI0, "-+", 1, 32, 2, False, True),
+    (PHI0, "-+", 1, 8, 0, False, True),
+    (PHI0, "++", 2, 4, 8, False, False),
+    (PHI0, "-+", 2, 4, 8, True, False),
+    (PHI0, "-+", 2, 3, 2, True, False),
+    (PHI0, "-+", 2, 3, 1, True, True),
+    (PHI0, "++", 3, 4, 8, False, False),
+    (PHI0, "-+", 3, 3, 8, True, False),
+    (PHI0, "-+", 3, 4, 1, True, True),
+    (RECT_3D, "+++", 1, 4, 8, False, False),
+    (RECT_3D, "-++", 1, 8, 8, True, False),
+    (RECT_3D, "-++", 1, 3, 1, True, True),
+    (RECT_3D, "-++", 2, 1, 8, True, False),
+    (RECT_3D, "-++", 1, 6, 0, False, True)]
+
+
+@pytest.mark.parametrize("phi0, signature, nu, box_radius, max_generations, "
+                         "by_box, by_generations", REFERENCE_CASES)
+def test_closure_equals_the_eager_reference(phi0, signature, nu, box_radius,
+                                            max_generations, by_box,
+                                            by_generations):
+    sig = Signature.from_string(signature)
+    ps = close_phase_set(phi0, sig, nu, max_generations=max_generations,
+                         box_radius=box_radius)
+    assert ps == reference_closure(phi0, sig, nu, max_generations, box_radius)
+    assert (ps.truncated_by_box, ps.truncated_by_generations) \
+        == (by_box, by_generations)
+
+
+@pytest.mark.parametrize("nu, box_radius, max_generations",
+                         [(1, 16, 8), (1, 8, 0), (2, 3, 2)])
+def test_phase_set_keeps_the_closures_last_index(monkeypatch, nu, box_radius,
+                                                 max_generations):
+    built = []
+
+    class Recorded(resonance.PrefixIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(resonance, "PrefixIndex", Recorded)
+    ps = close_phase_set(PHI0, HYPERBOLIC, nu, max_generations=max_generations,
+                         box_radius=box_radius)
+    assert len(built) == ps.generations + 1
+    assert ps.prefix_index is built[-1]
+    assert ps.prefix_index.vectors.tolist() == [list(v) for v in ps.vectors]
+    # the closure needs the level keys only, never the pair sort
+    assert not any("pair_classes" in vars(index) for index in built)
+
+
+@pytest.mark.parametrize("signature, nu", [("-+", 1), ("++", 2)])
+def test_targets_are_the_sorted_resonant_targets(signature, nu):
+    sig = Signature.from_string(signature)
+    vectors = close_phase_set(PHI0, sig, nu, box_radius=3).vectors
+    reached = set()
+    for kappas in itertools.product(vectors, repeat=2 * nu + 1):
+        t = tuple(sum((-1) ** p * k[c] for p, k in enumerate(kappas))
+                  for c in range(2))
+        if is_resonant(sig, nu, kappas, t):
+            reached.add(t)
+    targets = resonance.PrefixIndex(vectors, sig, nu).targets()
+    assert targets.tolist() == sorted(map(list, reached))
+    assert np.array_equal(targets,
+                          EagerPrefixIndex(vectors, sig, nu).targets())
 
 
 def test_closure_memory_is_bounded():

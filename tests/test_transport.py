@@ -18,7 +18,8 @@ from wnlgo.transport import _constant_scan, _interaction, \
     _steps, _strang, constant_profile_history, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
-from oracles import profile_norms, reference_zero_mode_rate, shift_in_fourier
+from oracles import profile_norms, reference_closure, reference_plan, \
+    reference_zero_mode_rate, shift_in_fourier
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -627,6 +628,39 @@ class TestPlanWork:
         ps = close_phase_set(RECT, HYPERBOLIC, 2, box_radius=2)
         assert _plan(ps, lam, mu, davey_stewartson()) \
             == _unpruned(ps, lam, mu, davey_stewartson())
+
+
+# (phi0, signature, nu, box_radius, max_generations, kernel, lam, mu); the
+# 2-D mu = 0 DS models prune zero-coefficient classes
+REFERENCE_PLAN_CASES = [
+    (RECT, "++", 1, 4, 8, davey_stewartson(), 0.8, 0.0),
+    (RECT, "-+", 1, 16, 8, davey_stewartson(), 1.0, 0.0),
+    (RECT, "-+", 1, 32, 8, davey_stewartson(), 1.0, 0.5),
+    (RECT, "-+", 1, 32, 3, identity(2), 0.6, 0.3),
+    (RECT, "-+", 1, 8, 0, zero(2), 0.9, 0.2),
+    (RECT, "-+", 2, 4, 8, davey_stewartson(), 0.8, 0.0),
+    (RECT, "-+", 2, 3, 1, davey_stewartson(), 1.0, 0.5),
+    (RECT, "++", 2, 4, 8, zero(2), 0.0, 1.0),
+    (RECT, "++", 3, 4, 8, davey_stewartson(), 1.0, 0.5),
+    (RECT, "-+", 3, 3, 8, davey_stewartson(), 0.8, 0.0),
+    (RECT, "-+", 3, 4, 1, identity(2), 0.6, 0.3),
+    (RECT_3D, "+++", 1, 4, 8, OBLIQUE, 1.0, 0.0),
+    (RECT_3D, "-++", 1, 8, 8, OBLIQUE, 1.0, 0.5),
+    (RECT_3D, "-++", 1, 3, 1, OBLIQUE, 1.0, 0.0),
+    (RECT_3D, "-++", 2, 1, 8, OBLIQUE, 1.0, 0.5),
+    (RECT_3D, "-++", 1, 6, 0, zero(3), 0.9, 0.2)]
+
+
+@pytest.mark.parametrize("phi0, signature, nu, box_radius, max_generations, "
+                         "kernel, lam, mu", REFERENCE_PLAN_CASES)
+def test_plan_equals_the_per_pair_reference(phi0, signature, nu, box_radius,
+                                            max_generations, kernel, lam, mu):
+    sig = Signature.from_string(signature)
+    ps = close_phase_set(phi0, sig, nu, max_generations, box_radius)
+    reference = reference_closure(phi0, sig, nu, max_generations, box_radius)
+    assert ps == reference
+    assert _plan(ps, lam, mu, kernel) \
+        == reference_plan(reference, lam, mu, kernel)
 
 
 CONSTANT_RHS_CASES = [
