@@ -23,7 +23,8 @@ import sys
 from .errors import AdmissibilityError, ConfigError, ResolutionError, \
     as_config_error
 from .experiments import _EXPERIMENTS, _RUNNERS, emit_results, error_series, \
-    _atomic_write, _csv_text, _profile_snapshots, load_config
+    _atomic_write, _csv_text, _profile_snapshots, load_config, \
+    require_within_budget
 from .grid import write_snapshot
 from .resonance import Signature, close_phase_set, resonant_tuples
 
@@ -149,7 +150,7 @@ def _cmd_simulate(args) -> int:
     """The converge worker at the first eps, written as one time series."""
     cfg, out = _config_and_out(args)
     # the whole box, also for a config whose own runs use one period cell
-    cfg.require_grid_budget(cfg.eps_list[0], cells=False)
+    require_within_budget(cfg.eps_work(cfg.eps_list[0], cells=False))
     os.makedirs(out, exist_ok=True)
     rows = error_series(cfg, cfg.eps_list[0])
     _atomic_write(os.path.join(out, "timeseries.csv"),

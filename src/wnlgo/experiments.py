@@ -36,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import chain
@@ -52,8 +53,8 @@ from .resonance import PhaseSet, Signature, close_phase_set, is_resonant
 from .solver import ModelParams, assemble_approximation, approximation_error, \
     evolve_fields, evolve_semiclassical, oscillatory_initial_data, \
     require_admissible, require_resolved
-from .transport import ProfileSet, TransportParams, constant_profile_history, \
-    evolve_profiles, plan_facts, zero_mode_rate
+from .transport import ProfileSet, TransportParams, _steps, \
+    constant_profile_history, evolve_profiles, plan_facts, zero_mode_rate
 
 
 # -- configuration -------------------------------------------------------------
@@ -74,8 +75,13 @@ def _real(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
-    """An integral JSON number, as an int; 1.5 or "2" is a ConfigError."""
-    if _real(value, name) != int(value):
+    """An integral JSON number, as an int; 1.5 or "2" is a ConfigError, and
+    so is an integer that no float holds exactly."""
+    number = _real(value, name)
+    if number != value:  # exact for any int
+        raise ConfigError(f"{name} = {number:.6g} is too large for a float "
+                          "to hold exactly")
+    if number != int(number):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -225,6 +231,7 @@ class ExperimentConfig:
     expect_inflation: bool = True
     output_dir: str = ""
     closure: PhaseSet | None = None
+    work: tuple = ()  # the Work items of _work, each within its budget
     # sobolev-asymptotics
     profile_kind: str = ""
     kappa: tuple = ()
@@ -266,13 +273,23 @@ class ExperimentConfig:
         return SpectralGrid(self.dim, grid.half_length / m,
                             grid.points_per_axis // m), m
 
-    def require_grid_budget(self, eps: float, cells: bool) -> None:
-        """ConfigError naming the grid key unless the grid a run allocates at
-        eps (one period cell when cells, else the whole box) fits the budget."""
-        grid = self.cell_grid_for(eps)[0] if cells else self.grid_for(eps)
+    def eps_work(self, eps: float, cells: bool) -> tuple:
+        """The Work of a split-step run at eps: its grid (one period cell
+        when cells, else the whole box) and its point-steps up to T."""
+        grid, m = self.cell_grid_for(eps) if cells else (self.grid_for(eps), 1)
         key = "grid.points_scale" if self.points_per_axis is None \
             else "grid.points_per_axis"
-        _require_within_budget(grid, f"{key} at eps = {eps}")
+        steps = _steps(self.t_final, self.dt)[0]
+        return (_grid_work(grid, f"{key} at eps = {eps}", m),
+                Work(f"T = {self.t_final} over dt = {self.dt} gives {steps:.4g} "
+                     f"steps of {grid.size} points at eps = {eps}",
+                     steps * grid.size, _POINT_STEP_BUDGET))
+
+    @property
+    def runs(self) -> list:
+        """(grid, m) of each eps in order, read off the work list: the grid
+        its run allocates and its m period cells per axis."""
+        return [(item.grid, item.cells) for item in self.work if item.cells]
 
     def phase_set(self) -> PhaseSet:
         """The closure of phi0, computed once by parse_config."""
@@ -308,42 +325,79 @@ class ExperimentConfig:
         return [self.t_final * k / count for k in range(count + 1)]
 
 
-# Points in any one grid a run allocates, and in the class sums one transport
-# rhs forms: four times the largest grid of the shipped configs, the tests
-# and the benchmark (criterion 10's 4096^2 box), a 1 GiB complex field.
-# Larger requests are config errors, not allocations.
+# Budgets of the counts a config implies (_work), each about four times the
+# largest such count of the shipped configs, the tests and the benchmark
+# configs; a larger count is a config error at parse time, not an allocation
+# or an endless run.  Points in one grid, or in the class sums of one
+# transport rhs: 4 x criterion 10's 4096^2 box, a 1 GiB complex field.
 _POINT_BUDGET = 2 ** 26
+# Points x steps of one split-step run, and modes x points x RK4 steps of one
+# profile evolution: 4.1 x criterion 6 at eps = 1/32, 1024^2 x 250 = 2.6e8.
+_POINT_STEP_BUDGET = 2 ** 30
+# Sampled times of one run: 5.1 x the tau scan's max(snapshots, 200) + 1.
+_SAMPLE_BUDGET = 2 ** 10
 
 
-def _require_within_budget(grid: SpectralGrid, key: str) -> None:
-    if grid.size > _POINT_BUDGET:
-        raise ConfigError(
-            f"{key} gives {grid.points_per_axis}^{grid.dim} = {grid.size} grid "
-            f"points, above the budget of {_POINT_BUDGET} points per grid")
+# A count a config implies, its budget, and text that names the keys setting
+# it and says what it counts; an eps's run grid keeps the grid and its m > 0
+# period cells per axis.
+Work = namedtuple("Work", "text count budget grid cells", defaults=(None, 0))
 
 
-def _require_class_sums_within_budget(cfg: ExperimentConfig,
-                                      profile_grid: SpectralGrid) -> None:
-    """One transport rhs forms every class sum of the coupling plan on the
-    profile grid, and holds the lower-level ones; the plan's sums are among
-    the prefix index's level keys, so their count bounds what it holds."""
-    sums = sum(len(codes) for codes in cfg.phase_set().prefix_index.levels)
-    if sums * profile_grid.size > _POINT_BUDGET:
-        raise ConfigError(
-            f"phases.box_radius = {cfg.box_radius} and profile_points = "
-            f"{cfg.profile_points} give up to {sums} class sums of "
-            f"{profile_grid.size} points in one transport rhs, above the "
-            f"budget of {_POINT_BUDGET} points")
+def _grid_work(grid: SpectralGrid, key: str, cells: int = 0) -> Work:
+    return Work(f"{key} gives {grid.points_per_axis}^{grid.dim} = {grid.size} "
+                "grid points", grid.size, _POINT_BUDGET, grid, cells)
+
+
+def _work(cfg: ExperimentConfig) -> tuple:
+    """Every count a run of cfg implies: each eps's eps_work (a period cell
+    for more-weakly and inflate), the profile grid, the class sums one
+    transport rhs holds, the point-steps of one profile evolution and the
+    sampled times; or each eps's scaled_grid for the scaled Sobolev family.
+    The plan's class sums are among the prefix index's level keys, so their
+    count bounds what one rhs forms and holds on the profile grid."""
+    if cfg.closure is None:
+        return tuple(_grid_work(scaled_grid(_scaled_spec(cfg, eps)),
+                                f"scaled_points at eps = {eps}")
+                     for eps in cfg.eps_list if cfg.profile_kind == "scaled")
+    cells = cfg.experiment in _CELL_EXPERIMENTS
+    grid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
+    sums = sum(len(codes) for codes in cfg.closure.prefix_index.levels)
+    steps = _steps(cfg.t_final, cfg.profile_dt)[0]
+    samples = 1 + (max(cfg.snapshots, 200) if cfg.experiment == "inflate"
+                   else cfg.snapshots)
+    return (*chain.from_iterable(cfg.eps_work(e, cells) for e in cfg.eps_list),
+            _grid_work(grid, "profile_points"),
+            Work(f"phases.box_radius = {cfg.box_radius} and profile_points = "
+                 f"{cfg.profile_points} give up to {sums} class sums of "
+                 f"{grid.size} points in one transport rhs",
+                 sums * grid.size, _POINT_BUDGET),
+            Work(f"T = {cfg.t_final} over profile_dt = {cfg.profile_dt} gives "
+                 f"{steps:.4g} RK4 steps of {len(cfg.closure)} modes on "
+                 f"{grid.size} points", steps * len(cfg.closure) * grid.size,
+                 _POINT_STEP_BUDGET),
+            Work(f"snapshots = {cfg.snapshots:.4g} gives {samples:.4g} sampled "
+                 "times", samples, _SAMPLE_BUDGET))
+
+
+def require_within_budget(work) -> None:
+    """ConfigError for the first item of work whose count is over its budget."""
+    for item in work:
+        if item.count > item.budget:
+            raise ConfigError(f"{item.text}, above the budget of {item.budget}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Read raw against its family's schema table, then check the rules that
-    tie several keys together."""
+    """Read raw against its family's schema table, check the rules that tie
+    several keys together, then every count of _work against its budget."""
     sobolev = isinstance(raw, dict) and "experiment" in raw \
         and raw["experiment"] == "sobolev-asymptotics"
     table, validate = (_SOBOLEV_SCHEMA, _validate_sobolev) if sobolev \
         else (_FIELD_SCHEMA, _validate_field)
-    return validate(ExperimentConfig(raw=raw, **_read(raw, table, "config")))
+    cfg = validate(ExperimentConfig(raw=raw, **_read(raw, table, "config")))
+    cfg = replace(cfg, work=_work(cfg))
+    require_within_budget(cfg.work)
+    return cfg
 
 
 def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -383,17 +437,12 @@ def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
             f"got {len(cfg.amplitudes)}")
     if not any(cfg.amplitudes):
         raise ConfigError("data.amplitudes must not all be zero")
-    with as_config_error():
-        profile_grid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
+    with as_config_error():  # a power of two >= 4 points per axis
+        SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
         grids = [cfg.grid_for(eps) for eps in cfg.eps_list]
-    probe = SpectralGrid(cfg.dim, cfg.half_box, 4)
     for eps, grid in zip(cfg.eps_list, grids):
-        require_admissible(probe, phase_set.vectors, eps)
+        require_admissible(grid, phase_set.vectors, eps)
         require_resolved(grid, phase_set.vectors, eps)
-    _require_within_budget(profile_grid, "profile_points")
-    _require_class_sums_within_budget(cfg, profile_grid)
-    for eps in cfg.eps_list:
-        cfg.require_grid_budget(eps, cells=cfg.experiment in _CELL_EXPERIMENTS)
 
     if cfg.experiment == "more-weakly":
         if cfg.s is None:
@@ -470,9 +519,7 @@ def _validate_sobolev(cfg: ExperimentConfig) -> ExperimentConfig:
         if not (cfg.beta > 0 and cfg.width > 0):
             raise ConfigError("scaled profile needs beta > 0 and width > 0")
         with as_config_error():  # half_length > 0, scaled_points 0 or 2^k >= 4
-            grid = SpectralGrid(len(cfg.kappa), cfg.half_length,
-                                cfg.scaled_points or 4)
-        _require_within_budget(grid, "scaled_points")
+            SpectralGrid(len(cfg.kappa), cfg.half_length, cfg.scaled_points or 4)
     return cfg
 
 
@@ -590,8 +637,7 @@ def _sweep(cfg: ExperimentConfig, one, assess, slopes=(), series: str = "",
         if cfg.experiment in _PROFILE_EXPERIMENTS:
             metadata["phase_set"].update(plan_facts(ps, cfg.transport_params()))
     if cfg.experiment in _CELL_EXPERIMENTS:
-        metadata["cells_per_axis"] = [cfg.cell_grid_for(e)[1]
-                                      for e in cfg.eps_list]
+        metadata["cells_per_axis"] = [m for _, m in cfg.runs]
     rows = tuple(zip(cfg.eps_list, outcomes))
     # last, so that each runner's own assertions keep their places
     where = _first_non_finite([*all_series.values(),
@@ -674,14 +720,14 @@ def _first_local_max(times, values) -> float:
 
 def _cell_runs(cfg: ExperimentConfig, t_end: float):
     """Yield (u(0), u(t_end), m) for each eps of cfg.eps_list in order, on
-    its period cell cfg.cell_grid_for(eps) with m cells per axis.
+    its period cell cfg.runs gives, with m cells per axis.
 
     Consecutive eps whose cells have one shape build u(0) first and evolve
     as one stack (solver.evolve_fields), bit-identical to one at a time,
     while the stack's points stay within _POINT_BUDGET; one stack's fields
     are held at a time.  The sweeps' one(eps) takes the next item.
     """
-    cells = [cfg.cell_grid_for(eps) for eps in cfg.eps_list]
+    cells = cfg.runs
     groups = []
     for k, (grid, _) in enumerate(cells):
         if groups and cells[groups[-1][0]][0].shape == grid.shape \
@@ -908,10 +954,6 @@ def run_sobolev_asymptotics(cfg: ExperimentConfig) -> SweepResult:
             return {"norm": math.sqrt(sq)}
         predicted = abs(cfg.s) / 2.0 if cfg.s > -d / 2.0 else d / 4.0
     else:
-        for eps in cfg.eps_list:  # scaled_points 0 sizes a grid per eps
-            _require_within_budget(scaled_grid(_scaled_spec(cfg, eps)),
-                                  f"scaled_points at eps = {eps}")
-
         def one(eps):
             return {"norm": scaled_profile_norm(_scaled_spec(cfg, eps), cfg.sigma)}
         predicted = None

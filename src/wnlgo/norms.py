@@ -93,7 +93,9 @@ def _series_eval_axiswise(f: GridFunction, points: np.ndarray) -> np.ndarray:
 
 def _choose_points(box: float, carrier: float, base_n: int) -> int:
     """Smallest power of two resolving the carrier with margin 4."""
-    n = pow2_at_least(max(base_n, math.ceil(8.0 * carrier * box / math.pi)))
+    # capped: ceil fails on an infinite carrier, and 2^23 fails the test below
+    need = min(8.0 * carrier * box / math.pi, 2.0 ** 23)
+    n = pow2_at_least(max(base_n, math.ceil(need)))
     if n > 1 << 22:
         raise ResolutionError(
             f"cannot resolve carrier frequency {carrier:.3g} on box "
@@ -110,7 +112,13 @@ def scaled_grid(spec: ScaledProfileSpec) -> SpectralGrid:
     ResolutionError.
     """
     eps, beta = spec.eps, spec.beta
-    stretch = eps ** ((1.0 - beta) / 2.0)  # argument factor of f
+    try:  # a power of eps beyond the float range
+        stretch = eps ** ((1.0 - beta) / 2.0)  # argument factor of f
+        carrier = max(abs(c) for c in spec.kappa) / eps ** ((1.0 + beta) / 2.0) \
+            if any(spec.kappa) else 0.0
+    except (OverflowError, ZeroDivisionError):
+        raise ResolutionError(f"no float grid holds the scaled profile at "
+                              f"eps = {eps}, beta = {beta}") from None
     if isinstance(spec.f, GridFunction):
         dim = spec.f.grid.dim
         base_box = spec.f.grid.half_length if spec.half_length == 0.0 \
@@ -123,8 +131,6 @@ def scaled_grid(spec: ScaledProfileSpec) -> SpectralGrid:
         base_box = spec.half_length
         base_n = 64
     box = base_box / stretch
-    carrier = max(abs(c) for c in spec.kappa) / eps ** ((1.0 + beta) / 2.0) \
-        if any(spec.kappa) else 0.0
 
     if spec.points_per_axis:
         n = spec.points_per_axis

@@ -162,18 +162,19 @@ class PrefixIndex:
         """Every wave vector some resonant (2nu+1)-tuple reaches, unique rows.
 
         A level-nu key (L, q) and a last index l reach L + kappa_l exactly
-        when Q(L + kappa_l) == q + Q(kappa_l): classes x modes work.
+        when Q(L + kappa_l) == q + Q(kappa_l); as Q(L + kappa) = Q(L) +
+        2 B(L, kappa) + Q(kappa) with B(L, kappa) = sum_m eta_m L_m kappa_m,
+        that is 2 B(L, kappa_l) == q - Q(L): one classes x d product per mode.
         """
         codes, half, digits = self.levels[-1], self.radix // 2, []
         for _ in range(self.vectors.shape[1] + 1):
             digits.append((codes + half) % self.radix - half)
             codes = (codes - digits[-1]) // self.radix
         lin, quad = np.stack(digits[:-1], axis=1), digits[-1]
-        hits = []
-        for kappa, q in zip(self.vectors, self.quads):
-            t = lin + kappa
-            hits.append(t[(self.etas * t * t).sum(axis=1) == quad + q])
-        hits = np.concatenate(hits)
+        bilinear = self.etas * lin
+        gap = quad - (bilinear * lin).sum(axis=1)
+        hits = np.concatenate([lin[2 * (bilinear @ kappa) == gap] + kappa
+                               for kappa in self.vectors])
         # one int64 code per row, most significant digit first: unique
         # codes are unique rows, in lexicographic order
         low = hits.min()

@@ -4,6 +4,7 @@ import os
 import random
 import re
 import subprocess
+import time
 
 import numpy as np
 import pytest
@@ -249,13 +250,18 @@ class TestConfigValidation:
                           "eps_list": [0.5]})
 
     def test_scaled_dim_must_match_kappa(self):
+        # eps = 1/4 would need a 512^3 grid, over the point budget at parse
+        # time: eps = 1/2 runs on 256^3
         scaled = {"experiment": "sobolev-asymptotics", "profile_kind": "scaled",
                   "sigma": -1.0, "kappa": [1.0, 0.0, 0.0],
-                  "eps_list": [0.5, 0.25]}
+                  "eps_list": [1.0, 0.5]}
         parse_config(scaled)  # dim omitted: len(kappa) dimensions
         parse_config(dict(scaled, dim=3))
         with pytest.raises(ConfigError, match="dim is 2"):
             parse_config(dict(scaled, dim=2))
+        with pytest.raises(ConfigError, match="scaled_points at eps = 0.25 "
+                                              "gives 512"):
+            parse_config(dict(scaled, eps_list=[0.5, 0.25]))
 
 
 def _schema_keys(table, prefix=""):
@@ -432,6 +438,18 @@ class TestPeriodCell:
         raw["data"].update(profile="gaussian", width=0.5)
         cfg = parse_config(raw)
         assert cfg.cell_grid_for(0.25) == (cfg.grid_for(0.25), 1)
+
+    @pytest.mark.parametrize("make_config, cells", [
+        (field_config, False), (more_weakly_config, True),
+        (inflate_config, True)], ids=["converge", "more-weakly", "inflate"])
+    def test_runs_are_the_work_lists_grids(self, make_config, cells):
+        # the sweeps read each eps's grid and cells per axis off the work
+        # list parse_config keeps: a period cell where the sweep runs on one
+        cfg = parse_config(make_config(eps_list=[0.5, 0.25]))
+        want = [cfg.cell_grid_for(eps) if cells else (cfg.grid_for(eps), 1)
+                for eps in cfg.eps_list]
+        assert cfg.runs == want
+        assert all(item.count <= item.budget for item in cfg.work)
 
 
 def _full_grid_row(cfg, eps: float, tau) -> dict:
@@ -1039,6 +1057,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: grid.points_scale at eps = ")
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"snapshots": 1e308}, "snapshots = 1e+308 gives 1e+308 sampled times"),
+        ({"T": 1e300, "dt": 1, "profile_dt": 1}, "T = 1e+300 over dt = 1"),
+        ({"snapshots": 10 ** 308}, "snapshots = 1e+308 is too large for a float")],
+        ids=["snapshots-1e308", "T-1e300", "snapshots-10^308"])
+    def test_unbounded_work_exit_two_at_once(self, tmp_path, capsys,
+                                             overrides, message):
+        # snapshot_times once built 1e308 floats, and the step count would
+        # have asked for 1e300 steps; 10**308 is an integer no float holds
+        with open(os.path.join(CONFIGS, "converge_ds_elliptic.json")) as fh:
+            cfg = json.load(fh)
+        cfg.update(overrides)
+        path = self.write(tmp_path, cfg)
+        start = time.perf_counter()
+        code = main(["--config", path, "--out", str(tmp_path / "r"), "converge"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: " + message)
+        assert elapsed < 1.0
         assert not (tmp_path / "r").exists()
 
     def test_class_sums_over_budget_exit_two(self, tmp_path, capsys,

@@ -10,6 +10,7 @@ import pytest
 from wnlgo import GridFunction, ResolutionError, ScaledProfileSpec, \
     SpectralGrid, gaussian_sobolev_norm, scaled_profile_norm, sobolev_norm, \
     wiener_norm
+from wnlgo.norms import scaled_grid
 
 
 def gaussian(grid, amp=1.0, width=1.0):
@@ -163,6 +164,16 @@ class TestScaledProfileNorm:
         spec = ScaledProfileSpec(f, (1.0,), 1.0, 1.0 / 64.0, points_per_axis=64)
         with pytest.raises(ResolutionError, match="Nyquist"):
             scaled_profile_norm(spec, 0.0)
+
+    @pytest.mark.parametrize("beta, eps", [(1e5, 0.5), (1.0, 1e-320)],
+                             ids=["beta-1e5", "eps-1e-320"])
+    def test_no_float_grid_is_a_resolution_error(self, beta, eps):
+        # eps ** ((1 - beta) / 2) past the float range raised OverflowError,
+        # and an infinite carrier OverflowError from the point count
+        spec = ScaledProfileSpec(lambda p: p[..., 0], (1.0,), beta, eps,
+                                 half_length=8.0)
+        with pytest.raises(ResolutionError):
+            scaled_grid(spec)
 
     def test_spec_validation(self):
         grid = SpectralGrid(2, np.pi, 16)

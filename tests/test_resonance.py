@@ -248,15 +248,18 @@ def test_targets_are_the_sorted_resonant_targets(signature, nu):
 
 def test_closure_memory_is_bounded():
     # nu = 2 on the hyperbolic seeds, box radius 4 (17 modes): the prefix
-    # classes times the modes, never every 5-tuple of the set
-    tracemalloc.start()
-    try:
-        ps = close_phase_set(PHI0, HYPERBOLIC, 2, box_radius=4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(ps) == 17
-    assert peak < 8 * 2 ** 20
+    # classes times the modes, never every 5-tuple of the set.  nu = 1 at
+    # box radius 32 (129 modes) peaked at 1.52 MB while the resonance test
+    # formed L + kappa for every class and mode.
+    for nu, box_radius, count, bound_mb in ((2, 4, 17, 8), (1, 32, 129, 2)):
+        tracemalloc.start()
+        try:
+            ps = close_phase_set(PHI0, HYPERBOLIC, nu, box_radius=box_radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ps) == count
+        assert peak < bound_mb * 2 ** 20
 
 
 class TestResonantTuples:

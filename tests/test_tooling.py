@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from wnlgo import GridFunction, ModelParams, ProfileSet, Signature, \
     SpectralGrid, TransportParams, close_phase_set, davey_stewartson, \
     evolve_profiles, evolve_semiclassical, oscillatory_initial_data
 from wnlgo.cli import build_parser
-from wnlgo.experiments import load_config
+from wnlgo.experiments import load_config, parse_config
 from wnlgo.transport import _steps
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -82,6 +83,26 @@ def test_profile_counter_reads_the_evolver_arguments(keywords):
     got = counted(evolve_profiles, "transport", state, keywords,
                   t_end=0.549, dt=0.01)
     assert got == {"transport.rk4_steps": _steps(0.049, 0.01)[0]}
+
+
+def budget_configs():
+    """Every shipped config, and each benchmark workload's at seed 1."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield pytest.param(json.loads(path.read_text(encoding="utf-8")),
+                           id=path.stem)
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        yield pytest.param(workload.config(str(CONFIGS.parent), 1), id=name)
+
+
+@pytest.mark.parametrize("raw", budget_configs())
+def test_shipped_and_benchmark_configs_fit_every_budget(raw):
+    # the budgets are anchored on these runs (and the tests'); simulate also
+    # solves the whole box of the first eps of a field config
+    cfg = parse_config(raw)
+    work = cfg.work
+    if cfg.closure is not None:
+        work += cfg.eps_work(cfg.eps_list[0], cells=False)
+    assert [item.text for item in work if item.count > item.budget] == []
 
 
 def bench_argv(workload):
