@@ -129,6 +129,8 @@ def _config_and_out(args) -> tuple:
 
 def _cmd_profiles(args) -> int:
     cfg, out = _config_and_out(args)
+    # the profile system, also for a config whose own run evolves none
+    require_within_budget(cfg.profile_work())
     os.makedirs(out, exist_ok=True)
     times = cfg.snapshot_times()
     index = {"modes": [list(v) for v in cfg.phase_set().vectors],
@@ -149,8 +151,10 @@ def _cmd_profiles(args) -> int:
 def _cmd_simulate(args) -> int:
     """The converge worker at the first eps, written as one time series."""
     cfg, out = _config_and_out(args)
-    # the whole box, also for a config whose own runs use one period cell
-    require_within_budget(cfg.eps_work(cfg.eps_list[0], cells=False))
+    # the whole box and the profile system, also for a config whose own
+    # runs use one period cell or evolve no profiles
+    require_within_budget(cfg.eps_work(cfg.eps_list[0], cells=False)
+                          + cfg.profile_work())
     os.makedirs(out, exist_ok=True)
     rows = error_series(cfg, cfg.eps_list[0])
     _atomic_write(os.path.join(out, "timeseries.csv"),

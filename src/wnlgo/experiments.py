@@ -243,32 +243,34 @@ class ExperimentConfig:
         return self.box_pi_multiple * math.pi
 
     def grid_for(self, eps: float) -> SpectralGrid:
-        if self.points_per_axis is not None:
-            n = self.points_per_axis
-        else:
+        n = self.points_per_axis
+        if n is None:
             n = pow2_at_least(self.points_scale / eps)
-        return SpectralGrid(self.dim, self.half_box, n)
+        with as_config_error():  # a power of two >= 4 points per axis
+            return SpectralGrid(self.dim, self.half_box, n)
 
-    def cell_grid_for(self, eps: float) -> tuple:
-        """(grid, m): one period cell of grid_for(eps), m cells per axis.
+    def cell_grid_for(self, eps: float, cells: bool = True) -> tuple:
+        """(grid, m): grid_for(eps) after its admissibility and resolution
+        gates, or (when cells) one period cell of it, m cells per axis.
 
         Uniform data on integer seeds has period 2 pi eps / g per axis, g the
         gcd of the seed components, and so does every closure mode; the
         split-step flow keeps it (Fourier multipliers, pointwise nonlinearity).
-        The box holds M = box_pi_multiple g / eps whole periods, an integer
-        for admissible eps; m is the largest power of two dividing M, so it
-        divides n.  The cell grid SpectralGrid(dim, L/m, n/m) sees the full
-        grid's DFT at every m-th frequency, with the same Nyquist frequency,
-        so evolving on it is exact.  L^2 and H^s norms on the cell are the
-        full grid's divided by m^(d/2); means are the same.  Gaussian data
-        gives m = 1 and grid_for(eps).  Uniform converge does not use this:
-        assemble_approximation needs the profile grid's box.
+        The box holds M = box_pi_multiple g / eps whole periods, the gcd of
+        the modes' lattice shifts; m is the largest power of two dividing M,
+        so it divides n.  The cell grid SpectralGrid(dim, L/m, n/m) sees the
+        full grid's DFT at every m-th frequency, with the same Nyquist
+        frequency, so evolving on it is exact.  L^2 and H^s norms on the cell
+        are the full grid's divided by m^(d/2); means are the same.  Gaussian
+        data gives m = 1 and grid_for(eps).  Uniform converge does not use
+        this: assemble_approximation needs the profile grid's box.
         """
         grid = self.grid_for(eps)
+        shifts = require_admissible(grid, self.closure.vectors, eps)
+        require_resolved(grid, self.closure.vectors, eps)
         periods = 1
-        if self.profile == "uniform":
-            g = math.gcd(*(abs(c) for kappa in self.phi0 for c in kappa))
-            periods = round(self.box_pi_multiple * g / eps) or 1  # g = 0: no period
+        if cells and self.profile == "uniform":  # all modes zero: no period
+            periods = math.gcd(*chain.from_iterable(shifts)) or 1
         m = periods & -periods
         return SpectralGrid(self.dim, grid.half_length / m,
                             grid.points_per_axis // m), m
@@ -276,7 +278,7 @@ class ExperimentConfig:
     def eps_work(self, eps: float, cells: bool) -> tuple:
         """The Work of a split-step run at eps: its grid (one period cell
         when cells, else the whole box) and its point-steps up to T."""
-        grid, m = self.cell_grid_for(eps) if cells else (self.grid_for(eps), 1)
+        grid, m = self.cell_grid_for(eps, cells)
         key = "grid.points_scale" if self.points_per_axis is None \
             else "grid.points_per_axis"
         steps = _steps(self.t_final, self.dt)[0]
@@ -284,6 +286,28 @@ class ExperimentConfig:
                 Work(f"T = {self.t_final} over dt = {self.dt} gives {steps:.4g} "
                      f"steps of {grid.size} points at eps = {eps}",
                      steps * grid.size, _POINT_STEP_BUDGET))
+
+    @property
+    def profile_grid(self) -> SpectralGrid:
+        with as_config_error():  # a power of two >= 4 points per axis
+            return SpectralGrid(self.dim, self.half_box, self.profile_points)
+
+    def profile_work(self) -> tuple:
+        """The Work of one profile evolution up to T: the class sums one
+        transport rhs holds and its point-steps.  The plan's class sums are
+        among the prefix index's level keys, so their count bounds what one
+        rhs forms and holds on the profile grid."""
+        grid = self.profile_grid
+        sums = sum(len(codes) for codes in self.closure.prefix_index.levels)
+        steps = _steps(self.t_final, self.profile_dt)[0]
+        return (Work(f"phases.box_radius = {self.box_radius} and profile_points "
+                     f"= {self.profile_points} give up to {sums} class sums of "
+                     f"{grid.size} points in one transport rhs",
+                     sums * grid.size, _POINT_BUDGET),
+                Work(f"T = {self.t_final} over profile_dt = {self.profile_dt} "
+                     f"gives {steps:.4g} RK4 steps of {len(self.closure)} modes "
+                     f"on {grid.size} points",
+                     steps * len(self.closure) * grid.size, _POINT_STEP_BUDGET))
 
     @property
     def runs(self) -> list:
@@ -313,11 +337,16 @@ class ExperimentConfig:
     def seed_profiles(self, eps: float) -> ProfileSet:
         """Seed data on the profile grid (profile_points per axis), generated
         modes at zero, coupling weight eps^(J-1)."""
-        grid = SpectralGrid(self.dim, self.half_box, self.profile_points)
+        grid = self.profile_grid
         weight = eps ** (self.j_exponent - 1.0)
         return ProfileSet.from_seed(self.phase_set(), grid,
                                     self.seed_amplitudes(grid),
                                     self.transport_params(weight))
+
+    @property
+    def samples(self) -> int:
+        """Intervals of [0, T] a run samples, 200 or more in a tau scan."""
+        return max(self.snapshots, 200 if self.experiment == "inflate" else 0)
 
     def snapshot_times(self, count: int | None = None) -> list:
         """count + 1 equally spaced times on [0, T] (count defaults to snapshots)."""
@@ -350,32 +379,19 @@ def _grid_work(grid: SpectralGrid, key: str, cells: int = 0) -> Work:
 
 
 def _work(cfg: ExperimentConfig) -> tuple:
-    """Every count a run of cfg implies: each eps's eps_work (a period cell
-    for more-weakly and inflate), the profile grid, the class sums one
-    transport rhs holds, the point-steps of one profile evolution and the
-    sampled times; or each eps's scaled_grid for the scaled Sobolev family.
-    The plan's class sums are among the prefix index's level keys, so their
-    count bounds what one rhs forms and holds on the profile grid."""
-    if cfg.closure is None:
-        return tuple(_grid_work(scaled_grid(_scaled_spec(cfg, eps)),
-                                f"scaled_points at eps = {eps}")
-                     for eps in cfg.eps_list if cfg.profile_kind == "scaled")
+    """Every count a run of a field config implies: each eps's eps_work (a
+    period cell for more-weakly and inflate), the profile grid, profile_work
+    where the run evolves profiles on that grid, and the sampled times.
+    more-weakly evolves none, and uniform inflate's tau scan one value per
+    mode (transport.constant_profile_history)."""
+    grid = cfg.profile_grid  # a bad profile_points before the eps gates
     cells = cfg.experiment in _CELL_EXPERIMENTS
-    grid = SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
-    sums = sum(len(codes) for codes in cfg.closure.prefix_index.levels)
-    steps = _steps(cfg.t_final, cfg.profile_dt)[0]
-    samples = 1 + (max(cfg.snapshots, 200) if cfg.experiment == "inflate"
-                   else cfg.snapshots)
+    on_grid = cfg.experiment in _PROFILE_EXPERIMENTS \
+        and (cfg.experiment, cfg.profile) != ("inflate", "uniform")
+    samples = 1 + cfg.samples
     return (*chain.from_iterable(cfg.eps_work(e, cells) for e in cfg.eps_list),
             _grid_work(grid, "profile_points"),
-            Work(f"phases.box_radius = {cfg.box_radius} and profile_points = "
-                 f"{cfg.profile_points} give up to {sums} class sums of "
-                 f"{grid.size} points in one transport rhs",
-                 sums * grid.size, _POINT_BUDGET),
-            Work(f"T = {cfg.t_final} over profile_dt = {cfg.profile_dt} gives "
-                 f"{steps:.4g} RK4 steps of {len(cfg.closure)} modes on "
-                 f"{grid.size} points", steps * len(cfg.closure) * grid.size,
-                 _POINT_STEP_BUDGET),
+            *(cfg.profile_work() if on_grid else ()),
             Work(f"snapshots = {cfg.snapshots:.4g} gives {samples:.4g} sampled "
                  "times", samples, _SAMPLE_BUDGET))
 
@@ -395,7 +411,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     table, validate = (_SOBOLEV_SCHEMA, _validate_sobolev) if sobolev \
         else (_FIELD_SCHEMA, _validate_field)
     cfg = validate(ExperimentConfig(raw=raw, **_read(raw, table, "config")))
-    cfg = replace(cfg, work=_work(cfg))
     require_within_budget(cfg.work)
     return cfg
 
@@ -437,12 +452,7 @@ def _validate_field(cfg: ExperimentConfig) -> ExperimentConfig:
             f"got {len(cfg.amplitudes)}")
     if not any(cfg.amplitudes):
         raise ConfigError("data.amplitudes must not all be zero")
-    with as_config_error():  # a power of two >= 4 points per axis
-        SpectralGrid(cfg.dim, cfg.half_box, cfg.profile_points)
-        grids = [cfg.grid_for(eps) for eps in cfg.eps_list]
-    for eps, grid in zip(cfg.eps_list, grids):
-        require_admissible(grid, phase_set.vectors, eps)
-        require_resolved(grid, phase_set.vectors, eps)
+    cfg = replace(cfg, work=_work(cfg))  # exits 3 and 4 before the checks below
 
     if cfg.experiment == "more-weakly":
         if cfg.s is None:
@@ -520,7 +530,10 @@ def _validate_sobolev(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError("scaled profile needs beta > 0 and width > 0")
         with as_config_error():  # half_length > 0, scaled_points 0 or 2^k >= 4
             SpectralGrid(len(cfg.kappa), cfg.half_length, cfg.scaled_points or 4)
-    return cfg
+    return replace(cfg, work=tuple(
+        _grid_work(scaled_grid(_scaled_spec(cfg, eps)),
+                   f"scaled_points at eps = {eps}")
+        for eps in cfg.eps_list if cfg.profile_kind == "scaled"))
 
 
 def _scaled_spec(cfg: ExperimentConfig, eps: float) -> ScaledProfileSpec:
@@ -692,7 +705,7 @@ def _tau_scan(cfg: ExperimentConfig):
     L^2 norm of a constant c on the box is |c| (2L)^(d/2).  Gaussian data
     runs on the profile grid.
     """
-    samples = max(cfg.snapshots, 200)
+    samples = cfg.samples
     if cfg.profile != "uniform":
         times, norms, _ = _zero_mode_history(cfg, cfg.seed_profiles(1.0), samples)
         return times, norms

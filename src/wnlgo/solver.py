@@ -73,28 +73,30 @@ def _seed_modes(modes):
     return [as_wave_vector(k) for k in modes]
 
 
-def require_admissible(grid: SpectralGrid, kappas, eps: float) -> None:
-    """Each kappa/eps must sit on the frequency lattice xi = (pi/L) Z.
+def require_admissible(grid: SpectralGrid, kappas, eps: float) -> list:
+    """kappa/eps on the frequency lattice xi = (pi/L) Z, as integer shifts.
 
     On failure the error lists nearby admissible eps values: with g the gcd
     of all integer kappa components, eps = L g / (pi k) for positive integers k.
     """
-    dxi = grid.spectral_spacing
-    for kappa in kappas:
-        for comp in kappa:
-            r = comp / (eps * dxi)
-            if abs(r - round(r)) > 1e-9 * max(1.0, abs(r)):
-                g = math.gcd(*(abs(int(c)) for kv in kappas for c in kv))
-                suggestions = []
-                if g:
-                    base = grid.half_length * g / math.pi
-                    k0 = max(1, math.floor(base / eps))
-                    suggestions = sorted({base / k for k in
-                                          range(k0, k0 + 6)}, reverse=True)
-                raise AdmissibilityError(
-                    f"kappa component {comp}/eps is off the frequency lattice "
-                    f"(eps={eps}, lattice spacing {dxi:.6g}); nearby "
-                    f"admissible eps: {suggestions}")
+    step = eps * grid.spectral_spacing
+
+    def shift(comp) -> int:
+        r = comp / step if step else comp * math.inf  # step underflows to 0
+        if not math.isfinite(r) or abs(r - round(r)) > 1e-9 * max(1.0, abs(r)):
+            g = math.gcd(*(abs(int(c)) for kv in kappas for c in kv))
+            base = grid.half_length * g / math.pi
+            suggestions = []
+            if 0 < base / eps < math.inf:
+                k0 = max(1, math.floor(base / eps))
+                suggestions = sorted({base / k for k in range(k0, k0 + 6)},
+                                     reverse=True)
+            raise AdmissibilityError(
+                f"kappa component {comp}/eps is off the frequency lattice "
+                f"(eps={eps}, lattice spacing {grid.spectral_spacing:.6g}); "
+                f"nearby admissible eps: {suggestions}")
+        return round(r)
+    return [[shift(comp) for comp in kappa] for kappa in kappas]
 
 
 def require_resolved(grid: SpectralGrid, kappas, eps: float) -> None:
@@ -108,17 +110,15 @@ def require_resolved(grid: SpectralGrid, kappas, eps: float) -> None:
         raise ResolutionError(
             f"{grid.points_per_axis} points per axis resolve carriers only up "
             f"to |kappa|_1/eps = {grid.points_per_axis * math.pi / (8 * grid.half_length):.6g}; "
-            f"need n >= {math.ceil(need)}")
+            f"need n >= {math.ceil(need) if need < math.inf else need}")
 
 
 def _multiphase(grid: SpectralGrid, kappas, amplitudes, weights,
                 eps: float) -> GridFunction:
-    """sum_j w_j a_j(x) exp(i kappa_j . x / eps) by grid._superpose; the gates
-    run last, so that an amplitude on another box is reported as such."""
-    dxi = eps * grid.spectral_spacing
-    values = _superpose(grid, [(a, [round(c / dxi) for c in kappa], w)
-                               for kappa, a, w in zip(kappas, amplitudes, weights)])
-    require_admissible(grid, kappas, eps)
+    """sum_j w_j a_j(x) exp(i kappa_j . x / eps) by grid._superpose on the
+    admissibility gate's shifts; the resolution gate runs after its box check."""
+    shifts = require_admissible(grid, kappas, eps)
+    values = _superpose(grid, zip(amplitudes, shifts, weights))
     require_resolved(grid, kappas, eps)
     return GridFunction(grid, values)
 

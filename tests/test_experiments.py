@@ -745,6 +745,42 @@ class TestCli:
         assert main(["--config", cfg_path, "--out", str(tmp_path / "r"),
                      "converge"]) == 4
 
+    @pytest.mark.parametrize("overrides, grid, code, prefix", [
+        ({"eps_list": [0.3, 0.15]}, {"points_scale": 64}, 3, "admissibility"),
+        ({}, {"points_per_axis": 8}, 4, "resolution")],
+        ids=["inadmissible", "under-resolved"])
+    def test_lattice_gates_come_before_the_experiment_checks(
+            self, tmp_path, capsys, overrides, grid, code, prefix):
+        # inflate without sigma fails its runner's own check, but an eps off
+        # the lattice or an under-resolved grid is reported first
+        with open(os.path.join(CONFIGS, "inflate_ds_hyperbolic.json")) as fh:
+            cfg = json.load(fh)
+        del cfg["sigma"]
+        cfg.update(overrides)
+        cfg["grid"] = {"dim": 2, "box_pi_multiple": 1.0, **grid}
+        assert main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "inflate"]) == code
+        assert capsys.readouterr().err.startswith(prefix + " error: ")
+
+    @pytest.mark.parametrize("eps, box, code, message", [
+        (5e-324, 1.0, 3, "admissibility error: kappa component 1/eps is off"),
+        (1e-307, 4.0, 4, "resolution error: 64 points per axis")],
+        ids=["ratio-overflows", "need-overflows"])
+    def test_extreme_eps_is_a_typed_error(self, tmp_path, capsys, eps, box,
+                                          code, message):
+        # kappa/eps beyond the float range once raised OverflowError from
+        # round(inf) in the lattice test; at 1e-307 the ratios are integral
+        # floats, and the resolution error took math.ceil(inf)
+        with open(os.path.join(CONFIGS, "zero_mode_ds.json")) as fh:
+            cfg = json.load(fh)
+        cfg["eps_list"] = [eps]
+        cfg["grid"]["box_pi_multiple"] = box
+        assert main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "zero-mode"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("points_scale, overrides, message", [
         (1e10, {"eps_list": [1e-300]}, "grid.points_scale / eps < inf"),
         (0, {}, "grid.points_scale / eps"),
@@ -1105,6 +1141,25 @@ class TestCli:
         raw["profile_points"] = 128
         assert len(parse_config(raw).phase_set()) == 65
 
+    @pytest.mark.parametrize("command", ["profiles", "simulate"])
+    def test_profile_work_is_budgeted_where_profiles_evolve(
+            self, tmp_path, capsys, command):
+        # uniform inflate's tau scan runs one value per mode, so its own run
+        # parses at 256^2 profile points; profiles and simulate evolve the
+        # profile system on that grid, 17 modes x 2^16 points x 1000 steps
+        with open(os.path.join(CONFIGS, "inflate_ds_hyperbolic.json")) as fh:
+            cfg = json.load(fh)
+        cfg["profile_points"] = 256
+        assert [item.text for item in parse_config(cfg).work
+                if "RK4" in item.text or "class sums" in item.text] == []
+        code = main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), command])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: T = 5.0 over profile_dt = 0.005 gives 1000 RK4 "
+            "steps of 17 modes on 65536 points")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("command, make_config", [
         ("converge", field_config), ("more-weakly", more_weakly_config),
         ("inflate", inflate_config)])
@@ -1309,11 +1364,11 @@ def test_config_fuzz(tmp_path, capsys, base, path, kind):
 
 def test_every_node_mutation_parses_or_raises_a_typed_error():
     # every node of every fuzz base (sections, lists and scalars) x every
-    # kind, through parse_config only
+    # kind, and the extreme floats, through parse_config only
     escapes, cases = [], 0
     for base, cfg in sorted(FUZZ_BASES.items()):
         for path in _nodes(cfg):
-            for kind in FUZZ_KINDS:
+            for kind in FUZZ_KINDS + (5e-324, 1e308):
                 cases += 1
                 try:
                     parse_config(_mutate(cfg, path, kind))
@@ -1321,5 +1376,5 @@ def test_every_node_mutation_parses_or_raises_a_typed_error():
                     pass
                 except Exception as exc:
                     escapes.append((base, path, kind, repr(exc)))
-    assert cases == 6 * 160  # 119 scalars and 41 dicts and lists
+    assert cases == 8 * 160  # 119 scalars and 41 dicts and lists
     assert escapes == []

@@ -56,10 +56,27 @@ class TestAdmissibility:
         for eps in (1.0, 0.5, 0.25, 0.125, 1.0 / 3.0):
             require_admissible(grid, [(1, 0), (1, 1), (0, 1)], eps)
 
+    def test_gate_returns_the_lattice_shifts(self):
+        # kappa / (eps pi / L) per component: L = 2 pi, eps = 1/3 gives 6 kappa
+        grid = SpectralGrid(2, 2 * np.pi, 64)
+        assert require_admissible(grid, [(1, 0), (-1, 2)], 1.0 / 3.0) \
+            == [[6, 0], [-6, 12]]
+
+    @pytest.mark.parametrize("half_length", [np.pi, 4 * np.pi],
+                             ids=["ratio-inf", "step-zero"])
+    def test_ratio_beyond_the_floats_is_off_the_lattice(self, half_length):
+        # 1 / (5e-324 pi / L) is inf, and with L = 4 pi the step itself
+        # underflows to 0
+        grid = SpectralGrid(2, half_length, 64)
+        with pytest.raises(AdmissibilityError, match="admissible eps: \\[\\]"):
+            require_admissible(grid, [(1, 0)], 5e-324)
+
     def test_resolution_gate(self):
         grid = SpectralGrid(2, np.pi, 8)
         with pytest.raises(ResolutionError, match="need n >="):
             require_resolved(grid, [(1, 0)], 0.25)
+        with pytest.raises(ResolutionError, match="need n >= inf"):
+            require_resolved(grid, [(8, 0)], 1e-307)
         require_resolved(SpectralGrid(2, np.pi, 32), [(1, 0)], 0.25)
 
 

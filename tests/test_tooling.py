@@ -97,11 +97,12 @@ def budget_configs():
 @pytest.mark.parametrize("raw", budget_configs())
 def test_shipped_and_benchmark_configs_fit_every_budget(raw):
     # the budgets are anchored on these runs (and the tests'); simulate also
-    # solves the whole box of the first eps of a field config
+    # solves the whole box of the first eps of a field config, and profiles
+    # and simulate evolve its profile system
     cfg = parse_config(raw)
     work = cfg.work
     if cfg.closure is not None:
-        work += cfg.eps_work(cfg.eps_list[0], cells=False)
+        work += cfg.eps_work(cfg.eps_list[0], cells=False) + cfg.profile_work()
     assert [item.text for item in work if item.count > item.budget] == []
 
 
