@@ -140,6 +140,10 @@ class PrefixIndex:
     """
 
     def __init__(self, vectors, signature: Signature, nu: int):
+        # a component of 2**31 or more fails the radix check below; caught
+        # here, before int64 could overflow or abs(-2**63) wrap
+        if max(abs(c) for v in vectors for c in v) >= 2 ** 31:
+            raise ValueError("wave vectors too large for int64 resonance keys")
         self.vectors = np.array(vectors, dtype=np.int64)
         self.etas = np.array(signature.etas, dtype=np.int64)
         self.quads = (self.etas * self.vectors ** 2).sum(axis=1)

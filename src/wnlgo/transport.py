@@ -18,7 +18,6 @@ is the critical case.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -213,23 +212,31 @@ def _product(stack: np.ndarray, indices) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _program(plan: _Plan, count: int, lam: float, mu: float) -> tuple:
-    """The interaction term of plan as the steps the rhs takes, in order;
-    _rhs_stack runs them on grid fields, _scan_source writes them out as
-    statements on scalars.  A step is ("conjugates", bs), w{b} = conj(v{b})
-    for each mode b of bs; ("=" or "+=", ((target, a, b), ...)), target =
-    or += a * b in turn; ("*=", target, name, value), the value bound as
-    name in the scan; ("conj", target, source); or ("E", target, source),
-    target = lam E(source.real).  s{i} is sum i of the plan, x the coupled
-    class sum in use, t the sum of its conjugate class, taken from x before
-    x is scaled (so nothing relies on Khat being exactly even), and o{j} the
-    term of mode j before the factor -i weight.  common = lam E(s) + mu s, the
-    factor of every mode, comes from the (0, 0) class sum s (real: the
-    class is closed under conjugation) and the value named mu.  lam is a
+    """(count, size, steps): the interaction term of plan as the steps the
+    rhs takes, in order, on the rows of a table; _program_rhs runs them on
+    grid fields, _scan_source writes them out as statements on scalars.
+
+    Row j < count is mode v_j, row count + j its conjugate w_j and row
+    2 count + j its term o_j before the factor -i weight.  Then come x, the
+    coupled class sum in use, t, the sum of its conjugate class, taken from
+    x before x is scaled (so nothing relies on Khat being exactly even),
+    common = lam E(s) + mu s, the factor of every mode, and a row for each
+    sum of the plan below level nu and for the (0, 0) class sum s (real:
+    the class is closed under conjugation).  The last of the size rows from
+    count on is a scratch row, and the row after them holds mu.  lam is a
     complex scalar, so common needs no cast in its products with the modes.
+
+    A step is ("conjugates", bs), w_b = conj(v_b) for each mode b of bs;
+    ("=" or "+=", ((target, a, b), ...)), target = or += a * b in turn;
+    ("*=", target, name, value), the value bound as name in the scan;
+    ("conj", target, source); or ("E", target, source), target =
+    lam E(source.real).
     """
-    # interned, so that the grid's dict finds each name by identity
-    v, w, o = ([sys.intern(f"{p}{j}") for j in range(count)] for p in "vwo")
-    s = [sys.intern(f"s{i}") for i in range(len(plan.sums))]
+    v, w, o = range(count), range(count, 2 * count), range(2 * count, 3 * count)
+    x, t, common = range(3 * count, 3 * count + 3)
+    s = {sid: common + 1 + i
+         for i, sid in enumerate(plan.lower + (plan.common,))}
+    size = 2 * count + 4 + len(s)  # w, o, x, t, common, s and scratch
     steps = [("conjugates", tuple(sorted(
         {b for kind, terms in plan.sums if kind == "pairs" for _, b in terms})))]
 
@@ -256,91 +263,94 @@ def _program(plan: _Plan, count: int, lam: float, mu: float) -> tuple:
     for sid in plan.lower:
         form(s[sid], plan.sums[sid])
     form(s[plan.common], plan.sums[plan.common])
+    mu_row = count + size
     if lam == 0.0:
-        accumulate("common", [("mu", s[plan.common])])
+        accumulate(common, [(mu_row, s[plan.common])])
     else:
-        steps.append(("E", "common", s[plan.common]))
+        steps.append(("E", common, s[plan.common]))
         if mu != 0.0:
-            accumulate("common", [("mu", s[plan.common])], fresh=False)
-    steps.append(("=", tuple((o[j], "common", v[j]) for j in range(count))))
+            accumulate(common, [(mu_row, s[plan.common])], fresh=False)
+    steps.append(("=", tuple((o[j], common, v[j]) for j in range(count))))
     for i, ((sid, c), pairs, partner) in enumerate(zip(
             plan.coefficients, plan.couplings, plan.partners)):
-        name = "t" if plan.sums[sid][0] == "conj" else "x"
-        if name == "x":
-            form("x", plan.sums[sid])
+        row = t if plan.sums[sid][0] == "conj" else x
+        if row == x:
+            form(x, plan.sums[sid])
         if partner:
-            steps.append(("conj", "t", "x"))
-        steps.append(("*=", name, f"k{i}", c))
-        steps.append(("+=", tuple([(o[j], name, v[l]) for j, l in pairs])))
-    return tuple(steps)
+            steps.append(("conj", t, x))
+        steps.append(("*=", row, f"k{i}", c))
+        steps.append(("+=", tuple([(o[j], row, v[l]) for j, l in pairs])))
+    return count, size, tuple(steps)
 
 
-def _rhs_stack(stack: np.ndarray, program: tuple, params: TransportParams,
-               apply_e) -> np.ndarray:
-    """The interaction term on a stack of grid fields, one per mode: the
-    steps of program run on arrays; apply_e applies E to a real field."""
-    lam = complex(params.lam)
-    vals = {sys.intern(f"v{j}"): a for j, a in enumerate(stack)}
-    vals["mu"] = params.mu
-    for step in program:
-        op = step[0]
-        if op == "+=":
-            for target, a, b in step[1]:
-                vals[target] += vals[a] * vals[b]
-        elif op == "=":
-            for target, a, b in step[1]:
-                vals[target] = vals[a] * vals[b]
-        elif op == "*=":
-            vals[step[1]] *= step[3]
-        elif op == "conjugates":  # of the modes, in one call
-            conj = np.conj(stack)
-            vals.update((sys.intern(f"w{b}"), conj[b]) for b in step[1])
-        elif op == "conj":
-            vals[step[1]] = vals[step[2]].conjugate()
-        else:  # "E"
-            vals[step[1]] = lam * apply_e(vals[step[2]].real)
-    out = [vals[f"o{j}"] for j in range(len(stack))]
-    del vals, conj  # not held while the result is copied
-    out = np.array(out)
-    return np.multiply(-1j * params.weight, out, out=out)
+def _program_rhs(program: tuple, params: TransportParams, grid: SpectralGrid):
+    """stack -> the interaction term on a stack of grid fields, one per mode:
+    the steps of program run on the rows of one workspace, allocated here,
+    each product as one ufunc call with out= its row.  The mode rows are
+    the input's own rows, and E is the kernel's Fourier multiplier.  The
+    result is a fresh array, -i weight times the o rows, so it shares no
+    memory with the input, the workspace or an earlier result."""
+    count, size, steps = program
+    work = np.empty((size,) + grid.shape, dtype=np.complex128)
+    table = [*work, params.mu]
+    conj, terms, scratch = work[:count], work[count:2 * count], work[-1]
+    lam, scale = complex(params.lam), -1j * params.weight
+    multiply, add = np.multiply, np.add
+
+    def rhs(stack):
+        r = [*stack, *table]
+        for step in steps:
+            op = step[0]
+            if op == "+=":
+                for target, a, b in step[1]:
+                    multiply(r[a], r[b], scratch)
+                    add(r[target], scratch, r[target])
+            elif op == "=":
+                for target, a, b in step[1]:
+                    multiply(r[a], r[b], r[target])
+            elif op == "*=":
+                multiply(r[step[1]], step[3], r[step[1]])
+            elif op == "conjugates":  # of every mode, in one call
+                np.conjugate(stack, conj)
+            elif op == "conj":
+                np.conjugate(r[step[2]], r[step[1]])
+            else:  # "E"
+                multiply(lam, _kernels.apply_raw(params.kernel, grid,
+                                                 r[step[2]].real), r[step[1]])
+        return multiply(scale, terms)
+    return rhs
 
 
 def _interaction(phase_set: PhaseSet, params: TransportParams,
                  grid: SpectralGrid):
-    """stack -> _rhs_stack(stack, ...) on grid fields, with the model's
-    program and E, the kernel's Fourier multiplier, resolved once."""
-    program = _program(_plan(phase_set, params.lam, params.mu, params.kernel),
-                       len(phase_set), params.lam, params.mu)
-
-    def apply_e(s):
-        return _kernels.apply_raw(params.kernel, grid, s)
-
-    def rhs(stack):
-        return _rhs_stack(stack, program, params, apply_e)
-    return rhs
+    """_program_rhs of the model's program on grid, with its own workspace."""
+    return _program_rhs(
+        _program(_plan(phase_set, params.lam, params.mu, params.kernel),
+                 len(phase_set), params.lam, params.mu), params, grid)
 
 
 def _scan_source(plan: _Plan, count: int, lam: float, mu: float) -> str:
     """The source of bind(k0, ..., lam, mu, e0, scale) -> (rhs, loop), the
     interaction term and its RK4 steps on spatially constant profiles.
 
-    rhs(v0, ..., v{count-1}) takes one complex value per mode, runs the
-    steps of _program as statements on locals of their names, with E acting
-    on a constant as its symbol's zero-mode value e0, and returns the term
-    as a tuple.  loop(steps, h, values) takes one step of _rk4's stages per
-    item of steps.  Each number of the model is a parameter of bind, bound
-    as the Python object the grid code uses: a literal need not read back
-    as that value (repr(-1j) is '-1j', whose real part reads back as -0.0,
-    not +0.0).
+    rhs(r0, ..., r{count-1}) takes one complex value per mode, runs the
+    steps of _program as statements on locals named for their rows (r{i}
+    for row i), with E acting on a constant as its symbol's zero-mode value
+    e0, and returns the term as a tuple.  loop(steps, h, values) takes one
+    step of _rk4's stages per item of steps.  Each number of the model is a
+    parameter of bind, bound as the Python object the grid code uses: a
+    literal need not read back as that value (repr(-1j) is '-1j', whose
+    real part reads back as -0.0, not +0.0).
     """
-    templates = {"*=": "{} *= {}", "conj": "{} = {}.conjugate()",
-                 "E": "{} = lam * (e0 * {}.real)"}
-    lines = []
-    for op, *args in _program(plan, count, lam, mu):
+    templates = {"*=": "r{} *= {}", "conj": "r{} = r{}.conjugate()",
+                 "E": "r{} = lam * (e0 * r{}.real)"}
+    _, size, steps = _program(plan, count, lam, mu)
+    lines = [f"r{count + size} = mu"]
+    for op, *args in steps:
         if op in ("=", "+="):
-            lines += [f"{target} {op} {a} * {b}" for target, a, b in args[0]]
+            lines += [f"r{target} {op} r{a} * r{b}" for target, a, b in args[0]]
         elif op == "conjugates":
-            lines += [f"w{b} = v{b}.conjugate()" for b in args[0]]
+            lines += [f"r{count + b} = r{b}.conjugate()" for b in args[0]]
         else:
             lines.append(templates[op].format(*args))
 
@@ -350,9 +360,10 @@ def _scan_source(plan: _Plan, count: int, lam: float, mu: float) -> str:
     coefficients = "".join(f"k{i}, " for i in range(len(plan.coefficients)))
     return "\n".join([
         f"def bind({coefficients}lam, mu, e0, scale):",
-        f"    def rhs({tup('v{j}')}):",
+        f"    def rhs({tup('r{j}')}):",
         *(f"        {line}" for line in lines),
-        f"        return {tup('scale * o{j}')}",
+        "        return " + ", ".join(f"scale * r{2 * count + j}"
+                                     for j in range(count)) + ",",
         "    def loop(steps, h, values):",
         f"        {tup('v{j}')} = values",
         "        half = 0.5 * h",
@@ -360,9 +371,9 @@ def _scan_source(plan: _Plan, count: int, lam: float, mu: float) -> str:
         "        for _ in steps:",
         f"            {tup('p{j}')} = rhs({tup('v{j}')})",
         f"            {tup('q{j}')} = rhs({tup('v{j} + half * p{j}')})",
-        f"            {tup('r{j}')} = rhs({tup('v{j} + half * q{j}')})",
-        f"            {tup('z{j}')} = rhs({tup('v{j} + h * r{j}')})",
-        *(f"            v{j} = v{j} + sixth * (p{j} + 2.0 * q{j} + 2.0 * r{j}"
+        f"            {tup('u{j}')} = rhs({tup('v{j} + half * q{j}')})",
+        f"            {tup('z{j}')} = rhs({tup('v{j} + h * u{j}')})",
+        *(f"            v{j} = v{j} + sixth * (p{j} + 2.0 * q{j} + 2.0 * u{j}"
           f" + z{j})" for j in range(count)),
         f"        return {tup('v{j}')}",
         "    return rhs, loop",
@@ -446,19 +457,23 @@ def _strang(values: np.ndarray, half, n_steps: int, substep) -> np.ndarray:
 
 def _rk4(rhs, dt: float):
     """One classical RK4 step of d stack / dt = rhs(stack), as a function
-    that updates the stack in place and returns it.  Each stage lives until
-    the next call replaces it: freed together at the end of a step, the four
-    stages made the allocator hand their pages back to the system and fault
-    them in again every step."""
-    k1 = k2 = k3 = k4 = None
+    that updates the stack in place and returns it.  The stages are summed
+    as they come, acc = k1, acc += 2.0 k2, acc += 2.0 k3, acc += k4: the
+    order of k1 + 2.0 k2 + 2.0 k3 + k4, so the same bits.  A step holds the
+    stack, the sum, one stage and one stage input; rhs must return a fresh
+    array, since the sum and the stages are written in place."""
+    half = 0.5 * dt
 
     def step(stack):
-        nonlocal k1, k2, k3, k4
-        k1 = rhs(stack)
-        k2 = rhs(stack + (0.5 * dt) * k1)
-        k3 = rhs(stack + (0.5 * dt) * k2)
-        k4 = rhs(stack + dt * k3)
-        stack += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        acc = rhs(stack)
+        arg = np.multiply(half, acc)
+        for h in (half, dt):
+            k = rhs(np.add(stack, arg, out=arg))
+            np.multiply(h, k, out=arg)
+            acc += np.multiply(2.0, k, out=k)
+            del k  # not held while the next stage is formed
+        acc += rhs(np.add(stack, arg, out=arg))
+        stack += np.multiply(dt / 6.0, acc, out=acc)
         return stack
     return step
 

@@ -1245,6 +1245,27 @@ class TestCli:
         assert main(["resonance"] + flags) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("component", [2 ** 63, -2 ** 63, 2 ** 62])
+    def test_resonance_huge_wave_vector_exit_two(self, capsys, component):
+        # 2**63 does not fit int64, and abs(-2**63) wraps in it
+        assert main(["resonance", f"--phi0={component},0",
+                     "--box-radius", str(2 ** 63)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: wave vectors too large for int64 resonance keys\n")
+
+    @pytest.mark.parametrize("component", [2 ** 63, 2 ** 62])
+    def test_config_huge_wave_vector_exit_two(self, tmp_path, capsys,
+                                              component):
+        with open(os.path.join(CONFIGS, "converge_ds_elliptic.json")) as fh:
+            cfg = json.load(fh)
+        cfg["phases"] = {"phi0": [[component, 0]], "box_radius": component}
+        cfg["data"]["amplitudes"] = [0.4]
+        assert main(["--config", self.write(tmp_path, cfg),
+                     "--out", str(tmp_path / "r"), "converge"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: wave vectors too large for int64 resonance keys\n")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("out", [os.path.join("missing", "x.json"), "."])
     def test_resonance_bad_out_exit_two(self, tmp_path, capsys, out):
         # a missing directory, and a directory in place of the file

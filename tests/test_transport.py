@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -13,9 +14,9 @@ from wnlgo import GridFunction, ProfileSet, Signature, SpectralGrid, \
     TransportParams, close_phase_set, custom, davey_stewartson, dipolar, \
     evolve_profiles, identity, is_resonant, transport_rhs, zero, zero_mode_rate
 from wnlgo.kernels import apply_raw
-from wnlgo.transport import _constant_scan, _interaction, \
-    _pair_coefficients, _plan, _program, _rhs_stack, _rk4, _scan_source, \
-    _steps, _strang, constant_profile_history, plan_facts
+from wnlgo.transport import _advection_phases, _constant_scan, \
+    _interaction, _pair_coefficients, _plan, _program, _program_rhs, _rk4, \
+    _scan_source, _steps, _strang, constant_profile_history, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
 from oracles import profile_norms, reference_closure, reference_plan, \
@@ -217,6 +218,59 @@ def test_evolve_matches_reference_loop(name):
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+def reference_rk4(rhs, dt):
+    """One classical RK4 step as a function that updates the stack in place:
+    all four stages, then k1 + 2.0 k2 + 2.0 k3 + k4 in one expression."""
+    def step(stack):
+        k1 = rhs(stack)
+        k2 = rhs(stack + (0.5 * dt) * k1)
+        k3 = rhs(stack + (0.5 * dt) * k2)
+        k4 = rhs(stack + dt * k3)
+        stack += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return stack
+    return step
+
+
+@pytest.mark.parametrize("signature, nu, box_radius, n, modes", [
+    (HYPERBOLIC, 1, 16, 32, 65), (HYPERBOLIC, 2, 2, 32, 9),
+    (ELLIPTIC, 1, 4, 64, 4)], ids=["wide-65-modes", "nu2", "ds-4-modes-64"])
+def test_rk4_sums_its_stages_as_the_four_stage_step(signature, nu,
+                                                    box_radius, n, modes):
+    # evolve_profiles against the same Strang driver around the RK4 step
+    # that keeps its four stages: the sum in place adds in the same order
+    grid = SpectralGrid(2, np.pi, n)
+    ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
+    assert len(ps) == modes
+    seeds = [gaussian(grid, a, width=0.42) for a in (0.4, 0.32, 0.36)]
+    state = ProfileSet.from_seed(
+        ps, grid, seeds, TransportParams(1.0, 0.0, nu, davey_stewartson()))
+    n_steps, dt = _steps(0.03, 0.01)
+    expect = _strang(state.stack(), _advection_phases(state, 0.5 * dt),
+                     n_steps, reference_rk4(_interaction(ps, state.params,
+                                                         grid), dt))
+    assert_same_bits(evolve_profiles(state, 0.03, 0.01).stack(), expect)
+
+
+def test_rhs_results_share_no_memory():
+    # _rk4 writes its stages and their sum in place, so every result of an
+    # rhs must be an array of its own, and the next call must not touch it
+    ps = close_phase_set(RECT, HYPERBOLIC, 1, box_radius=4)
+    grid = SpectralGrid(2, np.pi, 8)
+    params = TransportParams(0.8, 0.3, 1, davey_stewartson(), weight=1.3)
+    rhs = _interaction(ps, params, grid)
+    workspace = inspect.getclosurevars(rhs).nonlocals["table"][0].base
+    inputs = [random_stack(len(ps), grid, seed) for seed in (3, 4)]
+    first = rhs(inputs[0])
+    kept = first.copy()
+    second = rhs(inputs[1])
+    for result in (first, second):
+        for other in (*inputs, workspace):
+            assert not np.shares_memory(result, other)
+    assert not np.shares_memory(first, second)
+    assert_same_bits(first, kept)
+    assert not np.array_equal(first, second)
+
+
 def brute_force_rhs(state):
     """The interaction rhs summed tuple by tuple over every (2 nu + 1)-tuple
     of the set that is_resonant accepts onto some mode."""
@@ -360,8 +414,8 @@ def test_skipping_zero_couplings_is_bit_identical(phi0, signature, nu,
     stack = random_stack(len(ps), grid, 5)
 
     def rhs(plan):
-        return _rhs_stack(stack, _program(plan, len(ps), lam, mu), params,
-                          lambda s: apply_raw(kernel, grid, s))
+        return _program_rhs(_program(plan, len(ps), lam, mu), params,
+                            grid)(stack)
     full_plan = _unpruned(ps, lam, mu, kernel)
     full = rhs(full_plan)
     plan = _plan(ps, lam, mu, kernel)
