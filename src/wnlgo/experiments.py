@@ -326,13 +326,14 @@ class ExperimentConfig:
     def transport_params(self, weight: float = 1.0) -> TransportParams:
         return TransportParams(self.lam, self.mu, self.nu, self.kernel, weight)
 
-    def seed_amplitudes(self, grid: SpectralGrid) -> list:
-        """Seed profiles sampled directly on the given grid."""
+    def seed_amplitudes(self, grid: SpectralGrid):
+        """Seed profiles sampled directly on the given grid, an iterator that
+        makes each as it is read."""
         if self.profile == "uniform":
-            return [GridFunction.constant(grid, amp) for amp in self.amplitudes]
+            return (GridFunction.constant(grid, amp) for amp in self.amplitudes)
         r2 = grid.separable([grid.axis() ** 2] * grid.dim)
         envelope = np.exp(-r2 / (2.0 * self.width * self.width))
-        return [GridFunction(grid, amp * envelope) for amp in self.amplitudes]
+        return (GridFunction(grid, amp * envelope) for amp in self.amplitudes)
 
     def seed_profiles(self, eps: float) -> ProfileSet:
         """Seed data on the profile grid (profile_points per axis), generated
@@ -358,7 +359,9 @@ class ExperimentConfig:
 # largest such count of the shipped configs, the tests and the benchmark
 # configs; a larger count is a config error at parse time, not an allocation
 # or an endless run.  Points in one grid, or in the class sums of one
-# transport rhs: 4 x criterion 10's 4096^2 box, a 1 GiB complex field.
+# transport rhs: 4 x criterion 10's 4096^2 box, a 1 GiB complex field; one
+# split-step call on such a grid peaks near 5.3 GiB (5.3 fields, with E's
+# table built in the call).
 _POINT_BUDGET = 2 ** 26
 # Points x steps of one split-step run, and modes x points x RK4 steps of one
 # profile evolution: 4.1 x criterion 6 at eps = 1/32, 1024^2 x 250 = 2.6e8.
@@ -781,6 +784,7 @@ def error_series(cfg: ExperimentConfig, eps: float, snapshots=None) -> list:
         u = evolve_semiclassical(u, t, cfg.dt)
         u_app = assemble_approximation(snap, params, grid)
         l2, sup, wiener = approximation_error(u, u_app)
+        del u_app  # not held while the next interval evolves
         rows.append({"eps": eps, "t": t, "mass": u.mass(), "l2_err": l2,
                      "sup_err": sup, "wiener_err": wiener})
     return rows

@@ -140,7 +140,8 @@ class SpectralGrid:
         if values.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {values.shape}")
         factor = (2.0 * np.pi) ** (-self.dim / 2.0) * self.cell_volume
-        return factor * _sign_pattern(self) * scipy.fft.fftn(values, workers=1)
+        return factor * _sign_pattern(self.shape) * scipy.fft.fftn(values,
+                                                                   workers=1)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`forward` (exact round trip)."""
@@ -149,15 +150,15 @@ class SpectralGrid:
             raise ValueError(f"expected shape {self.shape}, got {coeffs.shape}")
         factor = ((2.0 * np.pi) ** (-self.dim / 2.0)
                   * self.spectral_cell_volume * self.size)
-        return factor * scipy.fft.ifftn(_sign_pattern(self) * coeffs, workers=1)
+        return factor * scipy.fft.ifftn(_sign_pattern(self.shape) * coeffs,
+                                        workers=1)
 
 
 @lru_cache(maxsize=64)
-def _sign_pattern(grid: SpectralGrid) -> np.ndarray:
-    """(-1)^{k_1+...+k_d} on the index lattice; read-only, as every transform
-    on the grid shares it."""
-    out = grid.separable([(-1.0) ** np.arange(grid.points_per_axis)] * grid.dim,
-                         np.multiply)
+def _sign_pattern(shape: tuple) -> np.ndarray:
+    """(-1)^{k_1+...+k_d} on the index lattice of shape; read-only, as every
+    transform on a grid of that shape, whatever its box, shares it."""
+    out = reduce(np.multiply.outer, [(-1.0) ** np.arange(n) for n in shape])
     out.setflags(write=False)
     return out
 
@@ -228,6 +229,7 @@ def _superpose(grid: SpectralGrid, terms) -> np.ndarray:
         for runs in product(*[_band_runs(n, N, k) for k in m]):
             source, target = zip(*runs)
             total[target] += coeffs[source]
+        del f, coeffs  # not held while the next term is made
     return scipy.fft.ifftn(total, overwrite_x=True, workers=1)
 
 

@@ -9,8 +9,10 @@ d_x1 Laplace^{-1} d_x1, which annihilates constants; the dipolar symbol has
 zero angular average).  The identity and zero kernels keep their constant
 symbol at the origin.
 
-Each kind's formula is written once, in :func:`symbol`.  It serves
-:func:`evaluate`, the grid multiplier of E and the transport coupling
+Each kind's formula is written once, in :func:`_sample`, on coordinates
+that broadcast: :func:`symbol` passes it the columns of a point stack, the
+table builder the 1-D frequency axes.  It serves :func:`evaluate`, the
+grid multiplier of E and the transport coupling
 coefficients mu + lam Khat(kappa_j - kappa_l), so the coefficients are the
 values E applies to a product oscillating at kappa_j - kappa_l.  Both the
 multiplier and the coefficients are the symbol at integer lattice points:
@@ -20,6 +22,7 @@ and one table per grid shape serves every box of that shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,15 +150,35 @@ def _validate_custom(fn, dim: int) -> None:
 def symbol(kernel: KernelSpec, points) -> np.ndarray:
     """Khat at each row of an (N, d) array of nonzero frequencies."""
     p = np.asarray(points, dtype=float)
+    return _sample(kernel, p.T, np.empty(len(p)))
+
+
+def _sample(kernel: KernelSpec, coords, out: np.ndarray) -> np.ndarray:
+    """Khat written into out at the points whose d coordinates are the arrays
+    coords, broadcast to out's shape; each kind's formula, written once.  The
+    formulas run in place in out, so only the dipolar |xi|^2 takes a second
+    array of out's size.  At the origin Khat is undefined: the formulas give
+    nan there (0 / 0) and a custom symbol is not called."""
     if kernel.kind in ("identity", "zero"):  # constant, as at the origin
-        return np.full(len(p), zero_mode_value(kernel))
-    if kernel.kind == "ds":
-        return p[:, 0] ** 2 / (p[:, 0] ** 2 + p[:, 1] ** 2)
-    if kernel.kind == "dipolar":
-        (ax, ay, az), (x, y, z) = kernel.axis, p.T
-        dot = ax * x + ay * y + az * z
-        return DIPOLAR_SCALE * (3.0 * dot ** 2 / (x ** 2 + y ** 2 + z ** 2) - 1.0)
-    return np.real(_call_symbol(kernel.fn, p))
+        out[...] = zero_mode_value(kernel)
+    elif kernel.kind == "ds":  # x^2 / (x^2 + y^2)
+        x2 = coords[0] ** 2
+        np.divide(x2, np.add(x2, coords[1] ** 2, out=out), out=out)
+    elif kernel.kind == "dipolar":  # scale (3 (a . xi)^2 / |xi|^2 - 1)
+        (ax, ay, az), (x, y, z) = kernel.axis, coords
+        np.square(np.add(ax * x + ay * y, az * z, out=out), out=out)
+        out *= 3.0
+        out /= x ** 2 + y ** 2 + z ** 2
+        out -= 1.0
+        out *= DIPOLAR_SCALE
+    else:
+        points = np.stack(np.broadcast_arrays(*coords), axis=-1)
+        points = points.reshape(-1, len(coords))
+        flat = out.reshape(-1)  # a view: out is contiguous
+        nonzero = np.any(points, axis=1)
+        flat[~nonzero] = np.nan
+        flat[nonzero] = np.real(_call_symbol(kernel.fn, points[nonzero]))
+    return out
 
 
 def evaluate(kernel: KernelSpec, xi) -> float:
@@ -174,19 +197,31 @@ def zero_mode_value(kernel: KernelSpec) -> float:
     return 1.0 if kernel.kind == "identity" else 0.0
 
 
+# Points per block of _multiplier: the scratch of a table build (the dipolar
+# |xi|^2, 512 KiB, or a custom symbol's point stack) is sized by it, not by
+# the lattice.
+_BLOCK_POINTS = 2 ** 16
+
+
 @lru_cache(maxsize=64)
 def _multiplier(kernel: KernelSpec, shape: tuple) -> np.ndarray:
-    """Symbol sampled on the integer lattice of shape, zero mode fixed; read-only."""
-    k = np.meshgrid(*[np.fft.fftfreq(n, d=1.0 / n) for n in shape], indexing="ij")
-    points = np.stack([m.ravel() for m in k], axis=-1)
-    out = np.empty(len(points))
-    out[0] = zero_mode_value(kernel)  # the origin comes first in FFT order
-    out[1:] = symbol(kernel, points[1:])
-    bad = np.flatnonzero(~np.isfinite(out))  # custom: probed off the lattice
-    if bad.size:
+    """Symbol sampled on the integer lattice of shape, zero mode fixed;
+    read-only.  Built from the 1-D frequency axes by broadcasting, in blocks
+    of rows along axis 0 of about _BLOCK_POINTS points, so no mesh or point
+    stack of the whole lattice exists."""
+    freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in shape]
+    out = np.empty(shape)
+    rows = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
+    with np.errstate(invalid="ignore"):  # 0 / 0 at the origin
+        for start in range(0, shape[0], rows):
+            block = slice(start, start + rows)
+            _sample(kernel, np.ix_(freqs[0][block], *freqs[1:]), out[block])
+    out.flat[0] = zero_mode_value(kernel)  # the origin comes first in FFT order
+    finite = np.isfinite(out)  # custom: probed off the lattice
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), shape)
         raise ValueError(f"kernel symbol is not finite at lattice frequency "
-                         f"{tuple(points[bad[0]].tolist())}")
-    out = out.reshape(shape)
+                         f"{tuple(float(f[i]) for f, i in zip(freqs, index))}")
     out.setflags(write=False)
     return out
 
@@ -209,10 +244,16 @@ def _half_multiplier(kernel: KernelSpec, shape: tuple) -> np.ndarray:
     a component sits at Nyquist, which the lattice maps to itself, for
     symbols that are not even in each axis separately (an oblique dipolar
     axis).
+
+    The full table is built for this and dropped, not cached: the real path
+    never needs it.  Only the half spectrum of the mirror k -> -k mod n is
+    gathered, so the build holds no full-size copy beside the table.
     """
-    full = _multiplier(kernel, shape)
-    mirror = np.roll(np.flip(full), 1, axis=tuple(range(len(shape))))
-    out = 0.5 * (full + mirror)[..., :shape[-1] // 2 + 1]
+    full = _multiplier.__wrapped__(kernel, shape)
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
+    out = full[np.ix_(*[-np.arange(m) % n for n, m in zip(shape, half)])]
+    out += full[..., :half[-1]]
+    out *= 0.5
     out.setflags(write=False)
     return out
 
@@ -236,8 +277,10 @@ def apply_raw(kernel: KernelSpec, grid: SpectralGrid,
         raise ValueError(f"expected shape {grid.shape} or a stack of it, "
                          f"got {values.shape}")
     axes = tuple(range(stacked, values.ndim))
+    # the table first, so that a first build does not run beside the spectrum
+    table = _half_multiplier(kernel, grid.shape)
     spectrum = scipy.fft.rfftn(values, axes=axes, workers=1)
-    spectrum *= _half_multiplier(kernel, grid.shape)
+    spectrum *= table
     return scipy.fft.irfftn(spectrum, s=grid.shape, axes=axes, overwrite_x=True,
                             workers=1)
 

@@ -125,13 +125,24 @@ def _multiphase(grid: SpectralGrid, kappas, amplitudes, weights,
 
 def oscillatory_initial_data(grid: SpectralGrid, modes, alphas,
                              params: ModelParams) -> SemiclassicalField:
-    """u0 = sum_j alpha_j(x) exp(i kappa_j . x / eps) on the seed modes."""
+    """u0 = sum_j alpha_j(x) exp(i kappa_j . x / eps) on the seed modes.
+
+    alphas holds one field or constant per seed mode.  It is read one
+    amplitude at a time into the sum, so an iterator that makes its fields
+    as they are read keeps only one of them on the grid."""
     kappas = _seed_modes(modes)
-    alphas = [a if isinstance(a, GridFunction)
-              else GridFunction.constant(grid, complex(a)) for a in alphas]
-    if len(alphas) != len(kappas):
-        raise ValueError(f"{len(kappas)} seed modes but {len(alphas)} amplitudes")
-    u0 = _multiphase(grid, kappas, alphas, [1] * len(kappas), params.eps)
+    alphas, count = iter(alphas), 0
+
+    def fields():
+        nonlocal count
+        for count, a in enumerate(alphas, 1):
+            yield a if isinstance(a, GridFunction) \
+                else GridFunction.constant(grid, complex(a))
+
+    u0 = _multiphase(grid, kappas, fields(), [1] * len(kappas), params.eps)
+    count += sum(1 for _ in alphas)  # any the sum did not reach
+    if count != len(kappas):
+        raise ValueError(f"{len(kappas)} seed modes but {count} amplitudes")
     return SemiclassicalField(u0, 0.0, params)
 
 
@@ -179,8 +190,6 @@ def evolve_fields(fields, t_end: float, dt: float) -> list:
     dt = span / n_steps  # signed; backward evolution reverses the flow
 
     shape = (len(fields),) + first.grid.shape
-    half = np.stack([_free_phase(f.grid, p.signature, 0.25 * f.params.eps * dt)
-                     for f in fields])
     # theta / 2 per unit V, one value per field
     angle = np.array([-0.5 * dt * f.params.eps ** (p.j_exponent - 1.0)
                       for f in fields]).reshape((-1,) + (1,) * first.grid.dim)
@@ -210,8 +219,11 @@ def evolve_fields(fields, t_end: float, dt: float) -> list:
         u /= np.conjugate(z, out=z)  # the next tan rewrites z.imag
         return u
 
-    u = _strang(np.stack([f.values.values for f in fields]), half, n_steps,
-                rotate)
+    def half():  # built for the first flow and the last, not held between
+        return np.stack([_free_phase(f.grid, p.signature,
+                                     0.25 * f.params.eps * dt) for f in fields])
+
+    u = _strang([f.values.values for f in fields], half, n_steps, rotate)
     return [SemiclassicalField(GridFunction(f.grid, v), f.time + span, f.params)
             for f, v in zip(fields, u)]
 

@@ -7,10 +7,12 @@ Fourier shift against the Strang advection, the profiles' weighted
 Wiener-algebra norms against closed-form Gaussian values, the zero-mode
 rate read off a closed phase set against the rate enumerated over the seeds,
 the split-step run one field at a time against the stacked evolution,
+the advection phases built mode by mode against the batched build,
 E's symbol sampled at each box's own frequencies against the one table of
 integer lattice points per grid shape, and the closure and coupling plan
 with a row-wise unique, an eager pair sort and a per-pair loop against the
-ones built from one grouping of the pair codes.
+ones built from one grouping of the pair codes.  assert_same_bits is the
+comparison that the bit-identity tests share.
 A plain module, not collected by pytest; test files import it by name.
 """
 
@@ -214,6 +216,25 @@ def _evolve_alone(field, t_end: float, dt: float) -> np.ndarray:
         u /= np.conjugate(z)
         u = flow(u, full if step < n_steps - 1 else half)
     return u
+
+
+def advection_phases_per_mode(state: ProfileSet, dt: float) -> np.ndarray:
+    """transport._advection_phases as one grid.separable product per mode:
+    exp(-i dt eta_a k_a xi) along each axis a, multiplied out mode by mode."""
+    xi = state.grid.frequency_axis()
+    etas = state.phase_set.signature.etas
+    return np.stack([
+        state.grid.separable([np.exp((-1j * dt * eta * k) * xi)
+                              for eta, k in zip(etas, kappa)], np.multiply)
+        for kappa in state.phase_set.vectors])
+
+
+def assert_same_bits(got, expect):
+    """Equal complex arrays whose zeros also carry the same signs."""
+    got, expect = np.asarray(got), np.asarray(expect)
+    assert np.array_equal(got, expect)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expect)))
 
 
 def frequency_multiplier(kernel, grid: SpectralGrid) -> np.ndarray:

@@ -3,7 +3,7 @@ import pytest
 
 from wnlgo import GridFunction, SpectralGrid, read_snapshot, resample, \
     write_snapshot
-from wnlgo.grid import MAGIC, pow2_at_least
+from wnlgo.grid import MAGIC, _sign_pattern, pow2_at_least
 
 from oracles import from_callable, shift_in_fourier
 
@@ -97,6 +97,21 @@ def test_forward_inverse_wrappers():
     g = SpectralGrid(1, 8.0, 64)
     f = gaussian_1d(g, 2.0)
     assert np.allclose(g.inverse(g.forward(f.values)), f.values, atol=1e-12)
+
+
+def test_grids_of_one_shape_share_one_sign_pattern():
+    # (-1)^{k_1+...+k_d} depends on n and d alone, so cells and y-grids of
+    # one shape and other boxes build one table
+    values = np.random.default_rng(5).standard_normal((16, 16))
+    grids = [SpectralGrid(2, L, 16) for L in (np.pi, 0.3, 4.0)]
+    _sign_pattern.cache_clear()
+    for g in grids:
+        assert np.allclose(g.inverse(g.forward(values)), values, atol=1e-12)
+    info = _sign_pattern.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    table = _sign_pattern(grids[0].shape)
+    assert not table.flags.writeable
+    assert table is _sign_pattern(grids[-1].shape)
 
 
 class TestShift:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,7 @@ class TestApplyRaw:
         for _, grid in REAL_APPLY_CASES.values():
             values = np.random.default_rng(33).standard_normal(grid.shape)
             before = grid.forward(values)
-            table = grid_module._sign_pattern(grid)
+            table = grid_module._sign_pattern(grid.shape)
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[(1,) * grid.dim] = 7.0
@@ -227,6 +229,25 @@ class TestLatticeTable:
             grid = SpectralGrid(kernel.dim, half_length, n)
             for got, want in self.tables(kernel, grid):
                 assert np.max(np.abs(got - want)) <= 1e-12, half_length
+
+
+@pytest.mark.parametrize("kernel, shape", [
+    (davey_stewartson(), (256, 256)),
+    (dipolar((3.0 / 7.0, 6.0 / 7.0, 2.0 / 7.0)), (64, 64, 64))],
+    ids=["ds", "dipolar-oblique"])
+def test_table_build_holds_little_beside_the_table(kernel, shape):
+    # the table is sampled from the 1-D frequency axes in blocks of rows: a
+    # mesh, a point stack or a whole-lattice temporary beside the table
+    # would take the build's peak over 1.5 tables
+    kernels._multiplier.cache_clear()
+    tracemalloc.start()
+    try:
+        table = kernels._multiplier(kernel, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == shape
+    assert peak <= 1.5 * table.nbytes
 
 
 class TestCustom:

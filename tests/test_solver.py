@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -8,13 +11,17 @@ from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
     close_phase_set, custom, davey_stewartson, dipolar, evolve_fields, \
     evolve_profiles, evolve_semiclassical, identity, oscillatory_initial_data, \
     require_admissible, require_resolved, resample, zero
-from wnlgo.experiments import parse_config, run_inflation
+from wnlgo import kernels
+from wnlgo.experiments import load_config, parse_config, run_inflation
 from wnlgo.grid import _superpose
 from wnlgo.kernels import apply
 from wnlgo.solver import _free_phase
 from wnlgo.transport import _advection_phases, _steps
 
-from oracles import evolve_one_at_a_time, shift_in_fourier
+from oracles import advection_phases_per_mode, assert_same_bits, \
+    evolve_one_at_a_time, shift_in_fourier
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -570,6 +577,43 @@ class TestEvolveFields:
             assert out.grid == field.grid and out.params == field.params
             assert out.time == t_end
 
+    @pytest.mark.parametrize("eps_list", [(0.5, 0.125), (0.3,)],
+                             ids=["two-eps", "one-eps"])
+    @pytest.mark.parametrize("t_end", [0.204, 0.3], ids=["one-step", "25-steps"])
+    @pytest.mark.parametrize("name", sorted(STACK_KERNELS))
+    def test_same_bits_as_one_at_a_time(self, name, t_end, eps_list):
+        # the half phase is built for the first flow and again for the
+        # last, and with one step no full phase comes between them; zeros
+        # keep their signs too
+        fields = cell_fields(*STACK_KERNELS[name], 1, 1.5, "-+", eps_list)
+        assert _steps(t_end - 0.2, 0.004)[0] == (1 if t_end < 0.25 else 25)
+        got = evolve_fields(fields, t_end, 0.004)
+        for out, ref in zip(got, evolve_one_at_a_time(fields, t_end, 0.004),
+                            strict=True):
+            assert_same_bits(out.values.values, ref)
+
+    def test_peak_memory_of_a_cold_call(self):
+        # converge-ds's eps = 1/16 field (256^2), E's tables built in the
+        # call: the stack, the full phase, the rotation's density, square
+        # and tangent, and E's half spectrum and result make 5 fields; a half
+        # phase held beside the full one, a second copy of the stack or a
+        # mesh for the table goes over 6
+        cfg = load_config(os.path.join(CONFIGS, "converge_ds_elliptic.json"))
+        grid = cfg.grid_for(0.0625)
+        assert grid.shape == (256, 256)
+        u0 = oscillatory_initial_data(grid, cfg.phase_set(),
+                                      cfg.seed_amplitudes(grid),
+                                      cfg.model_for(0.0625))
+        kernels._multiplier.cache_clear()
+        kernels._half_multiplier.cache_clear()
+        tracemalloc.start()
+        try:
+            evolve_fields([u0], 0.02, cfg.dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * u0.values.values.nbytes
+
     def test_single_field_is_evolve_semiclassical(self):
         field = cell_fields(*STACK_KERNELS["ds"], 1, 1.5, "-+")[1]
         out = evolve_semiclassical(field, 0.3, 0.004)
@@ -641,6 +685,22 @@ class TestPhasesFromOneDimensionalExponentials:
                                         for eta, k, x in
                                         zip(signature.etas, kappa, xi))
             assert np.max(np.abs(got[j] - expect)) <= 1e-15 + allow
+
+    @pytest.mark.parametrize("grid", PHASE_GRIDS, ids=["64^2", "16^3"])
+    def test_advection_is_each_modes_separable_product(self, grid):
+        # the phases of all modes at once, bit for bit the product that
+        # grid.separable forms for each mode alone
+        d = grid.dim
+        seeds = [(1,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2),
+                 (0, 1) + (0,) * (d - 2)]
+        ps = close_phase_set(seeds, Signature.from_string("-+" + "+" * (d - 2)),
+                             1, box_radius=2)
+        state = ProfileSet.from_seed(
+            ps, grid, [GridFunction.zeros(grid)] * ps.origin_count,
+            TransportParams(1.0, 0.0, 1, zero(d)))
+        for dt in (0.005, -0.0125, 0.0, 1.0 / 3.0):
+            assert_same_bits(_advection_phases(state, dt),
+                             advection_phases_per_mode(state, dt))
 
 
 class TestTransformCount:

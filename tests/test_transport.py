@@ -19,8 +19,8 @@ from wnlgo.transport import _advection_phases, _constant_scan, \
     _scan_source, _steps, _strang, constant_profile_history, plan_facts
 from wnlgo.kernels import apply as apply_kernel, evaluate as evaluate_kernel
 
-from oracles import profile_norms, reference_closure, reference_plan, \
-    reference_zero_mode_rate, shift_in_fourier
+from oracles import assert_same_bits, profile_norms, reference_closure, \
+    reference_plan, reference_zero_mode_rate, shift_in_fourier
 
 ELLIPTIC = Signature.elliptic(2)
 HYPERBOLIC = Signature.from_string("-+")
@@ -231,24 +231,49 @@ def reference_rk4(rhs, dt):
     return step
 
 
-@pytest.mark.parametrize("signature, nu, box_radius, n, modes", [
+RK4_CASES = pytest.mark.parametrize("signature, nu, box_radius, n, modes", [
     (HYPERBOLIC, 1, 16, 32, 65), (HYPERBOLIC, 2, 2, 32, 9),
     (ELLIPTIC, 1, 4, 64, 4)], ids=["wide-65-modes", "nu2", "ds-4-modes-64"])
-def test_rk4_sums_its_stages_as_the_four_stage_step(signature, nu,
-                                                    box_radius, n, modes):
-    # evolve_profiles against the same Strang driver around the RK4 step
-    # that keeps its four stages: the sum in place adds in the same order
+
+
+def assert_rk4_is_the_four_stage_step(signature, nu, box_radius, n, modes,
+                                      t_end):
+    # evolve_profiles against the Strang loop written out around the RK4
+    # step that keeps its four stages: the sum in place adds in the same
+    # order, and each flow multiplies the transform by the same phase (in
+    # that operand order: a complex product's bits depend on it)
     grid = SpectralGrid(2, np.pi, n)
     ps = close_phase_set(RECT, signature, nu, box_radius=box_radius)
     assert len(ps) == modes
     seeds = [gaussian(grid, a, width=0.42) for a in (0.4, 0.32, 0.36)]
     state = ProfileSet.from_seed(
         ps, grid, seeds, TransportParams(1.0, 0.0, nu, davey_stewartson()))
-    n_steps, dt = _steps(0.03, 0.01)
-    expect = _strang(state.stack(), _advection_phases(state, 0.5 * dt),
-                     n_steps, reference_rk4(_interaction(ps, state.params,
-                                                         grid), dt))
-    assert_same_bits(evolve_profiles(state, 0.03, 0.01).stack(), expect)
+    n_steps, dt = _steps(t_end, 0.01)
+    half = _advection_phases(state, 0.5 * dt)
+    step = reference_rk4(_interaction(ps, state.params, grid), dt)
+
+    def flow(stack, phase):
+        return scipy.fft.ifftn(scipy.fft.fftn(stack, axes=(1, 2)) * phase,
+                               axes=(1, 2))
+
+    expect = flow(state.stack(), half)
+    for i in range(n_steps):
+        expect = flow(step(expect), half * half if i < n_steps - 1 else half)
+    assert_same_bits(evolve_profiles(state, t_end, 0.01).stack(), expect)
+
+
+@RK4_CASES
+def test_rk4_sums_its_stages_as_the_four_stage_step(signature, nu,
+                                                    box_radius, n, modes):
+    assert_rk4_is_the_four_stage_step(signature, nu, box_radius, n, modes, 0.03)
+
+
+@RK4_CASES
+def test_one_step_applies_the_half_phase_twice(signature, nu, box_radius, n,
+                                               modes):
+    # with one step no full phase is formed: the first flow and the last
+    # each multiply by a half phase built afresh
+    assert_rk4_is_the_four_stage_step(signature, nu, box_radius, n, modes, 0.01)
 
 
 def test_rhs_results_share_no_memory():
@@ -501,11 +526,12 @@ def test_rhs_memory_is_bounded_by_the_stack():
     assert peak <= 4 * stack.nbytes
 
 
-@pytest.mark.parametrize("nu, box_radius, bound", [(1, 16, 10.6), (2, 2, 15.5)])
+@pytest.mark.parametrize("nu, box_radius, bound", [(1, 16, 7.6), (2, 2, 12.5)])
 def test_evolve_memory_is_bounded_by_the_stack(nu, box_radius, bound):
-    # the four RK4 stages, their arguments and the two phases; the bounds
-    # are the peaks of the loop with its own advection (10.09 and 14.96
-    # stacks) plus half a stack, so one more stack copy fails
+    # the stack, the RK4 sum, one stage and its input, the rhs workspace
+    # and the full phase; the bounds are the peaks (7.11 and 11.98 stacks)
+    # plus half a stack, so one more stack copy, such as a half phase held
+    # through the loop, fails
     state = profile_state(nu, box_radius, 32)
     evolve_profiles(state, 0.02, 0.01)  # the plan and the multiplier are cached
     tracemalloc.start()
@@ -920,14 +946,6 @@ def reference_constant_history(phase_set, params, values, times, dt):
                           for v, p, q, r, w in zip(values, k1, k2, k3, k4)]
         now += span
         yield np.array(values)
-
-
-def assert_same_bits(got, expect):
-    """Equal complex arrays whose zeros also carry the same signs."""
-    got, expect = np.asarray(got), np.asarray(expect)
-    assert np.array_equal(got, expect)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(got)), np.signbit(part(expect)))
 
 
 def random_values(count, seed, scale=1.0):
