@@ -197,65 +197,56 @@ def zero_mode_value(kernel: KernelSpec) -> float:
     return 1.0 if kernel.kind == "identity" else 0.0
 
 
-# Points per block of _multiplier: the scratch of a table build (the dipolar
-# |xi|^2, 512 KiB, or a custom symbol's point stack) is sized by it, not by
-# the lattice.
-_BLOCK_POINTS = 2 ** 16
+# Points per block of _half_multiplier: the scratch of a table build (the
+# mirror block, numpy's buffers for the broadcast axes, the dipolar |xi|^2 or
+# a custom symbol's point stack) is sized by it, not by the lattice.
+_BLOCK_POINTS = 2 ** 12
 
 
 @lru_cache(maxsize=64)
-def _multiplier(kernel: KernelSpec, shape: tuple) -> np.ndarray:
-    """Symbol sampled on the integer lattice of shape, zero mode fixed;
-    read-only.  Built from the 1-D frequency axes by broadcasting, in blocks
-    of rows along axis 0 of about _BLOCK_POINTS points, so no mesh or point
-    stack of the whole lattice exists."""
+def _half_multiplier(kernel: KernelSpec, shape: tuple) -> np.ndarray:
+    """The multiplier of E on the rfftn half spectrum (last axis 0..n/2) of
+    the integer lattice of shape, zero mode fixed; read-only.
+
+    It is the even part (Khat(k) + Khat(-k mod n))/2 of the symbol: Khat(k)
+    except at Nyquist components, which the lattice maps to themselves, for
+    symbols not even in each axis (an oblique dipolar axis).  Both samples
+    are taken from the 1-D frequency axes by broadcasting, in blocks of rows
+    of about _BLOCK_POINTS points, so no mesh, point stack or full-lattice
+    table exists."""
+    half = shape[:-1] + (shape[-1] // 2 + 1,)
     freqs = [np.fft.fftfreq(n, d=1.0 / n) for n in shape]
-    out = np.empty(shape)
-    rows = max(1, _BLOCK_POINTS // math.prod(shape[1:]))
+    axes = [f[:m] for f, m in zip(freqs, half)]
+    mirrors = [f[-np.arange(m) % len(f)] for f, m in zip(freqs, half)]
+    out = np.empty(half)
+    rows = min(half[0], max(1, round(_BLOCK_POINTS / math.prod(half[1:]))))
+    mirror = np.empty((rows,) + half[1:])
     with np.errstate(invalid="ignore"):  # 0 / 0 at the origin
-        for start in range(0, shape[0], rows):
+        for start in range(0, half[0], rows):
             block = slice(start, start + rows)
-            _sample(kernel, np.ix_(freqs[0][block], *freqs[1:]), out[block])
+            at = _sample(kernel, np.ix_(axes[0][block], *axes[1:]), out[block])
+            at += _sample(kernel, np.ix_(mirrors[0][block], *mirrors[1:]),
+                          mirror[:len(at)])
+    out *= 0.5
     out.flat[0] = zero_mode_value(kernel)  # the origin comes first in FFT order
     finite = np.isfinite(out)  # custom: probed off the lattice
     if not finite.all():
-        index = np.unravel_index(np.argmin(finite), shape)
+        index = np.unravel_index(np.argmin(finite), half)
         raise ValueError(f"kernel symbol is not finite at lattice frequency "
-                         f"{tuple(float(f[i]) for f, i in zip(freqs, index))}")
+                         f"{tuple(float(f[i]) for f, i in zip(axes, index))} "
+                         "or at its mirror")
     out.setflags(write=False)
     return out
 
 
 def apply(kernel: KernelSpec, f: GridFunction) -> GridFunction:
-    """E(f) = F^{-1}(Khat . F f) with the zero-mode convention above."""
-    if f.grid.dim != kernel.dim:
-        raise ValueError(
-            f"kernel dim {kernel.dim} != field dim {f.grid.dim}")
-    coeffs = _multiplier(kernel, f.grid.shape) * f.grid.forward(f.values)
-    return GridFunction(f.grid, f.grid.inverse(coeffs))
-
-
-@lru_cache(maxsize=64)
-def _half_multiplier(kernel: KernelSpec, shape: tuple) -> np.ndarray:
-    """The multiplier on the rfftn half spectrum (last axis 0..n/2).
-
-    On a real field only the even part (Khat(k) + Khat(-k))/2 of the sampled
-    symbol acts on the real part of E(f).  It equals the symbol except where
-    a component sits at Nyquist, which the lattice maps to itself, for
-    symbols that are not even in each axis separately (an oblique dipolar
-    axis).
-
-    The full table is built for this and dropped, not cached: the real path
-    never needs it.  Only the half spectrum of the mirror k -> -k mod n is
-    gathered, so the build holds no full-size copy beside the table.
-    """
-    full = _multiplier.__wrapped__(kernel, shape)
-    half = shape[:-1] + (shape[-1] // 2 + 1,)
-    out = full[np.ix_(*[-np.arange(m) % n for n, m in zip(shape, half)])]
-    out += full[..., :half[-1]]
-    out *= 0.5
-    out.setflags(write=False)
-    return out
+    """E(f) = F^{-1}(Khat . F f) with the zero-mode convention above, on the
+    stack of f's real and imaginary parts through :func:`apply_raw`: its
+    even multiplier acts on complex fields too, so E keeps real fields real."""
+    out = np.empty(f.grid.shape, dtype=np.complex128)
+    out.real, out.imag = apply_raw(kernel, f.grid,
+                                   np.stack((f.values.real, f.values.imag)))
+    return GridFunction(f.grid, out)
 
 
 def apply_raw(kernel: KernelSpec, grid: SpectralGrid,
@@ -266,12 +257,14 @@ def apply_raw(kernel: KernelSpec, grid: SpectralGrid,
     axis 0, transformed over axes 1..d; the one :func:`_half_multiplier` of
     that shape serves every spacing.  The sign pattern and the normalisation
     factors of :meth:`SpectralGrid.forward` and :meth:`SpectralGrid.inverse`
-    cancel in the round trip, so they are skipped.  :func:`apply` is the
-    general (complex) path.
+    cancel in the round trip, so they are skipped.  :func:`apply` runs it on
+    complex fields.
     """
     values = np.asarray(values)
     if np.iscomplexobj(values):
         raise ValueError("apply_raw needs a real array; use apply() for complex fields")
+    if grid.dim != kernel.dim:
+        raise ValueError(f"kernel dim {kernel.dim} != field dim {grid.dim}")
     stacked = values.ndim - grid.dim
     if stacked not in (0, 1) or values.shape[stacked:] != grid.shape:
         raise ValueError(f"expected shape {grid.shape} or a stack of it, "

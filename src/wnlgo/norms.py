@@ -22,7 +22,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import ResolutionError
-from .grid import GridFunction, SpectralGrid, pow2_at_least
+from .grid import GridFunction, SpectralGrid, pow2_at_least, resample
 
 
 def wiener_norm(f: GridFunction) -> float:
@@ -46,12 +46,13 @@ def sobolev_norm(f: GridFunction, s: float) -> float:
 class ScaledProfileSpec:
     """The concentrating/oscillating family f(x eps^{(1-beta)/2}) e^{i kappa.x / eps^{(1+beta)/2}}.
 
-    ``f`` may be a GridFunction (evaluated off-grid through its trigonometric
-    interpolant) or a callable taking a (points, dim) array of positions.
-    ``half_length`` and ``points_per_axis`` size the evaluation box for
-    callables; for a GridFunction they default to its own grid, rescaled
-    with the profile.  points_per_axis = 0 picks the smallest adequate
-    power of two automatically.
+    ``f`` is a GridFunction or a callable taking a (points, dim) array of
+    positions.  A callable is sampled on the box ``half_length`` gives.  A
+    GridFunction is read on its own box, so ``half_length`` must be 0 or its
+    grid's and is set to its grid's; it is read at every (n_f/n)-th sample,
+    or through :func:`resample` when the scaled grid has more points per
+    axis.  points_per_axis = 0 picks the smallest adequate power of two
+    automatically.
     """
 
     f: object
@@ -70,25 +71,14 @@ class ScaledProfileSpec:
         if isinstance(self.f, GridFunction):
             if len(self.kappa) != self.f.grid.dim:
                 raise ValueError("kappa dimension does not match profile grid")
+            if self.half_length not in (0.0, self.f.grid.half_length):
+                raise ValueError("a grid profile is read on its own box: "
+                                 "half_length must be 0 or its half_length")
+            object.__setattr__(self, "half_length", self.f.grid.half_length)
         elif not callable(self.f):
             raise TypeError("f must be a GridFunction or a callable profile")
-
-
-def _series_eval_axiswise(f: GridFunction, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at a tensor grid.
-
-    ``points`` is the common 1D coordinate array used along every axis.
-    f(x) = sum_k c_k e^{i xi_k . x} with c_k = (2 pi)^{-d/2} dxi^d fhat_k.
-    """
-    grid = f.grid
-    coeffs = grid.forward(f.values) * \
-        (grid.spectral_cell_volume / (2.0 * math.pi) ** (grid.dim / 2.0))
-    basis = np.exp(1j * np.outer(points, grid.frequency_axis()))
-    out = coeffs
-    for _ in range(grid.dim):
-        # consume the leading lattice axis, appending the evaluated axis last
-        out = np.tensordot(out, basis, axes=(0, 1))
-    return out
+        elif not self.half_length > 0.0:
+            raise ValueError("callable profiles need an explicit half_length")
 
 
 def _choose_points(box: float, carrier: float, base_n: int) -> int:
@@ -119,18 +109,9 @@ def scaled_grid(spec: ScaledProfileSpec) -> SpectralGrid:
     except (OverflowError, ZeroDivisionError):
         raise ResolutionError(f"no float grid holds the scaled profile at "
                               f"eps = {eps}, beta = {beta}") from None
-    if isinstance(spec.f, GridFunction):
-        dim = spec.f.grid.dim
-        base_box = spec.f.grid.half_length if spec.half_length == 0.0 \
-            else spec.half_length
-        base_n = spec.f.grid.points_per_axis
-    else:
-        if spec.half_length <= 0.0:
-            raise ValueError("callable profiles need an explicit half_length")
-        dim = len(spec.kappa)
-        base_box = spec.half_length
-        base_n = 64
-    box = base_box / stretch
+    base_n = spec.f.grid.points_per_axis \
+        if isinstance(spec.f, GridFunction) else 64
+    box = spec.half_length / stretch
 
     if spec.points_per_axis:
         n = spec.points_per_axis
@@ -141,18 +122,19 @@ def scaled_grid(spec: ScaledProfileSpec) -> SpectralGrid:
                 f"frequency {nyquist:.6g} of the requested grid")
     else:
         n = _choose_points(box, carrier, base_n)
-    return SpectralGrid(dim, box, n)
+    return SpectralGrid(len(spec.kappa), box, n)
 
 
 def scaled_profile_norm(spec: ScaledProfileSpec, sigma: float) -> float:
     """H^sigma norm of the scaled oscillating profile, built on its own grid
     (scaled_grid)."""
     eps, beta = spec.eps, spec.beta
-    stretch = eps ** ((1.0 - beta) / 2.0)  # argument factor of f
     grid = scaled_grid(spec)
     axis = grid.axis()
-    if isinstance(spec.f, GridFunction):
-        base = _series_eval_axiswise(spec.f, axis * stretch)
+    if isinstance(spec.f, GridFunction):  # its own box, at n points per axis
+        n, n_f = grid.points_per_axis, spec.f.grid.points_per_axis
+        base = spec.f.values[(slice(None, None, n_f // n),) * grid.dim] \
+            if n <= n_f else resample(spec.f, n).values
     else:
         mesh = np.stack(np.meshgrid(*([axis] * grid.dim), indexing="ij"), axis=-1)
         base = np.asarray(spec.f(mesh.reshape(-1, grid.dim))).reshape(grid.shape)

@@ -19,6 +19,22 @@ from functools import cached_property
 
 import numpy as np
 
+# Budgets of the arrays one closure generation builds: count^2 pair codes,
+# the |L_{m-1}| x |L_1| codes of a level's outer sum and the |L_nu| x count
+# rows of the targets() scan.  Each is about four times the largest such
+# count of the shipped configs, the tests and the benchmark configs (16641,
+# 27335 and 577791, all in the tests), so a closure that would outgrow them
+# is refused before the allocation, not met by a memory error or an endless
+# run.
+_PAIR_BUDGET, _LEVEL_BUDGET, _SCAN_BUDGET = 2 ** 16, 2 ** 17, 2 ** 21
+
+
+def _require_within(what: str, count: int, budget: int) -> None:
+    if count > budget:
+        raise ValueError(
+            f"phase-set closure: {count} {what}, above the budget of {budget}; "
+            "lower phases.box_radius, model.nu or phases.max_generations")
+
 
 def as_wave_vector(v) -> tuple:
     """Coerce to a tuple of exact Python ints, rejecting non-integers."""
@@ -136,10 +152,12 @@ class PrefixIndex:
     radix wide enough for every level-nu key, so the code of a sum of keys
     is the sum of their codes and no digit ever carries.  The level keys are
     built here; the pair classes behind pairs() (a count^2 sort) only on
-    first use, since a closure needs just the levels.
+    first use, since a closure needs just the levels.  Each array is checked
+    against its budget before it is built.
     """
 
     def __init__(self, vectors, signature: Signature, nu: int):
+        _require_within("pair codes", len(vectors) ** 2, _PAIR_BUDGET)
         # a component of 2**31 or more fails the radix check below; caught
         # here, before int64 could overflow or abs(-2**63) wrap
         if max(abs(c) for v in vectors for c in v) >= 2 ** 31:
@@ -155,6 +173,8 @@ class PrefixIndex:
         self.codes = digits @ self.radix ** np.arange(digits.shape[1])
         self.levels = [np.unique(self.codes[:, None] - self.codes)]
         for _ in range(nu - 1):
+            _require_within("codes in a level sum", len(self.levels[-1])
+                            * len(self.levels[0]), _LEVEL_BUDGET)
             self.levels.append(
                 np.unique(self.levels[-1][:, None] + self.levels[0]))
 
@@ -170,6 +190,8 @@ class PrefixIndex:
         2 B(L, kappa) + Q(kappa) with B(L, kappa) = sum_m eta_m L_m kappa_m,
         that is 2 B(L, kappa_l) == q - Q(L): one classes x d product per mode.
         """
+        _require_within("classes x modes in the target scan",
+                        len(self.levels[-1]) * len(self.vectors), _SCAN_BUDGET)
         codes, half, digits = self.levels[-1], self.radix // 2, []
         for _ in range(self.vectors.shape[1] + 1):
             digits.append((codes + half) % self.radix - half)

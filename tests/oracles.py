@@ -9,7 +9,8 @@ rate read off a closed phase set against the rate enumerated over the seeds,
 the split-step run one field at a time against the stacked evolution,
 the advection phases built mode by mode against the batched build,
 E's symbol sampled at each box's own frequencies against the one table of
-integer lattice points per grid shape, and the closure and coupling plan
+integer lattice points per grid shape, E through the complex transforms of
+the grid against the real-FFT apply, and the closure and coupling plan
 with a row-wise unique, an eager pair sort and a per-pair loop against the
 ones built from one grouping of the pair codes.  assert_same_bits is the
 comparison that the bit-identity tests share.
@@ -247,11 +248,26 @@ def frequency_multiplier(kernel, grid: SpectralGrid) -> np.ndarray:
     return out.reshape(grid.shape)
 
 
-def half_spectrum(full: np.ndarray) -> np.ndarray:
+def even_part(full: np.ndarray) -> np.ndarray:
     """The even part (M(k) + M(-k)) / 2 of a multiplier table in FFT order,
-    with -k taken index by index modulo n, on the rfftn half spectrum."""
+    with -k taken index by index modulo n: for a symbol even in floating
+    point, M itself except at the Nyquist frequencies the lattice maps to
+    themselves."""
     mirror = full[np.ix_(*[-np.arange(n) % n for n in full.shape])]
-    return 0.5 * (full + mirror)[..., :full.shape[-1] // 2 + 1]
+    return 0.5 * (full + mirror)
+
+
+def half_spectrum(full: np.ndarray) -> np.ndarray:
+    """even_part of a multiplier table on the rfftn half spectrum."""
+    return even_part(full)[..., :full.shape[-1] // 2 + 1]
+
+
+def reference_apply(kernel, f: GridFunction) -> GridFunction:
+    """E(f) on the complex transforms of f's grid: forward, times the even
+    part of frequency_multiplier, then inverse."""
+    grid = f.grid
+    multiplier = even_part(frequency_multiplier(kernel, grid))
+    return GridFunction(grid, grid.inverse(multiplier * grid.forward(f.values)))
 
 
 class EagerPrefixIndex(PrefixIndex):

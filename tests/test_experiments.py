@@ -1266,6 +1266,39 @@ class TestCli:
             "config error: wave vectors too large for int64 resonance keys\n")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("nu, box_radius", [(2, 64), (1, 10 ** 6)],
+                             ids=["quintic-box-64", "cubic-box-1e6"])
+    def test_closure_over_budget_exit_two(self, tmp_path, capsys, nu,
+                                          box_radius):
+        # the closure runs at parse time, before every other budget: its
+        # arrays are budgeted as they are built, so a 2.2 GiB level sum, or
+        # generations that grow for minutes, end at once in a config error
+        cfg = {"experiment": "converge",
+               "model": {"lam": 1.0, "mu": 0.0, "nu": nu, "signature": "-+",
+                         "kernel": "ds"},
+               "grid": {"dim": 2, "box_pi_multiple": 1.0,
+                        "points_per_axis": 256},
+               "phases": {"phi0": [[1, 0], [1, 1], [0, 1]],
+                          "box_radius": box_radius},
+               "data": {"profile": "gaussian", "amplitudes": [0.4, 0.32, 0.36],
+                        "width": 0.42},
+               "eps_list": [1.0], "T": 0.05, "dt": 0.01, "snapshots": 5,
+               "profile_points": 32, "profile_dt": 0.01}
+        runs = (["--config", self.write(tmp_path, cfg),
+                 "--out", str(tmp_path / "r"), "profiles"],
+                ["resonance", "--phi0", "1,0;1,1;0,1", "--signature=-+",
+                 "--nu", str(nu), "--box-radius", str(box_radius)])
+        for argv in runs:
+            start = time.perf_counter()
+            assert main(argv) == 2
+            assert time.perf_counter() - start < 10.0
+            err = capsys.readouterr().err
+            assert re.fullmatch(
+                r"config error: phase-set closure: \d+ [a-z ]+, above the "
+                r"budget of \d+; lower phases\.box_radius, model\.nu or "
+                r"phases\.max_generations\n", err), err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("out", [os.path.join("missing", "x.json"), "."])
     def test_resonance_bad_out_exit_two(self, tmp_path, capsys, out):
         # a missing directory, and a directory in place of the file

@@ -8,7 +8,8 @@ from wnlgo import DIPOLAR_SCALE, GridFunction, SpectralGrid, apply, apply_raw, \
     oscillatory_coefficient_limit, parse_kernel, zero
 from wnlgo import grid as grid_module, kernels
 
-from oracles import frequency_multiplier, from_callable, half_spectrum
+from oracles import frequency_multiplier, from_callable, half_spectrum, \
+    reference_apply
 
 
 def test_ds_values():
@@ -94,8 +95,10 @@ def test_apply_kills_constants():
 
 def test_apply_dim_mismatch():
     g = SpectralGrid(1, 1.0, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dim"):
         apply(davey_stewartson(), GridFunction.zeros(g))
+    with pytest.raises(ValueError, match="dim"):
+        apply_raw(davey_stewartson(), g, np.zeros(g.shape))
 
 
 def _cross_symbol(p):
@@ -114,29 +117,43 @@ REAL_APPLY_CASES = {
 
 
 class TestApplyRaw:
-    """The real-FFT apply_raw against the general complex apply."""
+    """The real-FFT apply_raw, and apply on it, against E through the
+    complex transforms of the grid (reference_apply)."""
 
     @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
     def test_matches_complex_apply(self, name):
         kernel, grid = REAL_APPLY_CASES[name]
-        values = np.random.default_rng(31).standard_normal(grid.shape)
-        expected = apply(kernel, GridFunction(grid, values)).values.real
+        rng = np.random.default_rng(31)
+        values = rng.standard_normal(grid.shape)
+        expected = reference_apply(kernel, GridFunction(grid, values)).values
         got = apply_raw(kernel, grid, values)
         assert got.dtype == np.float64 and got.shape == grid.shape
         scale = max(np.linalg.norm(expected), np.linalg.norm(values))
         assert np.linalg.norm(got - expected) <= 1e-13 * scale
+        # a complex field, whose parts the even part acts on alike
+        f = GridFunction(grid, values + 1j * rng.standard_normal(grid.shape))
+        expected = reference_apply(kernel, f).values
+        scale = max(np.linalg.norm(expected), np.linalg.norm(f.values))
+        assert np.linalg.norm(apply(kernel, f).values - expected) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
+    def test_apply_of_a_real_field_is_apply_raw(self, name):
+        kernel, grid = REAL_APPLY_CASES[name]
+        values = np.random.default_rng(35).standard_normal(grid.shape)
+        got = apply(kernel, GridFunction(grid, values)).values
+        assert np.array_equal(got.real, apply_raw(kernel, grid, values))
+        assert not np.any(got.imag)
 
     @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
     def test_cached_multipliers_are_read_only(self, name):
         # one cached array serves every later call with this kernel and
         # grid shape
         kernel, grid = REAL_APPLY_CASES[name]
-        for table in (kernels._multiplier(kernel, grid.shape),
-                      kernels._half_multiplier(kernel, grid.shape)):
-            assert not table.flags.writeable
-            with pytest.raises(ValueError):
-                table[(1,) * grid.dim] = 7.0
-            assert table[(0,) * grid.dim] == kernels.zero_mode_value(kernel)
+        table = kernels._half_multiplier(kernel, grid.shape)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(1,) * grid.dim] = 7.0
+        assert table[(0,) * grid.dim] == kernels.zero_mode_value(kernel)
         assert kernels.zero_mode_value(kernel) == (kernel.kind == "identity")
 
     def test_cached_sign_pattern_is_read_only(self):
@@ -152,15 +169,19 @@ class TestApplyRaw:
 
     @pytest.mark.parametrize("name", sorted(REAL_APPLY_CASES))
     def test_evaluate_is_the_lattice_multiplier(self, name):
-        # one symbol serves both: Khat at each nonzero integer lattice point
-        # k is the multiplier there, bit for bit
+        # one symbol serves both: the half table at each nonzero integer
+        # lattice point k is (Khat(k) + Khat(-k mod n)) / 2, bit for bit
         kernel, grid = REAL_APPLY_CASES[name]
-        table = kernels._multiplier(kernel, grid.shape)
+        table = kernels._half_multiplier(kernel, grid.shape)
         n = grid.points_per_axis
-        for index in np.ndindex(grid.shape):
+
+        def signed(index):
+            return [i - n if 2 * i >= n else i for i in index]
+        for index in np.ndindex(table.shape):
             if any(index):
-                k = [i - n if 2 * i >= n else i for i in index]
-                assert evaluate(kernel, k) == table[index], index
+                k, mirror = signed(index), signed([-i % n for i in index])
+                assert 0.5 * (evaluate(kernel, k) + evaluate(kernel, mirror)) \
+                    == table[index], index
 
     @pytest.mark.parametrize("name", ["ds", "dipolar", "custom"])
     def test_stack_matches_each_field_alone(self, name):
@@ -202,12 +223,10 @@ class TestLatticeTable:
     """One table per kernel and grid shape, sampled at the integer lattice,
     against the symbol sampled at each box's own frequencies pi k / L."""
 
-    def tables(self, kernel, grid):
-        """(got, want) for the full and the half-spectrum table."""
-        want = frequency_multiplier(kernel, grid)
-        return ((kernels._multiplier(kernel, grid.shape), want),
-                (kernels._half_multiplier(kernel, grid.shape),
-                 half_spectrum(want)))
+    def table(self, kernel, grid):
+        """(got, want) for the half-spectrum table."""
+        return (kernels._half_multiplier(kernel, grid.shape),
+                half_spectrum(frequency_multiplier(kernel, grid)))
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("name", sorted(TABLE_KERNELS))
@@ -216,9 +235,9 @@ class TestLatticeTable:
         # leaves every sample unchanged
         kernel = TABLE_KERNELS[name]
         for j in range(-4, 2):
-            grid = SpectralGrid(kernel.dim, 2.0 ** j * np.pi, n)
-            for got, want in self.tables(kernel, grid):
-                assert np.array_equal(got, want), j
+            got, want = self.table(kernel, SpectralGrid(kernel.dim,
+                                                         2.0 ** j * np.pi, n))
+            assert np.array_equal(got, want), j
 
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("name", sorted(TABLE_KERNELS))
@@ -226,9 +245,9 @@ class TestLatticeTable:
         # on other boxes only the rounding of pi k / L moves a sample
         kernel = TABLE_KERNELS[name]
         for half_length in (1.0, 1.5, 2.0, 3.0 * np.pi):
-            grid = SpectralGrid(kernel.dim, half_length, n)
-            for got, want in self.tables(kernel, grid):
-                assert np.max(np.abs(got - want)) <= 1e-12, half_length
+            got, want = self.table(kernel,
+                                   SpectralGrid(kernel.dim, half_length, n))
+            assert np.max(np.abs(got - want)) <= 1e-12, half_length
 
 
 @pytest.mark.parametrize("kernel, shape", [
@@ -236,17 +255,18 @@ class TestLatticeTable:
     (dipolar((3.0 / 7.0, 6.0 / 7.0, 2.0 / 7.0)), (64, 64, 64))],
     ids=["ds", "dipolar-oblique"])
 def test_table_build_holds_little_beside_the_table(kernel, shape):
-    # the table is sampled from the 1-D frequency axes in blocks of rows: a
-    # mesh, a point stack or a whole-lattice temporary beside the table
-    # would take the build's peak over 1.5 tables
-    kernels._multiplier.cache_clear()
+    # the half table and its mirror are sampled from the 1-D frequency axes
+    # in blocks of rows: a mesh, a point stack, a full-lattice table or a
+    # whole mirror beside the table would take the build's peak over 1.5
+    # tables
+    kernels._half_multiplier.cache_clear()
     tracemalloc.start()
     try:
-        table = kernels._multiplier(kernel, shape)
+        table = kernels._half_multiplier(kernel, shape)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.shape == shape
+    assert table.shape == shape[:-1] + (shape[-1] // 2 + 1,)
     assert peak <= 1.5 * table.nbytes
 
 
@@ -281,7 +301,7 @@ class TestCustom:
 
     def test_rejects_non_finite_lattice_samples(self):
         # finite on the random probes, which never sit on an axis, but nan
-        # on the xi_2 = 0 lattice line; apply_raw shares the multiplier
+        # on the xi_2 = 0 lattice line; apply and apply_raw share the table
         k = custom(2, lambda p: np.where(p[:, 1] == 0, np.nan, 1.0))
         grid = SpectralGrid(2, np.pi, 8)
         for run in (lambda: apply(k, GridFunction.zeros(grid)),
@@ -289,6 +309,15 @@ class TestCustom:
             with pytest.raises(ValueError, match=r"not finite at lattice "
                                                  r"frequency \(1\.0, 0\.0\)"):
                 run()
+
+    def test_rejects_non_finite_mirror_samples(self):
+        # nan on the xi_2 = 0 line at xi_1 < 0 only, which the half spectrum
+        # samples as the mirror -k mod n of its entries k
+        k = custom(2, lambda p: np.where((p[:, 1] == 0) & (p[:, 0] < 0),
+                                         np.nan, 1.0))
+        with pytest.raises(ValueError, match=r"not finite at lattice frequency"
+                                             r" \(1\.0, 0\.0\) or at its mirror"):
+            apply_raw(k, SpectralGrid(2, np.pi, 8), np.zeros((8, 8)))
 
     def test_rejects_complex_symbol(self):
         fn = lambda p: 1.0j * np.ones(p.shape[0])

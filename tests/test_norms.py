@@ -153,6 +153,21 @@ class TestScaledProfileNorm:
         got = scaled_profile_norm(spec, 0.0)
         assert abs(got - math.pi ** 0.25) < 1e-6
 
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    def test_grid_profile_matches_the_callable(self, n):
+        # a grid profile is read at every (128/n)-th sample, or through its
+        # interpolant above 128 points: at beta = 1 both are the Gaussian
+        # the callable samples, to the grid profile's resolution
+        grid = SpectralGrid(2, 8.0, 128)
+
+        def profile(points):
+            return np.exp(-np.sum(points ** 2, axis=-1) / 2.0)
+        for sigma in (0.0, -1.0):
+            got, want = (scaled_profile_norm(ScaledProfileSpec(
+                f, (1.0, 0.5), 1.0, 0.5, half_length=8.0, points_per_axis=n),
+                sigma) for f in (gaussian(grid), profile))
+            assert abs(got - want) < 1e-12 * want
+
     def test_callable_needs_box(self):
         with pytest.raises(ValueError, match="half_length"):
             scaled_profile_norm(
@@ -186,3 +201,9 @@ class TestScaledProfileNorm:
             ScaledProfileSpec(f, (1.0,), 1.0, 0.5)
         with pytest.raises(TypeError):
             ScaledProfileSpec("not a profile", (1.0, 0.0), 1.0, 0.5)
+        # a grid profile is read on its own box only
+        with pytest.raises(ValueError, match="own box"):
+            ScaledProfileSpec(f, (1.0, 0.0), 1.0, 0.5, half_length=2.0)
+        for half_length in (0.0, np.pi):
+            assert ScaledProfileSpec(f, (1.0, 0.0), 1.0, 0.5,
+                                     half_length=half_length).half_length == np.pi

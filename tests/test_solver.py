@@ -14,12 +14,11 @@ from wnlgo import AdmissibilityError, GridFunction, ModelParams, ProfileSet, \
 from wnlgo import kernels
 from wnlgo.experiments import load_config, parse_config, run_inflation
 from wnlgo.grid import _superpose
-from wnlgo.kernels import apply
 from wnlgo.solver import _free_phase
 from wnlgo.transport import _advection_phases, _steps
 
 from oracles import advection_phases_per_mode, assert_same_bits, \
-    evolve_one_at_a_time, shift_in_fourier
+    evolve_one_at_a_time, reference_apply, shift_in_fourier
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -453,8 +452,8 @@ class TestSynthesis:
 
 def reference_evolve(field, t_end, dt):
     """The complex-FFT step loop evolve_semiclassical replaced, as its oracle:
-    complex fftn for the free flow, np.exp for the rotation, the general
-    kernels.apply on the density."""
+    complex fftn for the free flow, np.exp for the rotation, E on the
+    density through the complex transforms (reference_apply)."""
     span = t_end - field.time
     n_steps = max(1, round(abs(span) / dt))
     dt = span / n_steps
@@ -471,7 +470,7 @@ def reference_evolve(field, t_end, dt):
         density = np.abs(u) ** (2 * p.nu)
         potential = p.mu * density
         if p.lam != 0.0:
-            potential = potential + p.lam * apply(
+            potential = potential + p.lam * reference_apply(
                 p.kernel, GridFunction(grid, density)).values.real
         u *= np.exp((-1j * dt * scale) * potential)
         factor = full if step < n_steps - 1 else half
@@ -514,7 +513,7 @@ def largest_rotation(u0, dt):
     density = np.abs(u0.values.values) ** (2 * p.nu)
     potential = p.mu * density
     if p.lam != 0.0:
-        potential = potential + p.lam * apply(
+        potential = potential + p.lam * reference_apply(
             p.kernel, GridFunction(u0.grid, density)).values.real
     return np.max(np.abs(dt * p.eps ** (p.j_exponent - 1.0) * potential))
 
@@ -604,7 +603,6 @@ class TestEvolveFields:
         u0 = oscillatory_initial_data(grid, cfg.phase_set(),
                                       cfg.seed_amplitudes(grid),
                                       cfg.model_for(0.0625))
-        kernels._multiplier.cache_clear()
         kernels._half_multiplier.cache_clear()
         tracemalloc.start()
         try:

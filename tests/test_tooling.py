@@ -22,8 +22,9 @@ import pytest
 from wnlgo import GridFunction, ModelParams, ProfileSet, Signature, \
     SpectralGrid, TransportParams, close_phase_set, davey_stewartson, \
     evolve_profiles, evolve_semiclassical, oscillatory_initial_data
+from wnlgo import resonance
 from wnlgo.cli import build_parser
-from wnlgo.experiments import load_config, parse_config
+from wnlgo.experiments import Work, load_config, parse_config
 from wnlgo.transport import _steps
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -103,6 +104,13 @@ def test_shipped_and_benchmark_configs_fit_every_budget(raw):
     work = cfg.work
     if cfg.closure is not None:
         work += cfg.eps_work(cfg.eps_list[0], cells=False) + cfg.profile_work()
+        # the closure's arrays, largest at its last generation
+        index = cfg.closure.prefix_index
+        count, sizes = len(index.vectors), [len(lev) for lev in index.levels]
+        work += (Work("pair codes", count ** 2, resonance._PAIR_BUDGET),
+                 *(Work("level sum", size * sizes[0], resonance._LEVEL_BUDGET)
+                   for size in sizes[:-1]),
+                 Work("target scan", sizes[-1] * count, resonance._SCAN_BUDGET))
     assert [item.text for item in work if item.count > item.budget] == []
 
 
